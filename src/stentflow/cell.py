@@ -23,12 +23,14 @@ import numpy as np
 from .errors import MeshMismatch
 from .fem import (
     BC,
+    ReducedSystem,
     Sources,
+    apply_constraints,
+    assemble_loads,
     assemble_stokes,
     band_integral,
     build_space,
     eval_on_quadrature,
-    gradient_energy,
     section_average as _section_average,
 )
 from .geometry import BoundaryTag as T, Mesh
@@ -37,12 +39,17 @@ from .solvers import SolverConfig, StokesSolution, solve_stokes
 
 @dataclass
 class CellSolution:
-    """One boundary-layer solve plus its pressure normalization record."""
+    """One boundary-layer solve plus its pressure normalization record.
+
+    ``grad_energy`` is the squared L2 norm of the velocity gradient, u . (A u)
+    on the assembled strip operator.
+    """
 
     which: str
     solution: StokesSolution
     mesh: Mesh
     normalization: dict
+    grad_energy: float
 
 
 @dataclass
@@ -131,69 +138,91 @@ def _normalize_pressure(space, sol: StokesSolution, mesh) -> dict:
     return {"band": (y0, y1), "shift": float(shift)}
 
 
-def _solve(which, mesh, bc, sources, config) -> CellSolution:
-    space = build_space(mesh, bc)
-    if len(mesh.holes) == 0:
-        # no obstacle: the constant horizontal velocity is a genuine kernel
-        # mode; pin one DOF to select the symmetric representative
+def _pin_kernel(space):
+    """Without an obstacle the constant horizontal velocity is a genuine
+    kernel mode; pin one DOF to select the symmetric representative."""
+    if len(space.mesh.holes) == 0:
         space.fixed_dofs = np.append(space.fixed_dofs, 0)
         space.fixed_vals = np.append(space.fixed_vals, 0.0)
-    system = assemble_stokes(space, sources)
-    sol = solve_stokes(system, config)
+    return space
+
+
+def strip_operator(strip_mesh: Mesh) -> ReducedSystem:
+    """The constrained Stokes operator that every strip corrector shares.
+
+    The correctors differ only in their loads and in the values they fix:
+    all of them fix the vertical velocity at y2 = +-L and the velocity on
+    the obstacle, with periodic sides.  The result (a reduced system with no
+    loads) keeps the factorizations the solver makes, so it should live no
+    longer than the solves using it.
+    """
+    obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
+    space = _pin_kernel(build_space(strip_mesh, _strip_bc(0.0, obstacle)))
+    return apply_constraints(assemble_stokes(space))
+
+
+def _solve(which, mesh, bc, sources, config, operator) -> CellSolution:
+    if operator is None:
+        operator = strip_operator(mesh)
+    elif operator.space.mesh is not mesh:
+        raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
+    space = _pin_kernel(operator.space.with_bc(bc))
+    sol = solve_stokes(operator.with_loads(space, *assemble_loads(space, sources)),
+                       config)
     norm = _normalize_pressure(space, sol, mesh)
-    return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm)
+    # gradient energy u . (A u) on the assembled operator, one block per component
+    Au = operator.system.A @ sol.u
+    n = space.n_vnode
+    energy = float(sol.u[:n] @ Au[:n] + sol.u[n:] @ Au[n:])
+    return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
+                        grad_energy=energy)
 
 
-def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
-    """No-slip corrector: velocity equals -y2*e1 on the obstacle boundary."""
+def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None,
+               operator: ReducedSystem | None = None) -> CellSolution:
+    """No-slip corrector: velocity equals -y2*e1 on the obstacle boundary.
+
+    ``operator`` is the strip's :func:`strip_operator`, built here if omitted;
+    the same holds for the other correctors.
+    """
     _require_obstacle(strip_mesh, "beta")
     bc = _strip_bc(0.0, lambda x, y: (-y, 0.0))
-    return _solve("beta", strip_mesh, bc, None, config)
+    return _solve("beta", strip_mesh, bc, None, config, operator)
 
 
-def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
+def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None,
+                  operator: ReducedSystem | None = None) -> CellSolution:
     """Shear-jump corrector: unit horizontal line load on the interface line."""
     _require_obstacle(strip_mesh, "upsilon")
     bc = _strip_bc(0.0, (0.0, 0.0))
-    return _solve("upsilon", strip_mesh, bc, Sources(line=(T.SIGMA, 1.0)), config)
+    return _solve("upsilon", strip_mesh, bc, Sources(line=(T.SIGMA, 1.0)), config,
+                  operator)
 
 
-def solve_chi(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
+def solve_chi(strip_mesh: Mesh, config: SolverConfig | None = None,
+              operator: ReducedSystem | None = None) -> CellSolution:
     """Through-flow corrector: vertical velocity -1 at the truncation ends."""
     bc = _strip_bc(-1.0, (0.0, 0.0) if len(strip_mesh.holes) else None)
-    return _solve("chi", strip_mesh, bc, None, config)
+    return _solve("chi", strip_mesh, bc, None, config, operator)
 
 
 def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
-                   config: SolverConfig | None = None) -> CellSolution:
+                   config: SolverConfig | None = None,
+                   operator: ReducedSystem | None = None) -> CellSolution:
     """Second-order corrector sourced by the through-flow fields.
 
-    The body force is -2 * (d(chi)/dy1 - (eta - far-field eta) e1), assembled
-    from the discrete chi solution on the same mesh.
+    The body force is -2 * (d(chi)/dy1 - (eta - far-field eta) e1), evaluated
+    from the discrete chi solution at the quadrature points of its own mesh.
     """
     if chi.mesh is not strip_mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
-    space = chi.solution.space
-    eta_plus = band_integral(space, chi.solution.p, *_top_band(strip_mesh),
-                             average=True)
-    eta_minus = band_integral(space, chi.solution.p, *_bottom_band(strip_mesh),
-                              average=True)
-
-    from .fem import PointLocator, PressureField, velocity_gradient_at
-
-    locator = PointLocator(strip_mesh)
-    p_field = PressureField(space, chi.solution.p, locator)
-
-    def body_force(pts):
-        grad = velocity_gradient_at(space, chi.solution.u, pts, locator)
-        eta = p_field(pts)
-        eta_bar = np.where(pts[:, 1] > 0.0, eta_plus, eta_minus)
-        f = -2.0 * grad[:, :, 0]
-        f[:, 0] += 2.0 * (eta - eta_bar)
-        return f
+    fields = _chi_on_quadrature(chi, grad=True)
+    body_force = -2.0 * fields["gradu"][:, :, :, 0]
+    body_force[:, :, 0] += 2.0 * fields["eta_dev"]
 
     bc = _strip_bc(1.0, (0.0, 0.0) if len(strip_mesh.holes) else None)
-    return _solve("varkappa", strip_mesh, bc, Sources(volume=body_force), config)
+    return _solve("varkappa", strip_mesh, bc, Sources(volume=body_force), config,
+                  operator)
 
 
 def section_average(cell: CellSolution, component, y2) -> float:
@@ -224,7 +253,8 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
     """Far-field constants and gradient energies from the cell solves.
 
     Far-field values are means over the bands [L-2, L-1] and [-L+1, -L+2];
-    the obstacle area is analytic (pi r^2).
+    gradient energies are those the solves recorded; the obstacle area is
+    analytic (pi r^2).
     """
     mesh = beta.mesh
     if upsilon.mesh is not mesh or chi.mesh is not mesh:
@@ -238,10 +268,9 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
         ups1_plus=_band_mean_u(upsilon, top),
         ups1_minus=_band_mean_u(upsilon, bot),
         eta_jump=_band_mean_p(chi, top) - _band_mean_p(chi, bot),
-        chi_grad_energy=gradient_energy(chi.solution.space, chi.solution.u),
-        beta_grad_energy=gradient_energy(beta.solution.space, beta.solution.u),
-        ups_grad_energy=gradient_energy(upsilon.solution.space,
-                                        upsilon.solution.u),
+        chi_grad_energy=chi.grad_energy,
+        beta_grad_energy=beta.grad_energy,
+        ups_grad_energy=upsilon.grad_energy,
         obstacle_area=float(np.pi * r * r),
     )
     if varkappa is not None:
@@ -252,32 +281,32 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
     return CellConstants(**consts)
 
 
-def chi_cross_integral(chi: CellSolution) -> float:
-    """The volume integral of chi_1 * (eta - far-field eta) over the strip."""
-    space = chi.solution.space
-    mesh = chi.mesh
-    eta_plus = band_integral(space, chi.solution.p, *_top_band(mesh), average=True)
-    eta_minus = band_integral(space, chi.solution.p, *_bottom_band(mesh),
-                              average=True)
-    fields = eval_on_quadrature(space, u=chi.solution.u, p=chi.solution.p)
-    eta_bar = np.where(fields["pts"][:, :, 1] > 0.0, eta_plus, eta_minus)
-    integrand = fields["u"][:, :, 0] * (fields["p"] - eta_bar)
-    return float(np.sum(fields["w"] * integrand))
-
-
-def varkappa1_cross_integral(chi: CellSolution, beta: CellSolution) -> float:
-    """-2 int (sigma_{chi, eta - etabar} . e1, beta + y2 e1) over the strip."""
-    space = chi.solution.space
-    mesh = chi.mesh
+def _chi_on_quadrature(chi: CellSolution, grad=False):
+    """chi's fields at the volume quadrature points (see eval_on_quadrature),
+    plus ``eta_dev``, the pressure minus its far-field value on that side."""
+    space, mesh = chi.solution.space, chi.mesh
     eta_plus = band_integral(space, chi.solution.p, *_top_band(mesh), average=True)
     eta_minus = band_integral(space, chi.solution.p, *_bottom_band(mesh),
                               average=True)
     fields = eval_on_quadrature(space, u=chi.solution.u, p=chi.solution.p,
-                                grad=True)
+                                grad=grad)
+    fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
+                                               eta_plus, eta_minus)
+    return fields
+
+
+def chi_cross_integral(chi: CellSolution) -> float:
+    """The volume integral of chi_1 * (eta - far-field eta) over the strip."""
+    fields = _chi_on_quadrature(chi)
+    return float(np.sum(fields["w"] * (fields["u"][:, :, 0] * fields["eta_dev"])))
+
+
+def varkappa1_cross_integral(chi: CellSolution, beta: CellSolution) -> float:
+    """-2 int (sigma_{chi, eta - etabar} . e1, beta + y2 e1) over the strip."""
+    fields = _chi_on_quadrature(chi, grad=True)
     bf = eval_on_quadrature(beta.solution.space, u=beta.solution.u)
-    eta_bar = np.where(fields["pts"][:, :, 1] > 0.0, eta_plus, eta_minus)
     sig1 = fields["gradu"][:, :, :, 0].copy()          # d(chi)/dy1
-    sig1[:, :, 0] -= fields["p"] - eta_bar
+    sig1[:, :, 0] -= fields["eta_dev"]
     test = bf["u"].copy()
     test[:, :, 0] += fields["pts"][:, :, 1]            # beta + y2 e1
     integrand = np.einsum("mqc,mqc->mq", sig1, test)
@@ -350,28 +379,21 @@ def identity_report(beta, upsilon, chi, varkappa=None,
 
 
 def solve_all(strip_mesh: Mesh, config: SolverConfig | None = None,
-              with_varkappa=True, threads=1):
+              with_varkappa=True):
     """Run the cell solves (optionally the second-order one) and extract.
 
-    The three independent solves may run concurrently when ``threads`` > 1;
-    results are deterministic either way.  Returns (solutions dict,
+    All correctors share one :func:`strip_operator`, so the strip operator is
+    assembled, reduced and factored once per call.  Returns (solutions dict,
     constants).
     """
-    jobs = {
-        "beta": lambda: solve_beta(strip_mesh, config),
-        "upsilon": lambda: solve_upsilon(strip_mesh, config),
-        "chi": lambda: solve_chi(strip_mesh, config),
+    op = strip_operator(strip_mesh)
+    sols = {
+        "beta": solve_beta(strip_mesh, config, op),
+        "upsilon": solve_upsilon(strip_mesh, config, op),
+        "chi": solve_chi(strip_mesh, config, op),
     }
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {k: ex.submit(fn) for k, fn in jobs.items()}
-            sols = {k: f.result() for k, f in futures.items()}
-    else:
-        sols = {k: fn() for k, fn in jobs.items()}
     if with_varkappa:
-        sols["varkappa"] = solve_varkappa(strip_mesh, sols["chi"], config)
+        sols["varkappa"] = solve_varkappa(strip_mesh, sols["chi"], config, op)
     constants = extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
                                   sols.get("varkappa"))
     return sols, constants

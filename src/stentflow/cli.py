@@ -99,8 +99,7 @@ def cmd_cell(cfg: RunConfig, args) -> int:
         print(f"no obstacle: eta_jump={jump:.3e} (expected 0)")
         return 0 if abs(jump) < 1e-8 else 1
     sols, constants = solve_all(strip, cfg.solver(),
-                                with_varkappa=not args.skip_varkappa,
-                                threads=cfg["threads"])
+                                with_varkappa=not args.skip_varkappa)
     if args.vtk:
         n_vert = strip.n_vertices
         data = {}
@@ -185,8 +184,7 @@ def cmd_homog(cfg: RunConfig, args) -> int:
     else:
         strip = build_strip_mesh(cfg.obstacle(), L=cfg["strip.L"],
                                  h=cfg["strip.h"], refine_spec=cfg.refine_spec())
-        _, constants = solve_all(strip, cfg.solver(), with_varkappa=False,
-                                 threads=cfg["threads"])
+        _, constants = solve_all(strip, cfg.solver(), with_varkappa=False)
     flow = cfg.flow()
     zero = zero_order(flow, constants)
     if flow.case == "aneurysm":
@@ -280,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for independent solves")
 
     p = sub.add_parser("mesh", help="write macro and strip meshes")
     common(p)
@@ -319,8 +315,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg.values["threads"] = args.threads
         return args.func(cfg, args)
     except (ConfigError, NonIntegerReciprocal, ObstacleTouchesCell,
             ValueError) as exc:

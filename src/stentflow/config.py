@@ -33,19 +33,15 @@ DEFAULTS = {
     "mesh.min_angle": 20.0,
     "first_order.h": 0.05,
     "solver.method": "uzawa_cg",
-    "solver.inner_tol": 1e-12,
     "solver.outer_tol": 1e-10,
     "solver.max_outer": 500,
-    "solver.max_inner": 2000,
     "solver.schur_preconditioner": "pressure_mass",
     "output.dir": "out",
-    "threads": 1,
 }
 
 _STRING_KEYS = {"case", "eps_list", "solver.method", "solver.schur_preconditioner",
                 "output.dir"}
-_INT_KEYS = {"mesh.min_circle_segments", "solver.max_outer", "solver.max_inner",
-             "threads"}
+_INT_KEYS = {"mesh.min_circle_segments", "solver.max_outer"}
 
 
 @dataclass
@@ -95,10 +91,8 @@ class RunConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(
             method=self.values["solver.method"],
-            inner_tol=self.values["solver.inner_tol"],
             outer_tol=self.values["solver.outer_tol"],
             max_outer=self.values["solver.max_outer"],
-            max_inner=self.values["solver.max_inner"],
             schur_preconditioner=self.values["solver.schur_preconditioner"],
         )
 

@@ -41,6 +41,10 @@ class SingularSystem(StentflowError):
     """Iterative solver detected an indefinite or singular operator."""
 
 
+class ConstraintMismatch(StentflowError):
+    """A system's constrained pattern differs from the operator it meets."""
+
+
 class MeshMismatch(StentflowError):
     """Two solutions expected on the same mesh live on different meshes."""
 

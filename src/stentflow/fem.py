@@ -10,6 +10,8 @@ normal derivative there.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     ConflictingConstraints,
+    ConstraintMismatch,
     PointLocationFailure,
     UnassembledTag,
 )
@@ -131,6 +134,7 @@ class FESpace:
     bc_spec: dict
     edges: np.ndarray = field(init=False)
     tri_edges: np.ndarray = field(init=False)
+    edge_keys: np.ndarray = field(init=False)   # sorted a * n_vertices + b, a < b
     node_xy: np.ndarray = field(init=False)
     fixed_dofs: np.ndarray = field(init=False)
     fixed_vals: np.ndarray = field(init=False)
@@ -153,9 +157,26 @@ class FESpace:
     def vdof(self, comp, nodes):
         return comp * self.n_vnode + np.asarray(nodes)
 
-    def edge_index(self):
-        """Map from sorted vertex pair to midpoint-node index offset."""
-        return {tuple(e): i for i, e in enumerate(map(tuple, self.edges))}
+    def mid_nodes(self, a, b):
+        """Midpoint node ids of the mesh edges (a[k], b[k]), either orientation."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        keys = np.minimum(a, b) * self.mesh.n_vertices + np.maximum(a, b)
+        idx = np.searchsorted(self.edge_keys, keys)
+        if np.any(idx >= len(self.edge_keys)) or np.any(self.edge_keys[idx] != keys):
+            raise ValueError("vertex pair is not an edge of the mesh")
+        return idx + self.mesh.n_vertices
+
+    def with_bc(self, bc_spec: dict) -> "FESpace":
+        """The same mesh and node tables under other boundary conditions.
+
+        The tables are shared, not copied; only the constraint sets are built
+        anew.  See :func:`build_space` for the rules.
+        """
+        space = copy.copy(self)
+        space.bc_spec = dict(bc_spec)
+        _impose_constraints(space)
+        return space
 
 
 def _build_edges(tris):
@@ -177,12 +198,17 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
-    space.bc_spec = dict(bc_spec)
     space.edges, space.tri_edges = _build_edges(mesh.triangles.astype(np.int64))
+    # np.unique sorts the (a, b) rows lexicographically, so the keys are sorted
+    space.edge_keys = space.edges[:, 0] * mesh.n_vertices + space.edges[:, 1]
     mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])
     space.node_xy = np.concatenate([mesh.vertices, mids], axis=0)
+    return space.with_bc(bc_spec)
 
-    eidx = space.edge_index()
+
+def _impose_constraints(space: FESpace):
+    """Fill the fixed DOFs, periodic pairs and pressure kernel of ``space``."""
+    mesh, bc_spec = space.mesh, space.bc_spec
     n_vert = mesh.n_vertices
 
     # per velocity DOF: (priority, value).  Full Dirichlet (2) wins over
@@ -201,10 +227,6 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
                 f"velocity DOF {dof}: {cur[1]} vs {value}"
             )
 
-    def edge_nodes(a, b):
-        mid = eidx[tuple(sorted((int(a), int(b))))] + n_vert
-        return int(a), int(b), mid
-
     periodic_tags = []
     for tag in set(mesh.boundary_tags):
         if tag not in bc_spec:
@@ -213,11 +235,13 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
         if bc.kind == "periodic":
             periodic_tags.append((tag, bc.partner))
 
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+    b_edges = mesh.boundary_edges
+    b_mids = space.mid_nodes(b_edges[:, 0], b_edges[:, 1])
+    for (a, b), mid, tag in zip(b_edges, b_mids, mesh.boundary_tags):
         bc = bc_spec.get(tag)
         if bc is None:
             continue
-        nodes = edge_nodes(a, b)
+        nodes = (int(a), int(b), int(mid))
         dx, dy = (mesh.vertices[b] - mesh.vertices[a])
         horizontal = abs(dy) <= abs(dx)
         if bc.kind == "dirichlet":
@@ -288,19 +312,13 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     space.pressure_kernel = not any(
         bc.kind == "pressure" for bc in bc_spec.values()
     )
-    return space
 
 
 def _tag_nodes(mesh, space, tag):
     """All P2 node ids (vertices + midpoints) on edges carrying ``tag``."""
-    eidx = space.edge_index()
-    nodes = set()
-    for (a, b), t in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if t is tag:
-            nodes.add(int(a))
-            nodes.add(int(b))
-            nodes.add(eidx[tuple(sorted((int(a), int(b))))] + mesh.n_vertices)
-    return np.array(sorted(nodes), dtype=np.int64)
+    e = mesh.boundary_edges[mesh.boundary_tags == tag].astype(np.int64)
+    return np.unique(np.concatenate([e[:, 0], e[:, 1],
+                                     space.mid_nodes(e[:, 0], e[:, 1])]))
 
 
 # ----------------------------------------------------------------------------
@@ -312,12 +330,14 @@ def _tag_nodes(mesh, space, tag):
 class Sources:
     """Right-hand-side data for the Stokes assembly.
 
-    ``volume``: callable(points (n,2)) -> (n,2) body force, or None.
-    ``line``: (tag, coefficient) tangential line load c * e1 along the tagged
-    mesh line.  Natural pressure data comes from the space's ``pressure`` BCs.
+    ``volume``: body-force values at the volume quadrature points of every
+    triangle, shape (M, q, 2) as :func:`eval_on_quadrature` lays them out, or
+    None.  ``line``: (tag, coefficient) tangential line load c * e1 along the
+    tagged mesh line.  Natural pressure data comes from the space's
+    ``pressure`` BCs.
     """
 
-    volume: object = None
+    volume: np.ndarray | None = None
     line: tuple | None = None
 
 
@@ -351,16 +371,11 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
     """Assemble the saddle-point system in the gradient (non-symmetric) form.
 
     A holds the vector Laplacian (component-block diagonal), B the pressure
-    test of -div u, f the natural-pressure boundary terms plus optional line
-    and volume loads, g the (zero) divergence data.  Every boundary tag of
-    the mesh must be covered by the space's bc_spec.
+    test of -div u, f and g the loads of :func:`assemble_loads`.  Every
+    boundary tag of the mesh must be covered by the space's bc_spec.
     """
+    f, g = assemble_loads(space, sources)
     mesh = space.mesh
-    for tag in set(mesh.boundary_tags):
-        if tag not in space.bc_spec:
-            raise UnassembledTag(f"no boundary condition for tag {tag}")
-    sources = sources or Sources()
-
     tris = mesh.triangles.astype(np.int64)
     n_vert = mesh.n_vertices
     nodes = np.concatenate([tris, space.tri_edges + n_vert], axis=1)  # (M, 6)
@@ -401,59 +416,76 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
         shape=(n_vert, n_vert),
     ).tocsr()
 
-    f = np.zeros(space.n_vel)
-    g = np.zeros(n_vert)
-
-    # natural pressure data: f -= int_Gamma h (v . n)
-    eidx = space.edge_index()
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        bc = space.bc_spec.get(tag)
-        if bc is None or bc.kind != "pressure":
-            continue
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        d = pb - pa
-        length = float(np.hypot(*d))
-        nrm = np.array([d[1], -d[0]]) / length   # outward (domain on the left)
-        mid = eidx[tuple(sorted((int(a), int(b))))] + n_vert
-        tr = p2_edge_trace(EDGE_QP)              # (q, 3)
-        pts = pa[None, :] + EDGE_QP[:, None] * d[None, :]
-        h = (np.array([bc.value(x, y) for x, y in pts])
-             if callable(bc.value) else np.full(len(pts), float(bc.value)))
-        load = length * np.einsum("q,q,qi->i", EDGE_QW, h, tr)
-        for comp in range(2):
-            if abs(nrm[comp]) < 1e-14:
-                continue
-            for loc, nd in enumerate((int(a), int(b), mid)):
-                f[comp * n_vnode + nd] -= nrm[comp] * load[loc]
-
-    # line source c * e1 along a tagged mesh line
-    if sources.line is not None:
-        tag, coeff = sources.line
-        for (a, b) in space.mesh.edges_with_tag(tag):
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            length = float(np.hypot(*(pb - pa)))
-            mid = eidx[tuple(sorted((int(a), int(b))))] + n_vert
-            tr = p2_edge_trace(EDGE_QP)
-            load = coeff * length * np.einsum("q,qi->i", EDGE_QW, tr)
-            for loc, nd in enumerate((int(a), int(b), mid)):
-                f[nd] += load[loc]             # component 0
-
-    # volumetric body force
-    if sources.volume is not None:
-        p = mesh.vertices[tris]
-        fe = np.zeros((M, 2, 6))
-        for q in range(len(TRI_QW)):
-            pts = np.einsum("j,mjd->md", TRI_QP[q], p)
-            fv = np.asarray(sources.volume(pts))
-            w = TRI_QW[q] * area
-            fe += w[:, None, None] * fv[:, :, None] * _TRI_P2[q][None, None, :]
-        for comp in range(2):
-            np.add.at(f, comp * n_vnode + nodes, fe[:, comp, :])
-
     return StokesSystem(
         space=space, A=A, B=B, Mp=Mp, f=f, g=g,
         pressure_kernel=space.pressure_kernel,
     )
+
+
+def assemble_loads(space: FESpace, sources: Sources | None = None):
+    """Right-hand sides (f, g) of the saddle-point system on ``space``.
+
+    f holds the natural-pressure boundary terms plus the optional line and
+    volume loads, g the (zero) divergence data.  Every boundary tag of the
+    mesh must be covered by the space's bc_spec.
+    """
+    mesh = space.mesh
+    for tag in set(mesh.boundary_tags):
+        if tag not in space.bc_spec:
+            raise UnassembledTag(f"no boundary condition for tag {tag}")
+    sources = sources or Sources()
+    n_vnode = space.n_vnode
+    f = np.zeros(space.n_vel)
+    g = np.zeros(mesh.n_vertices)
+    tr = p2_edge_trace(EDGE_QP)                               # (q, 3)
+
+    # natural pressure data: f -= int_Gamma h (v . n)
+    for tag, bc in space.bc_spec.items():
+        if bc.kind != "pressure":
+            continue
+        nodes, d, length = _edge_tables(space, mesh.boundary_edges[
+            mesh.boundary_tags == tag])
+        nrm = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]  # outward
+        pts = (mesh.vertices[nodes[:, 0]][:, None, :]
+               + EDGE_QP[None, :, None] * d[:, None, :])      # (E, q, 2)
+        h = (np.array([[bc.value(x, y) for x, y in row] for row in pts])
+             if callable(bc.value) else np.full(pts.shape[:2], float(bc.value)))
+        load = length[:, None] * np.einsum("q,eq,qi->ei", EDGE_QW, h, tr)
+        for comp in range(2):
+            on = np.abs(nrm[:, comp]) >= 1e-14
+            np.add.at(f, comp * n_vnode + nodes[on], -nrm[on, comp, None] * load[on])
+
+    # line source c * e1 along a tagged mesh line
+    if sources.line is not None:
+        tag, coeff = sources.line
+        nodes, _, length = _edge_tables(space, mesh.edges_with_tag(tag))
+        load = (coeff * length)[:, None] * np.einsum("q,qi->i", EDGE_QW, tr)
+        np.add.at(f, nodes, load)                             # component 0
+
+    # volumetric body force, given at the volume quadrature points
+    if sources.volume is not None:
+        fv = np.asarray(sources.volume)
+        if fv.shape != (mesh.n_triangles, len(TRI_QW), 2):
+            raise ValueError(f"volume source of shape {fv.shape}, not (M, q, 2)")
+        _, area, _ = _geometry_tables(mesh)
+        fe = np.zeros((mesh.n_triangles, 2, 6))
+        for q in range(len(TRI_QW)):
+            w = TRI_QW[q] * area
+            fe += w[:, None, None] * fv[:, q, :, None] * _TRI_P2[q][None, None, :]
+        nodes = np.concatenate([mesh.triangles.astype(np.int64),
+                                space.tri_edges + mesh.n_vertices], axis=1)
+        for comp in range(2):
+            np.add.at(f, comp * n_vnode + nodes, fe[:, comp, :])
+    return f, g
+
+
+def _edge_tables(space: FESpace, edges):
+    """Nodes (a, b, midpoint), vectors b - a and lengths of mesh edges."""
+    a = np.asarray(edges[:, 0], dtype=np.int64)
+    b = np.asarray(edges[:, 1], dtype=np.int64)
+    d = space.mesh.vertices[b] - space.mesh.vertices[a]
+    nodes = np.stack([a, b, space.mid_nodes(a, b)], axis=1)
+    return nodes, d, np.hypot(d[:, 0], d[:, 1])
 
 
 # ----------------------------------------------------------------------------
@@ -463,9 +495,17 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
 
 @dataclass
 class ReducedSystem:
-    """Constrained saddle-point system plus recovery operators."""
+    """Constrained saddle-point system plus recovery operators.
 
-    system: StokesSystem
+    The reduced blocks depend only on the constrained pattern of ``space``
+    (fixed velocity DOFs, periodic pairs, pressure kernel), not on the
+    imposed values; :meth:`with_loads` puts another problem with the same
+    pattern on the same blocks.  ``factors`` holds the factorizations the
+    solvers make of the blocks, shared by every system derived that way.
+    """
+
+    system: StokesSystem          # the assembled blocks the reduction came from
+    space: FESpace                # the problem whose loads and fixed values these are
     A: sp.csr_matrix
     B: sp.csr_matrix
     Mp: sp.csr_matrix
@@ -475,34 +515,51 @@ class ReducedSystem:
     Tp: sp.csr_matrix
     u_fix: np.ndarray
     pressure_kernel: bool
+    factors: dict = field(default_factory=dict, repr=False)
 
     def expand(self, u_r, p_r):
         return self.Tu @ u_r + self.u_fix, self.Tp @ p_r
+
+    def with_loads(self, space: FESpace, f, g) -> "ReducedSystem":
+        """The loads (f, g) and fixed values of ``space`` on these blocks.
+
+        Raises :class:`ConstraintMismatch` unless ``space`` lives on this
+        system's mesh with this system's constrained pattern.
+        """
+        differs = [k for k in ("fixed_dofs", "vel_pairs", "p_pairs", "pressure_kernel")
+                   if not np.array_equal(getattr(space, k), getattr(self.space, k))]
+        if space.mesh is not self.space.mesh:
+            differs.insert(0, "mesh")
+        if differs:
+            raise ConstraintMismatch(
+                f"constrained pattern differs from the operator's: {', '.join(differs)}")
+        u_fix = np.zeros(space.n_vel)
+        u_fix[space.fixed_dofs] = space.fixed_vals
+        # replace() hands the blocks and the factors dict on by reference
+        return dataclasses.replace(
+            self, space=space, u_fix=u_fix,
+            f=self.Tu.T @ (f - self.system.A @ u_fix),
+            g=self.Tp.T @ (g - self.system.B @ u_fix),
+        )
 
 
 def _prolongation(n, fixed, pairs):
     """Maps reduced DOFs to full: identity on free DOFs, copy to slaves."""
     target = np.arange(n, dtype=np.int64)
-    for s, m in pairs:
-        target[s] = m
-    is_fixed = np.zeros(n, dtype=bool)
-    is_fixed[fixed] = True
     is_slave = np.zeros(n, dtype=bool)
     if len(pairs):
+        target[pairs[:, 0]] = pairs[:, 1]
         is_slave[pairs[:, 0]] = True
+    is_fixed = np.zeros(n, dtype=bool)
+    is_fixed[fixed] = True
     free = ~(is_fixed | is_slave)
     col_of = -np.ones(n, dtype=np.int64)
     col_of[free] = np.arange(free.sum())
-    rows, cols = [], []
-    for d in range(n):
-        t = target[d]
-        if is_fixed[t] or (is_slave[d] and is_fixed[t]):
-            continue
-        if col_of[t] >= 0:
-            rows.append(d)
-            cols.append(col_of[t])
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, free.sum()))
+    # a DOF copies its target's column unless the target is fixed (or is
+    # itself a slave, which has no column)
+    rows = np.flatnonzero(~is_fixed[target] & (col_of[target] >= 0))
+    cols = col_of[target[rows]]
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, free.sum()))
 
 
 def apply_constraints(system: StokesSystem) -> ReducedSystem:
@@ -516,17 +573,15 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
     space = system.space
     Tu = _prolongation(space.n_vel, space.fixed_dofs, space.vel_pairs)
     Tp = _prolongation(space.n_p, np.empty(0, dtype=np.int64), space.p_pairs)
-    u_fix = np.zeros(space.n_vel)
-    u_fix[space.fixed_dofs] = space.fixed_vals
-    A_r = (Tu.T @ system.A @ Tu).tocsr()
-    B_r = (Tp.T @ system.B @ Tu).tocsr()
-    Mp_r = (Tp.T @ system.Mp @ Tp).tocsr()
-    f_r = Tu.T @ (system.f - system.A @ u_fix)
-    g_r = Tp.T @ (system.g - system.B @ u_fix)
-    return ReducedSystem(
-        system=system, A=A_r, B=B_r, Mp=Mp_r, f=f_r, g=g_r,
-        Tu=Tu, Tp=Tp, u_fix=u_fix, pressure_kernel=system.pressure_kernel,
+    reduced = ReducedSystem(
+        system=system, space=space,
+        A=(Tu.T @ system.A @ Tu).tocsr(),
+        B=(Tp.T @ system.B @ Tu).tocsr(),
+        Mp=(Tp.T @ system.Mp @ Tp).tocsr(),
+        f=None, g=None, Tu=Tu, Tp=Tp, u_fix=None,
+        pressure_kernel=system.pressure_kernel,
     )
+    return reduced.with_loads(space, system.f, system.g)
 
 
 def export_matrix(mat, path):
@@ -705,20 +760,15 @@ def edge_flux(space: FESpace, u, edges, normal=None):
     (boundary edges keep the domain on their left); otherwise the fixed
     vector ``normal`` applies to every edge.
     """
-    mesh = space.mesh
-    eidx = space.edge_index()
-    total = 0.0
-    tr = p2_edge_trace(EDGE_QP)
-    for a, b in edges:
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        d = pb - pa
-        length = float(np.hypot(*d))
-        nrm = (np.array([d[1], -d[0]]) / length) if normal is None else np.asarray(normal)
-        mid = eidx[tuple(sorted((int(a), int(b))))] + mesh.n_vertices
-        nds = np.array([a, b, mid], dtype=np.int64)
-        un = nrm[0] * u[nds] + nrm[1] * u[space.n_vnode + nds]
-        total += length * float(np.einsum("q,qi,i->", EDGE_QW, tr, un))
-    return total
+    nodes, d, length = _edge_tables(space, np.asarray(edges).reshape(-1, 2))
+    if normal is None:
+        nrm = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]
+    else:
+        nrm = np.broadcast_to(np.asarray(normal, dtype=float), d.shape)
+    un = nrm[:, :1] * u[nodes] + nrm[:, 1:] * u[space.n_vnode + nodes]   # (E, 3)
+    per_edge = length * np.einsum("q,qi,ei->e", EDGE_QW, p2_edge_trace(EDGE_QP), un)
+    # a running total in edge order, as the fluxes have always been summed
+    return float(np.cumsum(per_edge)[-1]) if len(per_edge) else 0.0
 
 
 def _clip_below(poly, axis, value):

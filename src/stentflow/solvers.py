@@ -2,8 +2,10 @@
 
 The default Stokes path is conjugate gradients on the pressure Schur
 complement (Uzawa), preconditioned by the pressure mass matrix, with the
-velocity block solved by a reusable sparse factorization.  A direct sparse
+velocity block solved by a sparse factorization.  A direct sparse
 factorization of the whole saddle point is the cross-validation fallback.
+Factorizations are kept with the reduced blocks, so every system put on the
+same blocks (``ReducedSystem.with_loads``) shares them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonConvergence, SingularSystem
+from .errors import SingularSystem
 from .fem import (
     FESpace,
     ReducedSystem,
@@ -31,24 +33,19 @@ from .geometry import Mesh
 class SolverConfig:
     """Iterative-solver parameters.
 
-    ``method`` is ``uzawa_cg`` or ``direct``.  ``inner_solver`` picks how the
-    velocity block is inverted inside Uzawa iterations: ``factorize`` (exact
-    sparse LU, reused) or ``ilu_cg`` (CG preconditioned by an incomplete LU,
-    stopping at ``inner_tol``).
+    ``method`` is ``uzawa_cg`` or ``direct``.  Uzawa iterations invert the
+    velocity block by an exact sparse LU, made once per reduced operator.
     """
 
     method: str = "uzawa_cg"
-    inner_tol: float = 1e-12
     outer_tol: float = 1e-10
     max_outer: int = 500
-    max_inner: int = 2000
     schur_preconditioner: str = "pressure_mass"
-    inner_solver: str = "factorize"
 
     def __post_init__(self):
-        if not (0 < self.inner_tol < 1 and 0 < self.outer_tol < 1):
+        if not 0 < self.outer_tol < 1:
             raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_inner < 1:
+        if self.max_outer < 1:
             raise ValueError("iteration caps must be >= 1")
 
 
@@ -62,35 +59,21 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _inner_solver(A, config: SolverConfig):
-    A = A.tocsc()
-    if config.inner_solver == "factorize":
-        lu = spla.splu(A)
-        return lu.solve
-    if config.inner_solver == "ilu_cg":
-        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
-        M = spla.LinearOperator(A.shape, ilu.solve)
-
-        def solve(b):
-            x, info = spla.cg(A, b, rtol=config.inner_tol, atol=0.0,
-                              maxiter=config.max_inner, M=M)
-            if info > 0:
-                raise NonConvergence(f"inner CG stalled after {info} iterations")
-            return x
-
-        return solve
-    raise ValueError(f"unknown inner solver {config.inner_solver!r}")
+def _factor(red: ReducedSystem, key):
+    """Sparse LU of the block ``key`` of ``red``, made once per set of blocks."""
+    if key not in red.factors:
+        red.factors[key] = spla.splu(getattr(red, key).tocsc())
+    return red.factors[key]
 
 
 def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
-    A, B, Mp = red.A, red.B, red.Mp
+    A, B = red.A, red.B
     f, g = red.f, red.g
     n_p = B.shape[0]
-    Ainv = _inner_solver(A, config)
+    Ainv = _factor(red, "A").solve
 
     if config.schur_preconditioner == "pressure_mass":
-        Mp_lu = spla.splu(Mp.tocsc())
-        precond = Mp_lu.solve
+        precond = _factor(red, "Mp").solve
     else:
         precond = lambda r: r  # noqa: E731
 
@@ -203,7 +186,7 @@ def solve_stokes(system, config: SolverConfig | None = None,
             "converged={converged}".format(**diag),
             file=sys.stderr,
         )
-    return StokesSolution(space=red.system.space, u=u, p=p, diagnostics=diag)
+    return StokesSolution(space=red.space, u=u, p=p, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------------

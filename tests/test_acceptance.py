@@ -221,6 +221,26 @@ def test_criterion_7_vortex_inversion_stented(aneurysm_direct):
     assert s[1] < 0
 
 
+def _vortex_centre_row(vel):
+    """Row x2 = y_c of a sac vortex centre, found from the velocity field.
+
+    u1(1/2, x2) is sampled on the open interval (-1, 0), so the wall zeros
+    are excluded; it must change sign exactly once, and y_c interpolates
+    that sign change linearly.
+    """
+    ys = np.linspace(-1.0, 0.0, 201)[1:-1]
+    u1 = vel(np.stack([np.full_like(ys, 0.5), ys], axis=1))[:, 0]
+    flips = np.flatnonzero(np.signbit(u1[:-1]) != np.signbit(u1[1:]))
+    assert len(flips) == 1, f"u1(1/2, x2) changes sign {len(flips)} times"
+    i = flips[0]
+    return ys[i] - u1[i] * (ys[i + 1] - ys[i]) / (u1[i + 1] - u1[i])
+
+
+def _normal_velocity_at_row(vel, y):
+    """u.n along the downward normal at (1/4, y) and (3/4, y)."""
+    return -vel(np.array([[0.25, y], [0.75, y]]))[:, 1]
+
+
 def test_criterion_7_vortex_inversion_nostent_literal():
     """No-stent half: the sac vortex turns up at x1 = 1/4, down at 3/4.
 
@@ -235,15 +255,8 @@ def test_criterion_7_vortex_inversion_nostent_literal():
     sol = solve_direct(mesh, FlowData(case="aneurysm"))
     vel = VelocityField(sol.space, sol.u)
     s = interface_normal_samples(sol, xs=(0.25, 0.75))
-    # vortex centre row: the sign change of u1(1/2, x2), sampled on the open
-    # interval (-1, 0) so the wall zeros are excluded, interpolated linearly
-    ys = np.linspace(-1.0, 0.0, 201)[1:-1]
-    u1 = vel(np.stack([np.full_like(ys, 0.5), ys], axis=1))[:, 0]
-    flips = np.flatnonzero(np.signbit(u1[:-1]) != np.signbit(u1[1:]))
-    assert len(flips) == 1, f"u1(1/2, x2) changes sign {len(flips)} times"
-    i = flips[0]
-    y_c = ys[i] - u1[i] * (ys[i + 1] - ys[i]) / (u1[i + 1] - u1[i])
-    un = -vel(np.array([[0.25, y_c], [0.75, y_c]]))[:, 1]
+    y_c = _vortex_centre_row(vel)
+    un = _normal_velocity_at_row(vel, y_c)
     ok = un[0] < 0 < un[1]
     report("7 (no-stent, literal)", ok,
            f"u.n at (1/4, 3/4) on the interface = ({s[0]:+.2e}, {s[1]:+.2e}); "
@@ -254,15 +267,19 @@ def test_criterion_7_vortex_inversion_nostent_literal():
 
 
 def test_criterion_7_vortex_orientation_at_depth(aneurysm_direct):
-    """The claim behind the criterion: the sac vortex orientation inverts."""
+    """The claim behind the criterion: the sac vortex orientation inverts.
+
+    Each field is read on the row of its own vortex centre, so no depth is
+    fixed in advance.
+    """
     stented = aneurysm_direct[0.125]
     vel_s = VelocityField(stented.space, stented.u)
     mesh = no_stent_mesh("aneurysm", 0.05)
     plain = solve_direct(mesh, FlowData(case="aneurysm"))
     vel_p = VelocityField(plain.space, plain.u)
-    pts = np.array([[0.25, -0.3], [0.75, -0.3]])
-    un_s = -vel_s(pts)[:, 1]
-    un_p = -vel_p(pts)[:, 1]
+    y_s, y_p = _vortex_centre_row(vel_s), _vortex_centre_row(vel_p)
+    un_s = _normal_velocity_at_row(vel_s, y_s)
+    un_p = _normal_velocity_at_row(vel_p, y_p)
     # stented: transmural flow descends on the left; plain: the shear-driven
     # vortex ascends on the left -- opposite patterns
     ok = (un_s[0] > 0 > un_s[1]) and (un_p[0] < 0 < un_p[1])
@@ -270,8 +287,9 @@ def test_criterion_7_vortex_orientation_at_depth(aneurysm_direct):
     mid_p = vel_p(np.array([[0.5, -0.5]]))[0, 0]
     ok = ok and (mid_s > 0 > mid_p)
     report("7 (orientation at depth)", ok,
-           f"u.n rows: stented ({un_s[0]:+.2e}, {un_s[1]:+.2e}), "
-           f"no stent ({un_p[0]:+.2e}, {un_p[1]:+.2e}); "
+           f"u.n on the centre rows: stented y_c = {y_s:+.3f} "
+           f"({un_s[0]:+.2e}, {un_s[1]:+.2e}), no stent y_c = {y_p:+.3f} "
+           f"({un_p[0]:+.2e}, {un_p[1]:+.2e}); "
            f"return flow u1(0.5,-0.5): {mid_s:+.2e} vs {mid_p:+.2e}")
     assert un_s[0] > 0 > un_s[1]
     assert un_p[0] < 0 < un_p[1]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stentflow.cell import (
+    extract_constants,
     identity_report,
     section_average,
     solve_all,
@@ -16,11 +17,12 @@ from stentflow.cell import (
     solve_chi,
     solve_upsilon,
     solve_varkappa,
+    strip_operator,
     write_constants,
     read_constants,
 )
-from stentflow.errors import MeshMismatch
-from stentflow.fem import band_integral
+from stentflow.errors import ConstraintMismatch, MeshMismatch
+from stentflow.fem import BC, assemble_loads, band_integral, gradient_energy
 from stentflow.geometry import BoundaryTag as T, ObstacleSpec, build_strip_mesh
 
 H = 1 / 24
@@ -85,6 +87,14 @@ class TestCellSolves:
         assert rep["mu_jump_identity_rel"] <= 0.02
         assert rep["varkappa1_jump_identity_rel"] <= 0.02
         assert rep["varkappa_farfield_variance"] <= 1e-6
+
+    def test_grad_energies_match_stiffness_form(self, solutions):
+        sols, constants = solutions
+        for which in ("beta", "upsilon", "chi"):
+            sol = sols[which].solution
+            ref = gradient_energy(sol.space, sol.u)
+            assert sols[which].grad_energy == pytest.approx(ref, rel=1e-14)
+        assert constants.ups_grad_energy == sols["upsilon"].grad_energy
 
     def test_eta_jump_positive(self, solutions):
         _, constants = solutions
@@ -176,9 +186,40 @@ def test_truncation_length_insensitive():
         assert abs(getattr(c10, key) - getattr(c14, key)) < 1e-6
 
 
-def test_threaded_solves_match_serial(strip):
-    serial, c1 = solve_all(strip, with_varkappa=False, threads=1)
-    parallel, c2 = solve_all(strip, with_varkappa=False, threads=3)
-    assert c1.as_dict() == c2.as_dict()
-    for k in serial:
-        assert np.array_equal(serial[k].solution.u, parallel[k].solution.u)
+def test_shared_operator_matches_independent_solves(strip, solutions):
+    # solve_all factors one strip operator for all four correctors; each
+    # corrector solved alone factors its own
+    from stentflow.cli import TOL_TABLE
+
+    sols, shared = solutions
+    beta, upsilon, chi = solve_beta(strip), solve_upsilon(strip), solve_chi(strip)
+    varkappa = solve_varkappa(strip, chi)
+    alone = extract_constants(beta, upsilon, chi, varkappa)
+    for key, val in alone.as_dict().items():
+        assert abs(getattr(shared, key) - val) <= 1e-12 * abs(val), key
+    rep_shared = identity_report(sols["beta"], sols["upsilon"], sols["chi"],
+                                 sols["varkappa"], shared)
+    rep_alone = identity_report(beta, upsilon, chi, varkappa, alone)
+    assert rep_shared.keys() == rep_alone.keys()
+    for key in rep_alone:
+        assert ((rep_shared[key] <= TOL_TABLE[key])
+                == (rep_alone[key] <= TOL_TABLE[key])), key
+
+
+def test_mismatched_pattern_rejected(strip):
+    op = strip_operator(strip)
+    # natural top and bottom: the vertical velocity there is no longer fixed
+    bc = {T.STRIP_TOP: BC.natural(), T.STRIP_BOTTOM: BC.natural(),
+          T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
+          T.STRIP_RIGHT: BC.periodic(T.STRIP_LEFT),
+          T.GAMMA_EPS: BC.dirichlet((0.0, 0.0))}
+    space = op.space.with_bc(bc)
+    with pytest.raises(ConstraintMismatch, match="fixed_dofs"):
+        op.with_loads(space, *assemble_loads(space))
+    # the same pattern on another mesh
+    other = build_strip_mesh(ObstacleSpec(), L=L, h=H)
+    space = strip_operator(other).space
+    with pytest.raises(ConstraintMismatch, match="mesh"):
+        op.with_loads(space, *assemble_loads(space))
+    with pytest.raises(MeshMismatch):
+        solve_chi(other, operator=op)

@@ -24,22 +24,26 @@ class TestConfig:
 case = aneurysm
 eps = 0.25          # inline comment
 p_in = 3.5
-threads = 4
 """)
         assert cfg.case == "aneurysm"
         assert cfg.eps == 0.25
         assert cfg.flow().p_in == 3.5
-        assert cfg["threads"] == 4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("nonsense = 1")
+        # removed keys: the cell solves share one factored operator instead
+        # of a thread pool, and the velocity block has one inner solver
+        for key in ("threads = 1", "solver.inner_tol = 1e-12",
+                    "solver.max_inner = 2000"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(key)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("p_in = fast")
         with pytest.raises(ConfigError):
-            parse_config("threads = 1.5")
+            parse_config("solver.max_outer = 1.5")
         with pytest.raises(ConfigError):
             parse_config("case = wormhole")
 
@@ -95,6 +99,13 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 42\n")
         assert main(["mesh", "--config", str(bad)]) == 2
+
+    def test_threads_flag_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        with pytest.raises(SystemExit) as exc:
+            main(["cell", "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_solve_writes_fluxes(self, workdir, capsys):
         tmp, cfg = workdir

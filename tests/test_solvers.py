@@ -93,14 +93,6 @@ class TestStokes:
         assert np.abs(s1.u - s2.u).max() <= 1e-9
         assert np.abs(s1.p - s2.p).max() <= 1e-8
 
-    def test_ilu_inner_solver(self):
-        space, system = poiseuille_system(h=0.2)
-        cfg = SolverConfig(inner_solver="ilu_cg", inner_tol=1e-13)
-        sol = solve_stokes(system, cfg, quiet=True)
-        xy = space.node_xy
-        u1_exact = xy[:, 1] * (1 - xy[:, 1])
-        assert np.abs(sol.u[: space.n_vnode] - u1_exact).max() <= 1e-7
-
     def test_bad_config(self):
         with pytest.raises(ValueError):
             SolverConfig(outer_tol=2.0)
