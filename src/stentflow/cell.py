@@ -16,7 +16,7 @@ normalized to zero mean over the upper band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class CellSolution:
     """One boundary-layer solve plus its pressure normalization record.
 
     ``grad_energy`` is the squared L2 norm of the velocity gradient, u . (A u)
-    on the assembled strip operator.
+    on the assembled strip operator.  ``quadrature`` holds a chi solution's
+    fields at the quadrature points once :func:`_chi_on_quadrature` has
+    evaluated them.
     """
 
     which: str
@@ -50,6 +52,7 @@ class CellSolution:
     mesh: Mesh
     normalization: dict
     grad_energy: float
+    quadrature: dict | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -216,7 +219,7 @@ def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
     """
     if chi.mesh is not strip_mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
-    fields = _chi_on_quadrature(chi, grad=True)
+    fields = _chi_on_quadrature(chi)
     body_force = -2.0 * fields["gradu"][:, :, :, 0]
     body_force[:, :, 0] += 2.0 * fields["eta_dev"]
 
@@ -281,18 +284,21 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
     return CellConstants(**consts)
 
 
-def _chi_on_quadrature(chi: CellSolution, grad=False):
+def _chi_on_quadrature(chi: CellSolution):
     """chi's fields at the volume quadrature points (see eval_on_quadrature),
-    plus ``eta_dev``, the pressure minus its far-field value on that side."""
-    space, mesh = chi.solution.space, chi.mesh
-    eta_plus = band_integral(space, chi.solution.p, *_top_band(mesh), average=True)
-    eta_minus = band_integral(space, chi.solution.p, *_bottom_band(mesh),
-                              average=True)
-    fields = eval_on_quadrature(space, u=chi.solution.u, p=chi.solution.p,
-                                grad=grad)
-    fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
-                                               eta_plus, eta_minus)
-    return fields
+    gradients included, plus ``eta_dev``, the pressure minus its far-field
+    value on that side.  Evaluated on the first call and kept on ``chi``."""
+    if chi.quadrature is None:
+        space, mesh = chi.solution.space, chi.mesh
+        eta_plus = band_integral(space, chi.solution.p, *_top_band(mesh), average=True)
+        eta_minus = band_integral(space, chi.solution.p, *_bottom_band(mesh),
+                                  average=True)
+        fields = eval_on_quadrature(space, u=chi.solution.u, p=chi.solution.p,
+                                    grad=True)
+        fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
+                                                   eta_plus, eta_minus)
+        chi.quadrature = fields
+    return chi.quadrature
 
 
 def chi_cross_integral(chi: CellSolution) -> float:
@@ -303,7 +309,7 @@ def chi_cross_integral(chi: CellSolution) -> float:
 
 def varkappa1_cross_integral(chi: CellSolution, beta: CellSolution) -> float:
     """-2 int (sigma_{chi, eta - etabar} . e1, beta + y2 e1) over the strip."""
-    fields = _chi_on_quadrature(chi, grad=True)
+    fields = _chi_on_quadrature(chi)
     bf = eval_on_quadrature(beta.solution.space, u=beta.solution.u)
     sig1 = fields["gradu"][:, :, :, 0].copy()          # d(chi)/dy1
     sig1[:, :, 0] -= fields["eta_dev"]

@@ -186,7 +186,7 @@ def cmd_homog(cfg: RunConfig, args) -> int:
                                  h=cfg["strip.h"], refine_spec=cfg.refine_spec())
         _, constants = solve_all(strip, cfg.solver(), with_varkappa=False)
     flow = cfg.flow()
-    zero = zero_order(flow, constants)
+    zero = zero_order(flow)
     if flow.case == "aneurysm":
         print(f"lower-channel zero-order pressure: {zero.p_lower:g}")
     if cfg.eps == 0.0:

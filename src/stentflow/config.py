@@ -74,9 +74,7 @@ class RunConfig:
         return FlowData(p_in=self.values["p_in"], p_out1=self.values["p_out1"],
                         p_out2=self.values["p_out2"], case=self.case)
 
-    def obstacle(self) -> ObstacleSpec | None:
-        if self.values["obstacle.r"] <= 0:
-            return None
+    def obstacle(self) -> ObstacleSpec:
         return ObstacleSpec(center=(self.values["obstacle.cx"],
                                     self.values["obstacle.cy"]),
                             radius=self.values["obstacle.r"])
@@ -134,6 +132,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(values=values)
     if cfg.case not in ("collateral", "aneurysm"):
         raise ConfigError(f"case must be collateral or aneurysm, got {cfg.case!r}")
+    if cfg["obstacle.r"] <= 0:
+        raise ConfigError(f"obstacle.r must be positive, got {cfg['obstacle.r']!r}; "
+                          "use 'cell --no-obstacle' for the unobstructed strip")
     return cfg
 
 

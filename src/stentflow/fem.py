@@ -584,13 +584,6 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
     return reduced.with_loads(space, system.f, system.g)
 
 
-def export_matrix(mat, path):
-    """MatrixMarket coordinate text dump (debugging aid)."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(mat))
-
-
 # ----------------------------------------------------------------------------
 # field evaluation and norms
 # ----------------------------------------------------------------------------
@@ -678,74 +671,41 @@ class PressureField:
         return np.einsum("ni,ni->n", lam, self.p[nd])
 
 
-def quad_points(mesh: Mesh, tri_sel=None):
-    """Physical quadrature points and weights: (M, q, 2), (M, q)."""
-    tris = mesh.triangles if tri_sel is None else mesh.triangles[tri_sel]
-    p = mesh.vertices[tris]
-    area = 0.5 * cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    pts = np.einsum("qj,mjd->mqd", TRI_QP, p)
-    w = TRI_QW[None, :] * area[:, None]
-    return pts, w
-
-
-def l2_norm_diff(space: FESpace, u, field_b, region=None, component=None):
-    """L2 norm of (discrete field - reference) over a region of the mesh.
-
-    ``u`` is a velocity coefficient vector (length n_vel) or pressure vector
-    (length n_p).  ``field_b`` is a callable(points) returning matching
-    values (or None for a plain norm).  ``region`` selects triangles by a
-    centroid predicate.
-    """
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    sel = None
-    if region is not None:
-        cent = mesh.vertices[tris].mean(axis=1)
-        sel = region(cent)
-    pts, w = quad_points(mesh, sel)
-    tsel = tris if sel is None else tris[sel]
-    esel = space.tri_edges if sel is None else space.tri_edges[sel]
-    nodes6 = np.concatenate([tsel, esel + mesh.n_vertices], axis=1)
-    M, q = w.shape
-
-    if len(u) == space.n_vel:
-        vals = np.empty((M, q, 2))
-        for comp in range(2):
-            coeff = u[comp * space.n_vnode + nodes6]          # (M, 6)
-            vals[:, :, comp] = np.einsum("qi,mi->mq", _TRI_P2, coeff)
-        ref = (np.zeros((M * q, 2)) if field_b is None
-               else np.asarray(field_b(pts.reshape(-1, 2))))
-        diff = vals - ref.reshape(M, q, 2)
-        if component is not None:
-            diff = diff[:, :, component : component + 1]
-        return float(np.sqrt(np.sum(w[:, :, None] * diff**2)))
-    if len(u) == space.n_p:
-        coeff = u[tsel]
-        vals = np.einsum("qi,mi->mq", _TRI_P1, coeff)
-        ref = (np.zeros(M * q) if field_b is None
-               else np.asarray(field_b(pts.reshape(-1, 2))))
-        diff = vals - ref.reshape(M, q)
-        return float(np.sqrt(np.sum(w * diff**2)))
+def _coeffs_on_quadrature(space: FESpace, coeffs, tri_sel=None):
+    """:func:`eval_on_quadrature` of a velocity (length n_vel) or pressure
+    (length n_p) coefficient vector: (fields, values (M, q, 2) or (M, q))."""
+    if len(coeffs) == space.n_vel:
+        fields = eval_on_quadrature(space, u=coeffs, tri_sel=tri_sel)
+        return fields, fields["u"]
+    if len(coeffs) == space.n_p:
+        fields = eval_on_quadrature(space, p=coeffs, tri_sel=tri_sel)
+        return fields, fields["p"]
     raise ValueError("coefficient vector length matches neither space")
 
 
-def integrate_field(space: FESpace, u, region=None, component=0, power=1):
-    """Integral of a component of a discrete field over a triangle subset."""
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    sel = None
-    if region is not None:
-        cent = mesh.vertices[tris].mean(axis=1)
-        sel = region(cent)
-    pts, w = quad_points(mesh, sel)
-    tsel = tris if sel is None else tris[sel]
-    if len(u) == space.n_p:
-        vals = np.einsum("qi,mi->mq", _TRI_P1, u[tsel])
-    else:
-        esel = space.tri_edges if sel is None else space.tri_edges[sel]
-        nodes6 = np.concatenate([tsel, esel + mesh.n_vertices], axis=1)
-        vals = np.einsum("qi,mi->mq", _TRI_P2, u[component * space.n_vnode + nodes6])
-    return float(np.sum(w * vals**power))
+def l2_norm_diff(space: FESpace, u, field_b, tri_sel=None):
+    """L2 norm of (discrete field - reference) over a set of triangles.
+
+    ``u`` is a velocity (length n_vel) or pressure (length n_p) coefficient
+    vector, ``field_b`` a callable(points) returning matching values, or None
+    for a plain norm.  ``tri_sel`` selects triangles as in
+    :func:`eval_on_quadrature`.
+    """
+    fields, diff = _coeffs_on_quadrature(space, u, tri_sel)
+    if field_b is not None:
+        ref = np.asarray(field_b(fields["pts"].reshape(-1, 2)))
+        diff = diff - ref.reshape(diff.shape)
+    w = fields["w"] if diff.ndim == 2 else fields["w"][:, :, None]
+    return float(np.sqrt(np.sum(w * diff**2)))
+
+
+def integrate_field(space: FESpace, u, tri_sel=None, component=0):
+    """Integral of a pressure, or of one velocity component, over a set of
+    triangles (``tri_sel`` as in :func:`eval_on_quadrature`)."""
+    fields, vals = _coeffs_on_quadrature(space, u, tri_sel)
+    if vals.ndim == 3:
+        vals = vals[:, :, component]
+    return float(np.sum(fields["w"] * vals))
 
 
 # ----------------------------------------------------------------------------
@@ -936,20 +896,18 @@ def eval_on_quadrature(space: FESpace, u=None, p=None, grad=False, tri_sel=None)
     tris = mesh.triangles.astype(np.int64)
     sel = slice(None) if tri_sel is None else tri_sel
     tsel = tris[sel]
-    esel = space.tri_edges[sel]
     p_geom = mesh.vertices[tsel]
     area = 0.5 * cross2(p_geom[:, 1] - p_geom[:, 0], p_geom[:, 2] - p_geom[:, 0])
-    _, _, gradlam_all = _geometry_tables(mesh)
-    gradlam = gradlam_all[sel]
     out = {
         "pts": np.einsum("qj,mjd->mqd", TRI_QP, p_geom),
         "w": TRI_QW[None, :] * area[:, None],
     }
-    nodes6 = np.concatenate([tsel, esel + mesh.n_vertices], axis=1)
     if u is not None:
+        nodes6 = np.concatenate([tsel, space.tri_edges[sel] + mesh.n_vertices], axis=1)
         coeffs = np.stack([u[c * space.n_vnode + nodes6] for c in range(2)])
         out["u"] = np.einsum("qi,cmi->mqc", _TRI_P2, coeffs)
         if grad:
+            gradlam = _geometry_tables(mesh)[2][sel]
             dphi = np.einsum("qij,mjd->mqid", _TRI_C, gradlam)
             out["gradu"] = np.einsum("mqid,cmi->mqcd", dphi, coeffs)
     if p is not None:

@@ -60,18 +60,14 @@ class BoundaryTag(Enum):
 class ObstacleSpec:
     """A single solid obstacle in the unit periodicity cell.
 
-    Only disks are supported; ``shape`` is kept for future extension.
-    ``center`` is expressed in unit-cell coordinates, ``radius`` is
+    A disk: ``center`` is expressed in unit-cell coordinates, ``radius`` is
     dimensionless.
     """
 
     center: tuple[float, float] = (0.5, 0.25)
     radius: float = 3.0 / 16.0
-    shape: str = "disk"
 
     def __post_init__(self):
-        if self.shape != "disk":
-            raise NotImplementedError(f"unsupported obstacle shape {self.shape!r}")
         if self.radius <= 0:
             raise ValueError("obstacle radius must be positive")
 

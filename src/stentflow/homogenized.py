@@ -92,12 +92,8 @@ class ZeroOrder:
         return f.p_in * (1.0 - np.asarray(x1)) + f.p_out1 * np.asarray(x1) - self.p_lower
 
 
-def zero_order(flow: FlowData, constants: CellConstants | None = None) -> ZeroOrder:
-    """Closed-form zero order.
-
-    The leading order does not depend on the homogenized constants;
-    ``constants`` is accepted so all model stages share one call shape.
-    """
+def zero_order(flow: FlowData) -> ZeroOrder:
+    """Closed-form zero order; it does not depend on the homogenized constants."""
     return ZeroOrder(flow=flow)
 
 
@@ -135,7 +131,6 @@ class FirstOrderSolution:
     mesh_lower: Mesh
     trace_plus: object
     trace_minus: object
-    eps_hint: float | None = None
 
 
 def first_order_meshes(h=0.05, refine_spec: RefineSpec | None = None,
@@ -310,10 +305,9 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     su, sl = first.upper.space, first.lower.space
     pts0 = np.stack([x, np.zeros_like(x)], axis=1)
 
-    vel_up = VelocityField(su, first.upper.u)
-    vel_lo = VelocityField(sl, first.lower.u)
-    tr_up = vel_up(pts0)
-    tr_lo = vel_lo(pts0)
+    loc_up, loc_lo = PointLocator(su.mesh), PointLocator(sl.mesh)
+    tr_up = VelocityField(su, first.upper.u, loc_up)(pts0)
+    tr_lo = VelocityField(sl, first.lower.u, loc_lo)(pts0)
     ut_plus = eps * tr_up[:, 0]          # averaged tangential trace (u0 = 0 here)
     ut_minus = eps * tr_lo[:, 0]
     un = -eps * tr_up[:, 1]              # normal points into the lower channel
@@ -323,10 +317,10 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     slip_residual = ut_plus / slip_plus - ut_minus / slip_minus
 
     # one-sided sigma.n.n = du2/dx2 - p of the averaged fields at y = 0+-
-    g_up = velocity_gradient_at(su, first.upper.u, pts0)[:, 1, 1]
-    g_lo = velocity_gradient_at(sl, first.lower.u, pts0)[:, 1, 1]
-    p_up = zero.pressure(pts0) + eps * PressureField(su, first.upper.p)(pts0)
-    p_lo = zero.p_lower + eps * PressureField(sl, first.lower.p)(pts0)
+    g_up = velocity_gradient_at(su, first.upper.u, pts0, loc_up)[:, 1, 1]
+    g_lo = velocity_gradient_at(sl, first.lower.u, pts0, loc_lo)[:, 1, 1]
+    p_up = zero.pressure(pts0) + eps * PressureField(su, first.upper.p, loc_up)(pts0)
+    p_lo = zero.p_lower + eps * PressureField(sl, first.lower.p, loc_lo)(pts0)
     jump_signn = (eps * g_up - p_up) - (eps * g_lo - p_lo)
     # u.n = -u2; the condition reads -u2 = -(eps/[eta]) [sigma]nn
     normal_residual = un - (-(eps / constants.eta_jump) * jump_signn)

@@ -194,7 +194,15 @@ def solve_stokes(system, config: SolverConfig | None = None,
 # ----------------------------------------------------------------------------
 
 
-def _p1_stiffness_load(mesh: Mesh, rhs):
+def solve_poisson(mesh: Mesh, rhs, dirichlet_tags=(), extra_dirichlet_nodes=()):
+    """Galerkin P1 solve of -Laplace(q) = rhs with homogeneous Dirichlet data.
+
+    ``rhs`` is None or the source at the volume quadrature points of every
+    triangle, shape (M, q) as :func:`~stentflow.fem.eval_on_quadrature` lays
+    them out.  Dirichlet vertices come from the tagged boundary edges plus
+    ``extra_dirichlet_nodes`` (vertex ids).  Returns (nodal coefficients,
+    gradient L2 norm).
+    """
     tris = mesh.triangles.astype(np.int64)
     _, area, gradlam = _geometry_tables(mesh)
     K_el = area[:, None, None] * np.einsum("mid,mjd->mij", gradlam, gradlam)
@@ -204,74 +212,18 @@ def _p1_stiffness_load(mesh: Mesh, rhs):
     K = sp.coo_matrix((K_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     b = np.zeros(n)
     if rhs is not None:
-        p = mesh.vertices[tris]
+        fv = np.asarray(rhs)
+        if fv.shape != (mesh.n_triangles, len(TRI_QW)):
+            raise ValueError(f"Poisson source of shape {fv.shape}, not (M, q)")
         for q in range(len(TRI_QW)):
-            pts = np.einsum("j,mjd->md", TRI_QP[q], p)
-            fv = np.asarray(rhs(pts))
             w = TRI_QW[q] * area
-            np.add.at(b, tris, (w * fv)[:, None] * TRI_QP[q][None, :])
-    return K, b
+            np.add.at(b, tris, (w * fv[:, q])[:, None] * TRI_QP[q][None, :])
 
-
-def _p2_stiffness_load(mesh: Mesh, rhs):
-    from .fem import _TRI_C, _TRI_P2, _build_edges
-
-    tris = mesh.triangles.astype(np.int64)
-    edges, tri_edges = _build_edges(tris)
-    nodes = np.concatenate([tris, tri_edges + mesh.n_vertices], axis=1)
-    _, area, gradlam = _geometry_tables(mesh)
-    M = len(tris)
-    K_el = np.zeros((M, 6, 6))
-    for q in range(len(TRI_QW)):
-        dphi = np.einsum("ij,mjd->mid", _TRI_C[q], gradlam)
-        K_el += (TRI_QW[q] * area)[:, None, None] * np.einsum(
-            "mid,mjd->mij", dphi, dphi)
-    n = mesh.n_vertices + len(edges)
-    K = sp.coo_matrix(
-        (K_el.ravel(), (np.repeat(nodes, 6, axis=1).ravel(),
-                        np.tile(nodes, (1, 6)).ravel())), shape=(n, n)
-    ).tocsr()
-    b = np.zeros(n)
-    if rhs is not None:
-        p = mesh.vertices[tris]
-        for q in range(len(TRI_QW)):
-            pts = np.einsum("j,mjd->md", TRI_QP[q], p)
-            fv = np.asarray(rhs(pts))
-            w = TRI_QW[q] * area
-            np.add.at(b, nodes, (w * fv)[:, None] * _TRI_P2[q][None, :])
-    return K, b, edges
-
-
-def solve_poisson(mesh: Mesh, rhs, dirichlet_tags=(), extra_dirichlet_nodes=(),
-                  degree=1):
-    """Galerkin solve of -Laplace(q) = rhs with homogeneous Dirichlet data.
-
-    ``rhs`` is callable(points (n, 2)) -> (n,).  Dirichlet vertices come from
-    the tagged boundary edges plus ``extra_dirichlet_nodes`` (vertex ids).
-    ``degree`` selects P1 (default) or P2 elements; with P2 the midpoints of
-    tagged edges and of edges between two constrained vertices are clamped
-    as well.  Returns (nodal coefficients, gradient L2 norm).
-    """
     fixed = set(int(v) for v in extra_dirichlet_nodes)
     for tag in dirichlet_tags:
         for a, bb in mesh.edges_with_tag(tag):
             fixed.add(int(a))
             fixed.add(int(bb))
-    if degree == 1:
-        K, b = _p1_stiffness_load(mesh, rhs)
-        n = mesh.n_vertices
-    elif degree == 2:
-        K, b, edges = _p2_stiffness_load(mesh, rhs)
-        n = K.shape[0]
-        tagged = set()
-        for tag in dirichlet_tags:
-            for a, bb in mesh.edges_with_tag(tag):
-                tagged.add(tuple(sorted((int(a), int(bb)))))
-        for k, (a, bb) in enumerate(map(tuple, edges)):
-            if (a, bb) in tagged or (a in fixed and bb in fixed):
-                fixed.add(mesh.n_vertices + k)
-    else:
-        raise ValueError("degree must be 1 or 2")
     fixed = np.array(sorted(fixed), dtype=np.int64)
     free = np.setdiff1d(np.arange(n), fixed)
     q = np.zeros(n)

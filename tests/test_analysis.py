@@ -21,7 +21,7 @@ from stentflow.geometry import (
     build_macro_geometry,
     triangulate,
 )
-from stentflow.homogenized import FlowData
+from stentflow.homogenized import FlowData, zero_order
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,24 @@ class TestErrorNorms:
         mesh, direct = quarter_case
         p_field = PressureField(direct.space, direct.p)
         assert hm1_pressure_error(direct, p_field, mesh, 0.25) < 1e-12
+
+    def test_hm1_evaluates_direct_pressure_without_point_location(
+            self, quarter_case, monkeypatch):
+        # the direct pressure is read element by element on its own mesh
+        import stentflow.fem as fem
+
+        builds = []
+        init = fem.PointLocator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fem.PointLocator, "__init__", counting_init)
+        mesh, direct = quarter_case
+        zero = zero_order(FlowData())
+        assert hm1_pressure_error(direct, zero.pressure, mesh, 0.25) > 0
+        assert builds == []
 
     def test_flowrate_zero_solution(self, quarter_case):
         mesh, direct = quarter_case

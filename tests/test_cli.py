@@ -95,6 +95,15 @@ class TestCli:
         cfg.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.3"))
         assert main(["mesh", "--config", str(cfg)]) == 2
 
+    def test_nonpositive_obstacle_radius_exit_2(self, workdir, capsys):
+        # obstacle.r has one meaning in every subcommand: the unobstructed
+        # strip is `cell --no-obstacle`, not a zero radius
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + "obstacle.r = 0\n")
+        assert main(["mesh", "--config", str(cfg)]) == 2
+        assert "cell --no-obstacle" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
     def test_unknown_key_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 42\n")

@@ -262,18 +262,3 @@ class TestNorms:
             [pts[:, 1] * (1 - pts[:, 1]), np.zeros(len(pts))], axis=1)
         assert l2_norm_diff(space, u, exact) < 1e-14
 
-
-def test_matrix_market_export(tmp_path):
-    mesh = flat_channel(0.5)
-    space = build_space(mesh, all_dirichlet_bc())
-    system = assemble_stokes(space)
-    from stentflow.fem import export_matrix
-
-    path = tmp_path / "A.mtx"
-    export_matrix(system.A, path)
-    text = path.read_text()
-    assert text.startswith("%%MatrixMarket matrix coordinate")
-    from scipy.io import mmread
-
-    back = mmread(path)
-    assert abs(back - system.A).max() < 1e-15

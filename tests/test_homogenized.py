@@ -108,7 +108,7 @@ class TestInterfaceData:
 @pytest.fixture(scope="module")
 def collateral_first_order():
     flow = FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0)
-    z = zero_order(flow, TABLE)
+    z = zero_order(flow)
     mu_, ml_ = first_order_meshes(0.08)
     return z, solve_first_order(mu_, ml_, z, TABLE)
 
@@ -128,7 +128,7 @@ class TestFirstOrder:
 
     def test_zero_interface_data_gives_rest(self):
         flow = FlowData(p_in=1.0, p_out1=1.0, p_out2=1.0)
-        z = zero_order(flow, TABLE)
+        z = zero_order(flow)
         mu_, ml_ = first_order_meshes(0.1)
         fo = solve_first_order(mu_, ml_, z, TABLE)
         assert np.abs(fo.upper.u).max() < 1e-12
@@ -136,7 +136,7 @@ class TestFirstOrder:
 
     def test_aneurysm_compatibility_holds(self):
         flow = FlowData(p_in=2.0, p_out1=0.0, case="aneurysm")
-        z = zero_order(flow, TABLE)
+        z = zero_order(flow)
         mu_, ml_ = first_order_meshes(0.1, case="aneurysm")
         fo = solve_first_order(mu_, ml_, z, TABLE)
         # zero mean pressure normalization in the closed sac
@@ -146,7 +146,7 @@ class TestFirstOrder:
 
     def test_aneurysm_compatibility_failure_detected(self):
         flow = FlowData(p_in=2.0, p_out1=0.0, case="aneurysm")
-        z = zero_order(flow, TABLE)
+        z = zero_order(flow)
         z.p_lower = 0.7          # not the interface mean: net flux remains
         mu_, ml_ = first_order_meshes(0.1, case="aneurysm")
         with pytest.raises(CompatibilityFailure):
@@ -155,7 +155,7 @@ class TestFirstOrder:
     def test_corner_pressure_grows_under_refinement(self):
         # the multi-valued corner data forces a pressure singularity
         flow = FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0)
-        z = zero_order(flow, TABLE)
+        z = zero_order(flow)
         maxima = []
         for h in (0.1, 0.05):
             mu_, ml_ = first_order_meshes(h)
@@ -196,17 +196,17 @@ class TestAveraged:
 
 class TestFlowRate:
     def test_reference_value(self):
-        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0), TABLE)
+        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0))
         q = flowrate_formula(z, TABLE, 0.125)
         assert q == pytest.approx(0.125 * 2.0 / 27.9435, rel=1e-12)
         assert q == pytest.approx(0.0089460, abs=1e-6)
 
     def test_zero_jump_zero_rate(self):
-        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=1.0), TABLE)
+        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=1.0))
         assert flowrate_formula(z, TABLE, 0.125) == pytest.approx(0.0, abs=1e-15)
 
     def test_linear_in_eps(self):
-        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0), TABLE)
+        z = zero_order(FlowData(p_in=2.0, p_out1=0.0, p_out2=-1.0))
         assert flowrate_formula(z, TABLE, 0.25) == pytest.approx(
             2 * flowrate_formula(z, TABLE, 0.125), rel=1e-15)
 
@@ -218,7 +218,7 @@ class TestFlowRate:
         assert q_trace == pytest.approx(q_formula, rel=1e-12)
 
     def test_aneurysm_rejected(self):
-        z = zero_order(FlowData(case="aneurysm"), TABLE)
+        z = zero_order(FlowData(case="aneurysm"))
         with pytest.raises(ValueError):
             flowrate_formula(z, TABLE, 0.125)
 

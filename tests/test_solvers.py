@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from stentflow.fem import BC, assemble_stokes, build_space, edge_flux, energy_norm_sq
+from stentflow.fem import (
+    BC,
+    Sources,
+    assemble_stokes,
+    build_space,
+    edge_flux,
+    energy_norm_sq,
+    eval_on_quadrature,
+    integrate_field,
+    l2_norm_diff,
+)
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
@@ -14,6 +24,18 @@ from stentflow.geometry import (
 from stentflow.solvers import SolverConfig, solve_poisson, solve_stokes
 
 WALL_TAGS = (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)
+
+
+def quadrature_source(mesh, f):
+    """f(points) at the volume quadrature points of ``mesh``, shaped (M, q)."""
+    space = build_space(mesh, {t: BC.natural() for t in set(mesh.boundary_tags)})
+    pts = eval_on_quadrature(space)["pts"]
+    return f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+
+
+def sine_source(pts):
+    # -lap(sin(pi x) sin(pi y))
+    return 2 * np.pi**2 * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
 
 def poiseuille_system(h=0.25, p_in=2.0, p_out=0.0):
@@ -128,12 +150,8 @@ class TestPoisson:
     def test_manufactured_sine(self):
         # -lap(q) = 2 pi^2 sin(pi x) sin(pi y) -> q = sin sin, |grad q| = pi/sqrt(2)
         mesh = rectangle_mesh(0, 1, 0, 1, 0.05, tags=WALL_TAGS)
-
-        def rhs(pts):
-            return (2 * np.pi**2 * np.sin(np.pi * pts[:, 0])
-                    * np.sin(np.pi * pts[:, 1]))
-
-        q, norm = solve_poisson(mesh, rhs, dirichlet_tags=WALL_TAGS)
+        q, norm = solve_poisson(mesh, quadrature_source(mesh, sine_source),
+                                dirichlet_tags=WALL_TAGS)
         exact_nodal = (np.sin(np.pi * mesh.vertices[:, 0])
                        * np.sin(np.pi * mesh.vertices[:, 1]))
         assert np.abs(q - exact_nodal).max() < 0.02
@@ -142,11 +160,9 @@ class TestPoisson:
     def test_green_self_consistency(self):
         # rhs = 1: |grad q|^2 equals the integral of q (two quadratures agree)
         mesh = rectangle_mesh(0, 1, 0, 1, 0.1, tags=WALL_TAGS)
-        q, norm = solve_poisson(mesh, lambda pts: np.ones(len(pts)),
-                                dirichlet_tags=WALL_TAGS)
-        from stentflow.fem import build_space as bs, integrate_field, BC as BCC
-
-        space = bs(mesh, {t: BCC.natural() for t in WALL_TAGS})
+        ones = quadrature_source(mesh, lambda pts: np.ones(len(pts)))
+        q, norm = solve_poisson(mesh, ones, dirichlet_tags=WALL_TAGS)
+        space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
         int_q = integrate_field(space, q)
         assert abs(norm**2 - int_q) < 1e-10
 
@@ -155,15 +171,9 @@ class TestPoisson:
         errs = []
         for h in (0.1, 0.05, 0.025):
             mesh = rectangle_mesh(0, 1, 0, 1, h, tags=WALL_TAGS)
-
-            def rhs(pts):
-                return (2 * np.pi**2 * np.sin(np.pi * pts[:, 0])
-                        * np.sin(np.pi * pts[:, 1]))
-
-            q, _ = solve_poisson(mesh, rhs, dirichlet_tags=WALL_TAGS)
-            from stentflow.fem import build_space as bs, l2_norm_diff, BC as BCC
-
-            space = bs(mesh, {t: BCC.natural() for t in WALL_TAGS})
+            q, _ = solve_poisson(mesh, quadrature_source(mesh, sine_source),
+                                 dirichlet_tags=WALL_TAGS)
+            space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
             exact = lambda pts: (np.sin(np.pi * pts[:, 0])
                                  * np.sin(np.pi * pts[:, 1]))
             errs.append(l2_norm_diff(space, q, exact))
@@ -171,18 +181,75 @@ class TestPoisson:
         order2 = np.log2(errs[1] / errs[2])
         assert order1 >= 1.9 and order2 >= 1.9
 
-    def test_quadratic_elements_option(self):
-        # P2 variant: much smaller error at the same h, norm within 0.2%
-        mesh = rectangle_mesh(0, 1, 0, 1, 0.1, tags=WALL_TAGS)
+    def test_source_must_be_quadrature_data(self):
+        mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
+        with pytest.raises(ValueError, match="not \\(M, q\\)"):
+            solve_poisson(mesh, sine_source, dirichlet_tags=WALL_TAGS)
+        rhs = quadrature_source(mesh, sine_source)
+        for bad in (rhs[:-1], rhs[:, :3], rhs.ravel(), rhs[:, :, None]):
+            with pytest.raises(ValueError, match="not \\(M, q\\)"):
+                solve_poisson(mesh, bad, dirichlet_tags=WALL_TAGS)
 
-        def rhs(pts):
-            return (2 * np.pi**2 * np.sin(np.pi * pts[:, 0])
-                    * np.sin(np.pi * pts[:, 1]))
 
-        q1, n1 = solve_poisson(mesh, rhs, dirichlet_tags=WALL_TAGS, degree=1)
-        q2, n2 = solve_poisson(mesh, rhs, dirichlet_tags=WALL_TAGS, degree=2)
-        exact = np.pi / np.sqrt(2)
-        assert abs(n2 - exact) < 0.1 * abs(n1 - exact)
-        assert n2 == pytest.approx(exact, rel=2e-3)
-        with pytest.raises(ValueError):
-            solve_poisson(mesh, rhs, dirichlet_tags=WALL_TAGS, degree=3)
+class TestStokesManufactured:
+    """Taylor-Hood P2/P1 against a smooth divergence-free solution.
+
+    Stream function psi = sin^2(pi x) sin^2(pi y), u = (psi_y, -psi_x), and
+    p = cos(pi x) cos(pi y), which has zero mean; u vanishes on the whole
+    boundary of the unit square.  The body force f = -lap(u) + grad(p) is
+    written out by hand.  Expected rates (Brezzi & Fortin 1991): velocity L2
+    3, velocity H1 2, pressure L2 at least 2.
+    """
+
+    @staticmethod
+    def velocity(pts):
+        x, y = np.pi * pts[:, 0], np.pi * pts[:, 1]
+        return np.stack([np.pi * np.sin(x) ** 2 * np.sin(2 * y),
+                         -np.pi * np.sin(2 * x) * np.sin(y) ** 2], axis=1)
+
+    @staticmethod
+    def velocity_gradient(pts):
+        x2, y2 = 2 * np.pi * pts[..., 0], 2 * np.pi * pts[..., 1]
+        pi2 = np.pi**2
+        return np.stack([
+            np.stack([pi2 * np.sin(x2) * np.sin(y2),
+                      pi2 * (1 - np.cos(x2)) * np.cos(y2)], axis=-1),
+            np.stack([-pi2 * np.cos(x2) * (1 - np.cos(y2)),
+                      -pi2 * np.sin(x2) * np.sin(y2)], axis=-1),
+        ], axis=-2)
+
+    @staticmethod
+    def pressure(pts):
+        return np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+
+    @staticmethod
+    def body_force(pts):
+        x, y = np.pi * pts[..., 0], np.pi * pts[..., 1]
+        pi3 = np.pi**3
+        return np.stack([
+            -2 * pi3 * np.sin(2 * y) * (2 * np.cos(2 * x) - 1)
+            - np.pi * np.sin(x) * np.cos(y),
+            2 * pi3 * np.sin(2 * x) * (2 * np.cos(2 * y) - 1)
+            - np.pi * np.cos(x) * np.sin(y),
+        ], axis=-1)
+
+    def errors(self, h):
+        mesh = rectangle_mesh(0, 1, 0, 1, h, tags=WALL_TAGS)
+        space = build_space(mesh, {t: BC.dirichlet((0.0, 0.0)) for t in WALL_TAGS})
+        pts = eval_on_quadrature(space)["pts"]
+        system = assemble_stokes(space, Sources(volume=self.body_force(pts)))
+        sol = solve_stokes(system, SolverConfig(outer_tol=1e-12), quiet=True)
+        fields = eval_on_quadrature(space, u=sol.u, grad=True)
+        dgrad = fields["gradu"] - self.velocity_gradient(fields["pts"])
+        p_mean_free = sol.p - integrate_field(space, sol.p)    # unit area
+        return (l2_norm_diff(space, sol.u, self.velocity),
+                float(np.sqrt(np.sum(fields["w"][:, :, None, None] * dgrad**2))),
+                l2_norm_diff(space, p_mean_free, self.pressure))
+
+    def test_convergence_rates(self):
+        errs = np.array([self.errors(h) for h in (1 / 8, 1 / 16, 1 / 32)])
+        rates = np.log2(errs[:-1] / errs[1:])          # rows: h pairs
+        vel_l2, vel_h1, p_l2 = rates.T
+        assert np.all((vel_l2 >= 2.8) & (vel_l2 <= 3.2)), rates
+        assert np.all((vel_h1 >= 1.85) & (vel_h1 <= 2.15)), rates
+        assert np.all(p_l2 >= 1.8), rates
