@@ -129,22 +129,15 @@ def _hm1_dirichlet_nodes(mesh: Mesh, eps: float):
     and x2 = eps (boundaries of the three stacked subdomains); the thin
     lateral edges of the layer keep natural conditions.
     """
-    nodes = set()
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        ya, yb = mesh.vertices[a, 1], mesh.vertices[b, 1]
-        if tag in (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2):
-            for v, y in ((a, ya), (b, yb)):
-                if y <= 1e-12 or y >= eps - 1e-12:
-                    nodes.add(int(v))
-        else:
-            nodes.add(int(a))
-            nodes.add(int(b))
-    on_line = np.nonzero(
-        (np.abs(mesh.vertices[:, 1]) < 1e-12)
-        | (np.abs(mesh.vertices[:, 1] - eps) < 1e-12)
-    )[0]
-    nodes.update(int(v) for v in on_line)
-    return np.array(sorted(nodes), dtype=np.int64)
+    edges = mesh.boundary_edges.astype(np.int64)
+    tags = mesh.boundary_tags
+    lateral = (tags == T.GAMMA_IN) | (tags == T.GAMMA_OUT1) | (tags == T.GAMMA2)
+    y = mesh.vertices[:, 1]
+    lat = edges[lateral].ravel()
+    outside_layer = (y[lat] <= 1e-12) | (y[lat] >= eps - 1e-12)
+    on_line = np.nonzero((np.abs(y) < 1e-12) | (np.abs(y - eps) < 1e-12))[0]
+    return np.unique(np.concatenate([edges[~lateral].ravel(), lat[outside_layer],
+                                     on_line]))
 
 
 def hm1_pressure_error(direct: StokesSolution, approx_pressure,

@@ -135,6 +135,10 @@ def parse_config(text: str) -> RunConfig:
     if cfg["obstacle.r"] <= 0:
         raise ConfigError(f"obstacle.r must be positive, got {cfg['obstacle.r']!r}; "
                           "use 'cell --no-obstacle' for the unobstructed strip")
+    try:
+        cfg.solver()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -5,7 +5,8 @@ complement (Uzawa), preconditioned by the pressure mass matrix, with the
 velocity block solved by a sparse factorization.  A direct sparse
 factorization of the whole saddle point is the cross-validation fallback.
 Factorizations are kept with the reduced blocks, so every system put on the
-same blocks (``ReducedSystem.with_loads``) shares them.
+same blocks (``ReducedSystem.with_loads``) shares them.  Every matrix this
+module factors is symmetric, and :func:`factorize` is the one sparse LU.
 """
 
 from __future__ import annotations
@@ -29,12 +30,17 @@ from .fem import (
 from .geometry import Mesh
 
 
+METHODS = ("uzawa_cg", "direct")
+SCHUR_PRECONDITIONERS = ("pressure_mass", "none")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iterative-solver parameters.
 
-    ``method`` is ``uzawa_cg`` or ``direct``.  Uzawa iterations invert the
-    velocity block by an exact sparse LU, made once per reduced operator.
+    ``method`` is ``uzawa_cg`` or ``direct``, ``schur_preconditioner`` is
+    ``pressure_mass`` or ``none``.  Uzawa iterations invert the velocity
+    block by an exact sparse LU, made once per reduced operator.
     """
 
     method: str = "uzawa_cg"
@@ -43,10 +49,18 @@ class SolverConfig:
     schur_preconditioner: str = "pressure_mass"
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"solver.method must be one of {', '.join(METHODS)}, "
+                             f"got {self.method!r}")
+        if self.schur_preconditioner not in SCHUR_PRECONDITIONERS:
+            raise ValueError("solver.schur_preconditioner must be one of "
+                             f"{', '.join(SCHUR_PRECONDITIONERS)}, "
+                             f"got {self.schur_preconditioner!r}")
         if not 0 < self.outer_tol < 1:
-            raise ValueError("tolerances must lie in (0, 1)")
+            raise ValueError(f"solver.outer_tol must lie in (0, 1), "
+                             f"got {self.outer_tol!r}")
         if self.max_outer < 1:
-            raise ValueError("iteration caps must be >= 1")
+            raise ValueError(f"solver.max_outer must be >= 1, got {self.max_outer!r}")
 
 
 @dataclass
@@ -59,10 +73,24 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def factorize(M):
+    """Sparse LU of the symmetric matrix ``M``.
+
+    A symmetric ordering (minimum degree on M + M^T) with diagonal pivots
+    keeps the fill of a symmetric positive definite matrix at about half of
+    SuperLU's default column ordering with partial pivoting; SuperLU still
+    takes an off-diagonal pivot where a diagonal entry is exactly zero, as in
+    the saddle point.  ``splu`` is looked up on ``scipy.sparse.linalg`` at
+    call time, so a wrapper installed there sees every factorization.
+    """
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _factor(red: ReducedSystem, key):
     """Sparse LU of the block ``key`` of ``red``, made once per set of blocks."""
     if key not in red.factors:
-        red.factors[key] = spla.splu(getattr(red, key).tocsc())
+        red.factors[key] = factorize(getattr(red, key))
     return red.factors[key]
 
 
@@ -130,22 +158,19 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
 def _direct(red: ReducedSystem, config: SolverConfig):
     A, B = red.A, red.B
     n_u, n_p = A.shape[0], B.shape[0]
-    K = sp.bmat([[A, B.T], [B, None]], format="csr")
+    K = sp.bmat([[A, B.T], [B, None]], format="coo")
     rhs = np.concatenate([red.f, red.g])
     if red.pressure_kernel and n_p:
-        # pin one pressure DOF to remove the constant kernel
+        # pin one pressure DOF to remove the constant kernel: clear its row
+        # and column and put a unit diagonal there, which keeps K symmetric
         pin = n_u
-        K = K.tolil()
-        K.rows[pin] = [pin]
-        K.data[pin] = [1.0]
-        K = K.tocsr()
-        K = K.T.tolil()
-        K.rows[pin] = [pin]
-        K.data[pin] = [1.0]
-        K = K.T.tocsr()
+        keep = (K.row != pin) & (K.col != pin)
+        K = sp.coo_matrix(
+            (np.append(K.data[keep], 1.0),
+             (np.append(K.row[keep], pin), np.append(K.col[keep], pin))),
+            shape=K.shape)
         rhs[pin] = 0.0
-    lu = spla.splu(K.tocsc())
-    x = lu.solve(rhs)
+    x = factorize(K).solve(rhs)
     u, p = x[:n_u], x[n_u:]
     fnorm = max(float(np.linalg.norm(red.f)), 1e-300)
     gnorm = max(float(np.linalg.norm(red.g)), 1.0)
@@ -172,12 +197,8 @@ def solve_stokes(system, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     red = system.reduced() if isinstance(system, StokesSystem) else system
-    if config.method == "uzawa_cg":
-        u_r, p_r, diag = _uzawa_cg(red, config)
-    elif config.method == "direct":
-        u_r, p_r, diag = _direct(red, config)
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
+    solve = _direct if config.method == "direct" else _uzawa_cg
+    u_r, p_r, diag = solve(red, config)
     u, p = red.expand(u_r, p_r)
     if not quiet:
         print(
@@ -228,7 +249,6 @@ def solve_poisson(mesh: Mesh, rhs, dirichlet_tags=(), extra_dirichlet_nodes=()):
     free = np.setdiff1d(np.arange(n), fixed)
     q = np.zeros(n)
     if len(free):
-        K_ff = K[free][:, free].tocsc()
-        q[free] = spla.splu(K_ff).solve(b[free])
+        q[free] = factorize(K[free][:, free]).solve(b[free])
     grad_norm = float(np.sqrt(max(q @ (K @ q), 0.0)))
     return q, grad_norm

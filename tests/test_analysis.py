@@ -5,6 +5,7 @@ import pytest
 
 from stentflow.analysis import (
     SLOPE_BANDS,
+    _hm1_dirichlet_nodes,
     boundary_fluxes,
     fit_slope,
     flowrate_direct,
@@ -116,6 +117,24 @@ class TestErrorNorms:
         zero = zero_order(FlowData())
         assert hm1_pressure_error(direct, zero.pressure, mesh, 0.25) > 0
         assert builds == []
+
+    @pytest.mark.parametrize("case", ["collateral", "aneurysm"])
+    def test_hm1_dirichlet_nodes_match_edge_loop(self, case):
+        # reference: the per-edge selection, written out edge by edge
+        eps = 0.125
+        mesh = triangulate(build_macro_geometry(eps, case, ObstacleSpec()), 0.1)
+        y = mesh.vertices[:, 1]
+        ref = set()
+        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            for v in (int(a), int(b)):
+                if (tag not in (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2)
+                        or y[v] <= 1e-12 or y[v] >= eps - 1e-12):
+                    ref.add(v)
+        ref.update(int(v) for v in np.nonzero(
+            (np.abs(y) < 1e-12) | (np.abs(y - eps) < 1e-12))[0])
+        nodes = _hm1_dirichlet_nodes(mesh, eps)
+        assert nodes.dtype == np.int64
+        np.testing.assert_array_equal(nodes, np.array(sorted(ref)))
 
     def test_flowrate_zero_solution(self, quarter_case):
         mesh, direct = quarter_case

@@ -109,6 +109,16 @@ class TestCli:
         bad.write_text("mystery = 42\n")
         assert main(["mesh", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("line", ["solver.schur_preconditioner = pressure_mas",
+                                      "solver.method = lu"])
+    def test_unknown_solver_setting_exit_2(self, workdir, capsys, line):
+        # rejected before any meshing, naming the key
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
     def test_threads_flag_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
         with pytest.raises(SystemExit) as exc:

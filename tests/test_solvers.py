@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from stentflow.cell import solve_all, strip_operator
 from stentflow.fem import (
     BC,
     Sources,
@@ -18,10 +20,11 @@ from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
     build_macro_geometry,
+    build_strip_mesh,
     rectangle_mesh,
     triangulate,
 )
-from stentflow.solvers import SolverConfig, solve_poisson, solve_stokes
+from stentflow.solvers import SolverConfig, factorize, solve_poisson, solve_stokes
 
 WALL_TAGS = (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)
 
@@ -138,6 +141,51 @@ class TestStokes:
         assert sol.diagnostics["converged"] is False
         assert sol.diagnostics["iterations"] == 2
         assert np.isfinite(sol.u).all()
+
+
+@pytest.fixture(scope="module")
+def coarse_strip():
+    return build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)
+
+
+class TestFactorize:
+    def test_symmetric_ordering_halves_fill(self):
+        # the default strip, as the cell command factors it
+        A = strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)).A
+        lu = factorize(A)
+        plain = spla.splu(A.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.6 * (plain.L.nnz + plain.U.nnz)
+
+    def test_solution_matches_spsolve(self, coarse_strip):
+        A = strip_operator(coarse_strip).A
+        b = np.sin(np.arange(A.shape[0]))
+        x, ref = factorize(A).solve(b), spla.spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_direct_cell_constants_match_uzawa(self, coarse_strip):
+        # the pinned saddle point with a pressure kernel
+        _, uzawa = solve_all(coarse_strip)
+        _, direct = solve_all(coarse_strip, SolverConfig(method="direct"))
+        for key, val in uzawa.as_dict().items():
+            assert abs(getattr(direct, key) - val) <= 1e-7 * abs(val), key
+
+    def test_one_factorization_per_matrix(self, monkeypatch):
+        # the benchmark counts factorizations and their fill on spla.splu
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 16),
+                  with_varkappa=False)
+        assert len(calls) == 2
+        mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
+        solve_poisson(mesh, quadrature_source(mesh, sine_source),
+                      dirichlet_tags=WALL_TAGS)
+        assert len(calls) == 3
 
 
 class TestPoisson:
