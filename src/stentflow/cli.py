@@ -143,9 +143,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())
     mesh = triangulate(geo, cfg["mesh.h"], cfg.refine_spec())
     sol = solve_direct(mesh, cfg.flow(), cfg.solver())
-    if not sol.diagnostics.get("converged", False):
-        print("solver did not converge", file=sys.stderr)
-        return 1
     fluxes = boundary_fluxes(sol)
     q0 = flowrate_direct(sol)
     rows = [{"name": k, "value": v} for k, v in fluxes.items()]

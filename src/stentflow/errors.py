@@ -34,7 +34,12 @@ class PointLocationFailure(StentflowError):
 
 
 class NonConvergence(StentflowError):
-    """Iterative solver exhausted its iteration budget."""
+    """Iterative solver exhausted its iteration budget; ``diagnostics`` holds
+    the solver's record of the last iterate."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class SingularSystem(StentflowError):

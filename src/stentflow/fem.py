@@ -77,6 +77,21 @@ _TRI_C = _p2_grad_coeff(TRI_QP)        # (q, 6, 3)
 _TRI_P2 = p2_basis(TRI_QP)             # (q, 6)
 _TRI_P1 = TRI_QP                       # (q, 3)
 
+# Element tensors on the reference triangle, from the same quadrature.  With
+# G_ab = area grad(lam_a) . grad(lam_b), the P2 grad-grad element matrix is
+# sum_ab G_ab R[a, b, i, j]; the rows of G sum to zero, so it is also the sum
+# over the local edges (a, b) of G_ab _T[k, ij].  _T holds multiples of 1/6:
+# rounding to them drops the quadrature tables' 15-digit error and makes the
+# entries that vanish for every triangle (a vertex and the opposite midpoint)
+# or at a right angle (G_ab = 0) exact zeros, which keeps them out of the
+# factorized pattern.  The pressure test of d(phi_i)/dx_d is
+# area sum_b d(lam_b)/dx_d _S[b, ai]; the P1 mass matrix is area * _MP.
+_R = np.einsum("q,qia,qjb->abij", TRI_QW, _TRI_C, _TRI_C)
+_T = np.round(6 * np.stack([_R[a, b] + _R[b, a] - _R[a, a] - _R[b, b]
+                            for a, b in _EDGE_VERTS]).reshape(3, 36)) / 6
+_S = np.einsum("q,qa,qib->bai", TRI_QW, _TRI_P1, _TRI_C).reshape(3, 18)
+_MP = np.einsum("q,qa,qb->ab", TRI_QW, _TRI_P1, _TRI_P1).ravel()
+
 
 def p2_edge_trace(t: np.ndarray) -> np.ndarray:
     """Trace shape functions on an edge (a, b, midpoint) at parameters t."""
@@ -179,12 +194,14 @@ class FESpace:
         return space
 
 
-def _build_edges(tris):
+def _build_edges(tris, n_vertices):
+    """Unique edges (a, b), a < b, in lexicographic order, their sorted keys
+    a * n_vertices + b, and the edge of each local edge of each triangle."""
     e = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
-    e = np.sort(e, axis=1)
-    uniq, inv = np.unique(e, axis=0, return_inverse=True)
-    tri_edges = inv.reshape(3, -1).T
-    return uniq, tri_edges
+    keys, inv = np.unique(e.min(axis=1) * n_vertices + e.max(axis=1),
+                          return_inverse=True)
+    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
+    return edges, keys, inv.reshape(3, -1).T
 
 
 def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
@@ -198,9 +215,8 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
-    space.edges, space.tri_edges = _build_edges(mesh.triangles.astype(np.int64))
-    # np.unique sorts the (a, b) rows lexicographically, so the keys are sorted
-    space.edge_keys = space.edges[:, 0] * mesh.n_vertices + space.edges[:, 1]
+    space.edges, space.edge_keys, space.tri_edges = _build_edges(
+        mesh.triangles.astype(np.int64), mesh.n_vertices)
     mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])
     space.node_xy = np.concatenate([mesh.vertices, mids], axis=0)
     return space.with_bc(bc_spec)
@@ -355,8 +371,10 @@ class StokesSystem:
         return apply_constraints(self)
 
 
-def _geometry_tables(mesh):
-    p = mesh.vertices[mesh.triangles]
+def _geometry_tables(mesh, sel=slice(None)):
+    """Vertices (n, 3, 2), areas (n,) and barycentric gradients (n, 3, 2) of
+    the triangles ``sel`` (all of them by default)."""
+    p = mesh.vertices[mesh.triangles[sel]]
     v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
     area2 = cross2(v1 - v0, v2 - v0)
     # grad lam_i = perpendicular of the opposite edge / (2 area)
@@ -365,6 +383,32 @@ def _geometry_tables(mesh):
     g2 = np.stack([v0[:, 1] - v1[:, 1], v1[:, 0] - v0[:, 0]], axis=1)
     gradlam = np.stack([g0, g1, g2], axis=1) / area2[:, None, None]
     return p, 0.5 * area2, gradlam
+
+
+def _p2_nodes(space: FESpace, sel=slice(None)):
+    """P2 node ids (n, 6) of the triangles ``sel``: vertices, then midpoints."""
+    tris = space.mesh.triangles[sel].astype(np.int64)
+    return np.concatenate([tris, space.tri_edges[sel] + space.mesh.n_vertices], axis=1)
+
+
+def _scatter(el, rows, cols, shape):
+    """Sum the element matrices el (M, r, c) into a CSR matrix at the global
+    rows (M, r) and columns (M, c)."""
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+    c = np.tile(cols, (1, rows.shape[1])).ravel()
+    return sp.coo_matrix((el.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def _stiffness(space: FESpace, area, gradlam) -> sp.csr_matrix:
+    """Scalar P2 grad-grad matrix: one contraction of the edge terms G_ab
+    with _T for all elements, symmetrized so that the matrix is exactly
+    symmetric."""
+    a, b = np.array(_EDGE_VERTS).T
+    G = area[:, None] * np.einsum("mkd,mkd->mk", gradlam[:, a], gradlam[:, b])
+    K = (G @ _T).reshape(-1, 6, 6)
+    nodes = _p2_nodes(space)
+    return _scatter(0.5 * (K + K.transpose(0, 2, 1)), nodes, nodes,
+                    (space.n_vnode, space.n_vnode))
 
 
 def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSystem:
@@ -377,45 +421,19 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
     f, g = assemble_loads(space, sources)
     mesh = space.mesh
     tris = mesh.triangles.astype(np.int64)
-    n_vert = mesh.n_vertices
-    nodes = np.concatenate([tris, space.tri_edges + n_vert], axis=1)  # (M, 6)
+    n_vert, n_vnode = mesh.n_vertices, space.n_vnode
     _, area, gradlam = _geometry_tables(mesh)
-    M = len(tris)
-
-    K = np.zeros((M, 6, 6))
-    Bx = np.zeros((M, 3, 6))
-    By = np.zeros((M, 3, 6))
-    for q in range(len(TRI_QW)):
-        dphi = np.einsum("ij,mjd->mid", _TRI_C[q], gradlam)   # (M, 6, 2)
-        w = TRI_QW[q] * area
-        K += w[:, None, None] * np.einsum("mid,mjd->mij", dphi, dphi)
-        lam = _TRI_P1[q]
-        Bx -= w[:, None, None] * lam[None, :, None] * dphi[:, None, :, 0]
-        By -= w[:, None, None] * lam[None, :, None] * dphi[:, None, :, 1]
-
-    rows = np.repeat(nodes, 6, axis=1).ravel()
-    cols = np.tile(nodes, (1, 6)).ravel()
-    n_vnode = space.n_vnode
-    Ksp = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n_vnode, n_vnode)).tocsr()
+    Ksp = _stiffness(space, area, gradlam)
     A = sp.block_diag([Ksp, Ksp], format="csr")
 
-    prow = np.repeat(tris, 6, axis=1).ravel()
-    pcol = np.tile(nodes, (1, 3)).ravel()
-    Bxs = sp.coo_matrix((Bx.ravel(), (prow, pcol)), shape=(n_vert, n_vnode))
-    Bys = sp.coo_matrix((By.ravel(), (prow, pcol)), shape=(n_vert, n_vnode))
-    B = sp.hstack([Bxs, Bys], format="csr")
-
+    # B[m, a, (d, i)] = -area sum_b d(lam_b)/dx_d _S[b, ai]
+    Bd = -(area[:, None, None] * gradlam).transpose(0, 2, 1) @ _S   # (M, 2, 18)
+    B_el = Bd.reshape(-1, 2, 3, 6).transpose(0, 2, 1, 3).reshape(-1, 3, 12)
+    nodes = _p2_nodes(space)
+    B = _scatter(B_el, tris, np.concatenate([nodes, nodes + n_vnode], axis=1),
+                 (n_vert, 2 * n_vnode))
     # P1 pressure mass matrix (Schur preconditioner)
-    Mp_el = np.zeros((M, 3, 3))
-    for q in range(len(TRI_QW)):
-        lam = _TRI_P1[q]
-        Mp_el += TRI_QW[q] * area[:, None, None] * np.outer(lam, lam)[None]
-    Mp = sp.coo_matrix(
-        (Mp_el.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
-                         np.tile(tris, (1, 3)).ravel())),
-        shape=(n_vert, n_vert),
-    ).tocsr()
-
+    Mp = _scatter(area[:, None] * _MP, tris, tris, (n_vert, n_vert))
     return StokesSystem(
         space=space, A=A, B=B, Mp=Mp, f=f, g=g,
         pressure_kernel=space.pressure_kernel,
@@ -468,12 +486,8 @@ def assemble_loads(space: FESpace, sources: Sources | None = None):
         if fv.shape != (mesh.n_triangles, len(TRI_QW), 2):
             raise ValueError(f"volume source of shape {fv.shape}, not (M, q, 2)")
         _, area, _ = _geometry_tables(mesh)
-        fe = np.zeros((mesh.n_triangles, 2, 6))
-        for q in range(len(TRI_QW)):
-            w = TRI_QW[q] * area
-            fe += w[:, None, None] * fv[:, q, :, None] * _TRI_P2[q][None, None, :]
-        nodes = np.concatenate([mesh.triangles.astype(np.int64),
-                                space.tri_edges + mesh.n_vertices], axis=1)
+        fe = area[:, None, None] * (fv.transpose(0, 2, 1) @ (TRI_QW[:, None] * _TRI_P2))
+        nodes = _p2_nodes(space)
         for comp in range(2):
             np.add.at(f, comp * n_vnode + nodes, fe[:, comp, :])
     return f, g
@@ -643,10 +657,7 @@ class VelocityField:
         self.space = space
         self.u = u
         self.locator = locator or PointLocator(space.mesh)
-        tris = space.mesh.triangles.astype(np.int64)
-        self.nodes = np.concatenate(
-            [tris, space.tri_edges + space.mesh.n_vertices], axis=1
-        )
+        self.nodes = _p2_nodes(space)
 
     def __call__(self, pts):
         tri, lam = self.locator.locate(pts)
@@ -731,19 +742,43 @@ def edge_flux(space: FESpace, u, edges, normal=None):
     return float(np.cumsum(per_edge)[-1]) if len(per_edge) else 0.0
 
 
-def _clip_below(poly, axis, value):
-    """Keep the part of a polygon with coordinate <= value (S-H clipping)."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        c_in, n_in = cur[axis] <= value, nxt[axis] <= value
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            t = (value - cur[axis]) / (nxt[axis] - cur[axis])
-            out.append(cur + t * (nxt - cur))
-    return out
+def _field_at(space: FESpace, u, component, t, pts):
+    """Values at the points ``pts`` (n, k, 2) of the triangles ``t`` (n,) of a
+    pressure (length n_p) or one velocity component (length n_vel)."""
+    p, _, gradlam = _geometry_tables(space.mesh, t)
+    d = pts - p[:, None, 0]
+    l1 = np.einsum("nkd,nd->nk", d, gradlam[:, 1])
+    l2 = np.einsum("nkd,nd->nk", d, gradlam[:, 2])
+    lam = np.stack([1 - l1 - l2, l1, l2], axis=-1)
+    if len(u) == space.n_p:
+        return np.einsum("nki,ni->nk", lam, u[space.mesh.triangles[t]])
+    coeff = u[component * space.n_vnode + _p2_nodes(space, t)]
+    return np.einsum("nki,ni->nk", p2_basis(lam), coeff)
+
+
+def _by_height(mesh: Mesh, t):
+    """Vertices (n, 3, 2) of the triangles ``t``, sorted by y: lo, mid, hi."""
+    p = mesh.vertices[mesh.triangles[t]]
+    return np.take_along_axis(p, np.argsort(p[:, :, 1], axis=1)[:, :, None], axis=1)
+
+
+def _edge_point(a, b, c):
+    """The point at height c of each segment a-b (a not above b), clamped to
+    the segment; a horizontal segment gives b if c reaches it, else a."""
+    dy = b[:, 1] - a[:, 1]
+    s = np.divide(c - a[:, 1], dy, out=(c >= b[:, 1]).astype(float), where=dy > 0)
+    return a + np.clip(s, 0.0, 1.0)[:, None] * (b - a)
+
+
+def _cut(p, c):
+    """Where the line y = c meets triangles p sorted by height (n, 3, 2):
+    ``low`` on edge lo-mid, ``short`` on the broken edge lo-mid-hi and
+    ``long`` on edge lo-hi, each clamped to the triangle.  The part of a
+    triangle below the line is the fan (lo, low, short), (lo, short, long)."""
+    lo, mid, hi = p[:, 0], p[:, 1], p[:, 2]
+    low = _edge_point(lo, mid, c)
+    short = np.where((c <= mid[:, 1])[:, None], low, _edge_point(mid, hi, c))
+    return low, short, _edge_point(lo, hi, c)
 
 
 def band_integral(space: FESpace, u, y0, y1, component=0, average=False):
@@ -753,50 +788,24 @@ def band_integral(space: FESpace, u, y0, y1, component=0, average=False):
     be mesh lines.  Works for velocity (length n_vel) and pressure (length
     n_p) coefficient vectors.
     """
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    p = mesh.vertices[tris]
-    ymin = p[:, :, 1].min(axis=1)
-    ymax = p[:, :, 1].max(axis=1)
-    sel = np.nonzero((ymax > y0 + 1e-14) & (ymin < y1 - 1e-14))[0]
-    is_p = len(u) == space.n_p
-    _, _, gradlam = _geometry_tables(mesh)
-    total = 0.0
-    area_tot = 0.0
-    for t in sel:
-        poly = [p[t, k] for k in range(3)]
-        poly = _clip_below(poly, 1, y1)
-        if len(poly) < 3:
-            continue
-        poly = [-np.asarray(q) for q in poly]
-        poly = _clip_below(poly, 1, -y0)
-        poly = [-q for q in poly]
-        if len(poly) < 3:
-            continue
-        poly = np.asarray(poly)
-        v0 = mesh.vertices[tris[t, 0]]
-        if is_p:
-            nds = tris[t]
-            coeff = u[nds]
-        else:
-            nds = np.concatenate([tris[t], space.tri_edges[t] + mesh.n_vertices])
-            coeff = u[component * space.n_vnode + nds]
-        for k in range(1, len(poly) - 1):
-            sub = np.stack([poly[0], poly[k], poly[k + 1]])
-            a2 = cross2(sub[1] - sub[0], sub[2] - sub[0])
-            if abs(a2) < 1e-16:
-                continue
-            qpts = TRI_QP @ sub
-            d = qpts - v0
-            l1 = d @ gradlam[t, 1]
-            l2 = d @ gradlam[t, 2]
-            lam = np.stack([1 - l1 - l2, l1, l2], axis=1)
-            vals = (lam @ coeff) if is_p else (p2_basis(lam) @ coeff)
-            total += 0.5 * abs(a2) * float(TRI_QW @ vals)
-            area_tot += 0.5 * abs(a2)
+    y = space.mesh.vertices[:, 1][space.mesh.triangles]
+    t = np.flatnonzero((y.max(axis=1) > y0 + 1e-14) & (y.min(axis=1) < y1 - 1e-14))
+    p = _by_height(space.mesh, t)
+    # the band is the part of each triangle below y1 minus the part below y0
+    subs = []
+    for c in (y1, y0):
+        low, short, long = _cut(p, c)
+        subs += [np.stack([p[:, 0], low, short], axis=1),
+                 np.stack([p[:, 0], short, long], axis=1)]
+    X = np.stack(subs, axis=1)                                   # (n, 4, 3, 2)
+    area = 0.5 * np.abs(cross2(X[:, :, 1] - X[:, :, 0], X[:, :, 2] - X[:, :, 0]))
+    area *= [1.0, 1.0, -1.0, -1.0]
+    vals = _field_at(space, u, component, t, (TRI_QP @ X).reshape(len(t), -1, 2))
+    total = float(np.sum((area[:, :, None] * TRI_QW).reshape(len(t), -1) * vals))
     if average:
-        return float(total / area_tot) if area_tot else 0.0
-    return float(total)
+        area_tot = float(np.sum(area))
+        return total / area_tot if area_tot else 0.0
+    return total
 
 
 def section_average(space: FESpace, u, y2, component=0):
@@ -805,53 +814,26 @@ def section_average(space: FESpace, u, y2, component=0):
     Each triangle crossed by the line contributes a Gauss-integrated
     segment.  A triangle with a whole edge on the line contributes only if
     it lies above the line, so shared mesh-line edges count once.  The
-    domain width is 1, hence the line integral equals the average.
+    domain width is 1, hence the line integral equals the average.  ``y2``
+    may be an array of heights, which gives an array of averages.
     """
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    p = mesh.vertices[tris]
-    ymin = p[:, :, 1].min(axis=1)
-    ymax = p[:, :, 1].max(axis=1)
+    heights = np.atleast_1d(np.asarray(y2, dtype=float))
     tol = 1e-13
-    sel = np.nonzero((ymin <= y2 + tol) & (ymax >= y2 - tol))[0]
-    _, _, gradlam = _geometry_tables(mesh)
-    is_p = len(u) == space.n_p
-    total = 0.0
-    for t in sel:
-        yv = p[t, :, 1]
-        on = np.abs(yv - y2) < tol
-        if on.sum() >= 2:
-            if yv.sum() - 3 * y2 < tol:   # triangle below the line: skip
-                continue
-            xs = p[t, on, 0]
-            x0, x1 = xs.min(), xs.max()
-        else:
-            pts = []
-            for k in range(3):
-                a, b = p[t, k], p[t, (k + 1) % 3]
-                ya, yb = a[1], b[1]
-                if (ya - y2) * (yb - y2) < 0:
-                    s = (y2 - ya) / (yb - ya)
-                    pts.append(a[0] + s * (b[0] - a[0]))
-            pts.extend(p[t, on, 0])
-            if len(pts) < 2:
-                continue
-            x0, x1 = min(pts), max(pts)
-        if x1 - x0 < 1e-14:
-            continue
-        xq = x0 + EDGE_QP * (x1 - x0)
-        qpts = np.stack([xq, np.full(3, y2)], axis=1)
-        d = qpts - mesh.vertices[tris[t, 0]]
-        l1 = d @ gradlam[t, 1]
-        l2 = d @ gradlam[t, 2]
-        lam = np.stack([1 - l1 - l2, l1, l2], axis=1)
-        if is_p:
-            vals = lam @ u[tris[t]]
-        else:
-            nds = np.concatenate([tris[t], space.tri_edges[t] + mesh.n_vertices])
-            vals = p2_basis(lam) @ u[component * space.n_vnode + nds]
-        total += (x1 - x0) * float(EDGE_QW @ vals)
-    return total
+    y = space.mesh.vertices[:, 1][space.mesh.triangles]
+    # vertices within tol of the line count as on it; a triangle meets the
+    # line when its lowest vertex is on or below it and its highest above
+    k, t = np.nonzero((y.min(axis=1) < heights[:, None] + tol)
+                      & (y.max(axis=1) >= heights[:, None] + tol))
+    c = heights[k]
+    p = _by_height(space.mesh, t)
+    p[:, :, 1] = np.where(np.abs(p[:, :, 1] - c[:, None]) < tol, c[:, None], p[:, :, 1])
+    _, short, long = _cut(p, c)
+    x0, x1 = long[:, 0], short[:, 0]
+    pts = np.stack([x0[:, None] + EDGE_QP * (x1 - x0)[:, None],
+                    np.repeat(c[:, None], len(EDGE_QP), axis=1)], axis=-1)
+    per = np.abs(x1 - x0) * (_field_at(space, u, component, t, pts) @ EDGE_QW)
+    totals = np.bincount(k, weights=per, minlength=len(heights))
+    return float(totals[0]) if np.ndim(y2) == 0 else totals
 
 
 def energy_norm_sq(system: StokesSystem, u):
@@ -861,21 +843,8 @@ def energy_norm_sq(system: StokesSystem, u):
 
 def scalar_p2_stiffness(space: FESpace) -> sp.csr_matrix:
     """Stiffness matrix of one scalar P2 component (grad-grad form)."""
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    nodes = np.concatenate([tris, space.tri_edges + mesh.n_vertices], axis=1)
-    _, area, gradlam = _geometry_tables(mesh)
-    M = len(tris)
-    K = np.zeros((M, 6, 6))
-    for q in range(len(TRI_QW)):
-        dphi = np.einsum("ij,mjd->mid", _TRI_C[q], gradlam)
-        K += (TRI_QW[q] * area)[:, None, None] * np.einsum(
-            "mid,mjd->mij", dphi, dphi
-        )
-    rows = np.repeat(nodes, 6, axis=1).ravel()
-    cols = np.tile(nodes, (1, 6)).ravel()
-    n = space.n_vnode
-    return sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    _, area, gradlam = _geometry_tables(space.mesh)
+    return _stiffness(space, area, gradlam)
 
 
 def gradient_energy(space: FESpace, u) -> float:
@@ -892,26 +861,24 @@ def eval_on_quadrature(space: FESpace, u=None, p=None, grad=False, tri_sel=None)
     (M, q), and any of ``u`` (M, q, 2), ``gradu`` (M, q, 2, 2) laid out as
     gradu[..., i, j] = d u_i / d x_j, and ``p`` (M, q).
     """
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
     sel = slice(None) if tri_sel is None else tri_sel
-    tsel = tris[sel]
-    p_geom = mesh.vertices[tsel]
-    area = 0.5 * cross2(p_geom[:, 1] - p_geom[:, 0], p_geom[:, 2] - p_geom[:, 0])
+    p_geom, area, gradlam = _geometry_tables(space.mesh, sel)
     out = {
         "pts": np.einsum("qj,mjd->mqd", TRI_QP, p_geom),
         "w": TRI_QW[None, :] * area[:, None],
     }
     if u is not None:
-        nodes6 = np.concatenate([tsel, space.tri_edges[sel] + mesh.n_vertices], axis=1)
-        coeffs = np.stack([u[c * space.n_vnode + nodes6] for c in range(2)])
-        out["u"] = np.einsum("qi,cmi->mqc", _TRI_P2, coeffs)
+        nodes6 = _p2_nodes(space, sel)
+        coeffs = np.stack([u[nodes6], u[space.n_vnode + nodes6]], axis=1)  # (M, 2, 6)
+        out["u"] = (coeffs @ _TRI_P2.T).transpose(0, 2, 1)
         if grad:
-            gradlam = _geometry_tables(mesh)[2][sel]
-            dphi = np.einsum("qij,mjd->mqid", _TRI_C, gradlam)
-            out["gradu"] = np.einsum("mqid,cmi->mqcd", dphi, coeffs)
+            # d u_c/dx_d = sum_j (sum_i coeffs[c, i] C[q, i, j]) d lam_j/dx_d
+            M, q = len(coeffs), len(TRI_QW)
+            cl = coeffs @ _TRI_C.transpose(1, 0, 2).reshape(6, -1)       # (M, 2, q*3)
+            gu = cl.reshape(M, 2 * q, 3) @ gradlam                       # (M, 2q, 2)
+            out["gradu"] = gu.reshape(M, 2, q, 2).transpose(0, 2, 1, 3)
     if p is not None:
-        out["p"] = np.einsum("qi,mi->mq", _TRI_P1, p[tsel])
+        out["p"] = np.einsum("qi,mi->mq", _TRI_P1, p[space.mesh.triangles[sel]])
     return out
 
 
@@ -919,12 +886,8 @@ def velocity_gradient_at(space: FESpace, u, pts, locator=None):
     """Velocity gradient at arbitrary points: (n, 2, 2) with [i, j] = du_i/dx_j."""
     locator = locator or PointLocator(space.mesh)
     tri, lam = locator.locate(pts)
-    mesh = space.mesh
-    tris = mesh.triangles.astype(np.int64)
-    _, _, gradlam = _geometry_tables(mesh)
-    C = _p2_grad_coeff(lam)                       # (n, 6, 3)
-    dphi = np.einsum("nij,njd->nid", C, gradlam[tri])
-    nodes6 = np.concatenate([tris[tri], space.tri_edges[tri] + mesh.n_vertices],
-                            axis=1)
+    _, _, gradlam = _geometry_tables(space.mesh, tri)
+    dphi = np.einsum("nij,njd->nid", _p2_grad_coeff(lam), gradlam)
+    nodes6 = _p2_nodes(space, tri)
     coeffs = np.stack([u[c * space.n_vnode + nodes6] for c in range(2)])
     return np.einsum("nid,cni->ncd", dphi, coeffs)

@@ -473,11 +473,18 @@ def _block_band(b, x, y_rows, disks, n_c, bottom_row):
 # ----------------------------------------------------------------------------
 
 
+def _edge_keys(tris: np.ndarray):
+    """The directed edges (3M, 2) of the triangles and their undirected keys
+    min * n + max, n past the largest vertex id."""
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    n = int(e.max()) + 1
+    return e, e.min(axis=1).astype(np.int64) * n + e.max(axis=1), n
+
+
 def _boundary_edge_set(tris: np.ndarray) -> np.ndarray:
     """Edges belonging to exactly one triangle, oriented as in the triangle."""
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.sort(e, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    e, key, _ = _edge_keys(tris)
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
     return e[counts[inv] == 1]
 
 
@@ -487,10 +494,9 @@ def _on_line(pts, axis, value, tol=1e-12):
 
 def _interior_line_edges(verts, tris, axis, value):
     """Interior edges both of whose endpoints lie on an axis-aligned line."""
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.sort(e, axis=1)
-    uniq, counts = np.unique(key, axis=0, return_counts=True)
-    interior = uniq[counts == 2]
+    _, key, n = _edge_keys(tris)
+    uniq, counts = np.unique(key, return_counts=True)
+    interior = np.stack([uniq // n, uniq % n], axis=1).astype(tris.dtype)[counts == 2]
     on = _on_line(verts, axis, value)
     return interior[on[interior[:, 0]] & on[interior[:, 1]]]
 

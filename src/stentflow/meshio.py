@@ -85,12 +85,13 @@ def write_vtk(mesh: Mesh, path, point_data=None, title="stentflow mesh"):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",
     ]
-    out.extend(f"{x} {y} 0.0" for x, y in mesh.vertices)
+    # plain Python numbers (tolist) print as numpy scalars do, only faster
+    out.extend(map("{} {} 0.0".format, *mesh.vertices.T.tolist()))
     m = mesh.n_triangles
     out.append(f"CELLS {m} {4 * m}")
-    out.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles)
+    out.extend(map("3 {} {} {}".format, *mesh.triangles.T.tolist()))
     out.append(f"CELL_TYPES {m}")
-    out.extend("5" for _ in range(m))
+    out.extend(["5"] * m)
     if point_data:
         out.append(f"POINT_DATA {mesh.n_vertices}")
         for name, arr in point_data.items():
@@ -98,9 +99,9 @@ def write_vtk(mesh: Mesh, path, point_data=None, title="stentflow mesh"):
             if arr.ndim == 1:
                 out.append(f"SCALARS {name} double 1")
                 out.append("LOOKUP_TABLE default")
-                out.extend(str(v) for v in arr)
+                out.extend(map(str, arr.tolist()))
             else:
                 out.append(f"VECTORS {name} double")
-                out.extend(f"{v[0]} {v[1]} 0.0" for v in arr)
+                out.extend(map("{} {} 0.0".format, *arr[:, :2].T.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

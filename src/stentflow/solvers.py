@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SingularSystem
+from .errors import NonConvergence, SingularSystem
 from .fem import (
     FESpace,
     ReducedSystem,
@@ -192,8 +192,8 @@ def solve_stokes(system, config: SolverConfig | None = None,
     Accepts a :class:`StokesSystem` or an already-reduced system.  With the
     pressure-kernel flag set, the returned pressure has zero mean in the
     reduced coefficient sense; callers re-normalize over their region of
-    interest.  Non-convergence is reported through ``diagnostics`` on the
-    best iterate, not raised.
+    interest.  A solve that does not converge raises
+    :class:`~stentflow.errors.NonConvergence`, which carries the diagnostics.
     """
     config = config or SolverConfig()
     red = system.reduced() if isinstance(system, StokesSystem) else system
@@ -207,6 +207,10 @@ def solve_stokes(system, config: SolverConfig | None = None,
             "converged={converged}".format(**diag),
             file=sys.stderr,
         )
+    if not diag["converged"]:
+        raise NonConvergence(
+            f"{diag['method']} did not converge in {diag['iterations']} iterations "
+            f"(divergence residual {diag['divergence_residual']:.2e})", diag)
     return StokesSolution(space=red.space, u=u, p=p, diagnostics=diag)
 
 

@@ -187,6 +187,24 @@ class TestCli:
         assert "zero-order pressure: 1" in out       # aneurysm sac constant
         assert "zero-order model only" in out
 
+    def test_homog_unconverged_exit_1(self, workdir, capsys):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + "solver.max_outer = 3\n")
+        constants = tmp / "c.txt"
+        constants.write_text(
+            "beta1_plus=-0.377928\nbeta1_minus=-0.122114\n"
+            "ups1_plus=-0.000371269\nups1_minus=0.121744\neta_jump=27.9435\n"
+            "chi_grad_energy=27.9435\nbeta_grad_energy=0.1454\n"
+            "ups_grad_energy=0.121744\nobstacle_area=0.1104466\n"
+        )
+        assert main(["homog", "--config", str(cfg), "--constants",
+                     str(constants)]) == 1
+        out, err = capsys.readouterr()
+        assert "flow-rate law" not in out
+        assert "converged=False" in err
+        assert "numerical failure: NonConvergence" in err
+        assert not (tmp / "out" / "flowrate_eps0.25.csv").exists()
+
     def test_converge_dry_run(self, workdir, capsys):
         tmp, cfg = workdir
         assert main(["converge", "--config", str(cfg), "--dry-run"]) == 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from stentflow.errors import ConflictingConstraints, UnassembledTag
 from stentflow.fem import (
     BC,
@@ -11,18 +13,29 @@ from stentflow.fem import (
     Sources,
     TRI_QP,
     TRI_QW,
+    _TRI_C,
+    _TRI_P1,
+    _build_edges,
+    _geometry_tables,
     apply_constraints,
     assemble_stokes,
     band_integral,
     build_space,
     l2_norm_diff,
+    p2_basis,
+    scalar_p2_stiffness,
     section_average,
 )
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
+    _boundary_edge_set,
+    _interior_line_edges,
+    build_macro_geometry,
     build_strip_mesh,
+    cross2,
     rectangle_mesh,
+    triangulate,
 )
 
 WALL_TAGS = (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)
@@ -262,3 +275,251 @@ class TestNorms:
             [pts[:, 1] * (1 - pts[:, 1]), np.zeros(len(pts))], axis=1)
         assert l2_norm_diff(space, u, exact) < 1e-14
 
+
+
+# ----------------------------------------------------------------------------
+# per-triangle references for the vectorized kernels
+# ----------------------------------------------------------------------------
+
+
+def _clip_below(poly, axis, value):
+    """Keep the part of a polygon with coordinate <= value (S-H clipping)."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur, nxt = poly[i], poly[(i + 1) % n]
+        c_in, n_in = cur[axis] <= value, nxt[axis] <= value
+        if c_in:
+            out.append(cur)
+        if c_in != n_in:
+            t = (value - cur[axis]) / (nxt[axis] - cur[axis])
+            out.append(cur + t * (nxt - cur))
+    return out
+
+
+def _local_coeffs(space, u, t, component):
+    mesh = space.mesh
+    tris = mesh.triangles.astype(np.int64)
+    if len(u) == space.n_p:
+        return tris[t], u[tris[t]]
+    nds = np.concatenate([tris[t], space.tri_edges[t] + mesh.n_vertices])
+    return nds, u[component * space.n_vnode + nds]
+
+
+def _values(space, u, t, component, pts, gradlam):
+    d = pts - space.mesh.vertices[space.mesh.triangles[t, 0]]
+    l1 = d @ gradlam[t, 1]
+    l2 = d @ gradlam[t, 2]
+    lam = np.stack([1 - l1 - l2, l1, l2], axis=1)
+    _, coeff = _local_coeffs(space, u, t, component)
+    return (lam @ coeff) if len(u) == space.n_p else (p2_basis(lam) @ coeff)
+
+
+def reference_band_integral(space, u, y0, y1, component=0, average=False):
+    """Triangle by triangle: Sutherland-Hodgman clip, fan, 6-point rule."""
+    mesh = space.mesh
+    p = mesh.vertices[mesh.triangles]
+    ymin, ymax = p[:, :, 1].min(axis=1), p[:, :, 1].max(axis=1)
+    sel = np.nonzero((ymax > y0 + 1e-14) & (ymin < y1 - 1e-14))[0]
+    _, _, gradlam = _geometry_tables(mesh)
+    total = area_tot = 0.0
+    for t in sel:
+        poly = _clip_below([p[t, k] for k in range(3)], 1, y1)
+        if len(poly) < 3:
+            continue
+        poly = [-q for q in _clip_below([-np.asarray(q) for q in poly], 1, -y0)]
+        if len(poly) < 3:
+            continue
+        for k in range(1, len(poly) - 1):
+            sub = np.stack([poly[0], poly[k], poly[k + 1]])
+            a2 = cross2(sub[1] - sub[0], sub[2] - sub[0])
+            if abs(a2) < 1e-16:
+                continue
+            vals = _values(space, u, t, component, TRI_QP @ sub, gradlam)
+            total += 0.5 * abs(a2) * float(TRI_QW @ vals)
+            area_tot += 0.5 * abs(a2)
+    if average:
+        return float(total / area_tot) if area_tot else 0.0
+    return float(total)
+
+
+def reference_section_average(space, u, y2, component=0):
+    """Triangle by triangle: the cut segment, a whole edge on the line
+    counting only for the triangle above it, 3-point Gauss rule."""
+    mesh = space.mesh
+    p = mesh.vertices[mesh.triangles]
+    ymin, ymax = p[:, :, 1].min(axis=1), p[:, :, 1].max(axis=1)
+    tol = 1e-13
+    sel = np.nonzero((ymin <= y2 + tol) & (ymax >= y2 - tol))[0]
+    _, _, gradlam = _geometry_tables(mesh)
+    total = 0.0
+    for t in sel:
+        yv = p[t, :, 1]
+        on = np.abs(yv - y2) < tol
+        if on.sum() >= 2:
+            if yv.sum() - 3 * y2 < tol:   # triangle below the line: skip
+                continue
+            xs = p[t, on, 0]
+        else:
+            xs = list(p[t, on, 0])
+            for k in range(3):
+                a, b = p[t, k], p[t, (k + 1) % 3]
+                if (a[1] - y2) * (b[1] - y2) < 0:
+                    xs.append(a[0] + (y2 - a[1]) / (b[1] - a[1]) * (b[0] - a[0]))
+            if len(xs) < 2:
+                continue
+        x0, x1 = min(xs), max(xs)
+        if x1 - x0 < 1e-14:
+            continue
+        qpts = np.stack([x0 + EDGE_QP * (x1 - x0), np.full(3, y2)], axis=1)
+        total += (x1 - x0) * float(EDGE_QW @ _values(space, u, t, component, qpts,
+                                                      gradlam))
+    return total
+
+
+def reference_element_matrices(space):
+    """A, B, Mp summed quadrature point by quadrature point."""
+    mesh = space.mesh
+    tris = mesh.triangles.astype(np.int64)
+    nodes = np.concatenate([tris, space.tri_edges + mesh.n_vertices], axis=1)
+    _, area, gradlam = _geometry_tables(mesh)
+    M = len(tris)
+    K, Bx, By, Mp = (np.zeros((M, 6, 6)), np.zeros((M, 3, 6)), np.zeros((M, 3, 6)),
+                     np.zeros((M, 3, 3)))
+    for q in range(len(TRI_QW)):
+        dphi = np.einsum("ij,mjd->mid", _TRI_C[q], gradlam)
+        w = (TRI_QW[q] * area)[:, None, None]
+        lam = _TRI_P1[q]
+        K += w * np.einsum("mid,mjd->mij", dphi, dphi)
+        Bx -= w * lam[None, :, None] * dphi[:, None, :, 0]
+        By -= w * lam[None, :, None] * dphi[:, None, :, 1]
+        Mp += w * np.outer(lam, lam)[None]
+
+    def coo(el, r, c, shape):
+        rows = np.repeat(r, c.shape[1], axis=1).ravel()
+        cols = np.tile(c, (1, r.shape[1])).ravel()
+        return sp.coo_matrix((el.ravel(), (rows, cols)), shape=shape).tocsr()
+
+    n, nv = space.n_vnode, mesh.n_vertices
+    Ksp = coo(K, nodes, nodes, (n, n))
+    B = sp.hstack([coo(Bx, tris, nodes, (nv, n)), coo(By, tris, nodes, (nv, n))])
+    return sp.block_diag([Ksp, Ksp]).tocsr(), B.tocsr(), coo(Mp, tris, tris, (nv, nv))
+
+
+@pytest.fixture(scope="module")
+def strip_fields():
+    mesh = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 24)
+    space = build_space(mesh, {t: BC.natural() for t in set(mesh.boundary_tags)})
+    rng = np.random.default_rng(7)
+    return space, rng.normal(size=space.n_vel), rng.normal(size=space.n_p)
+
+
+def _field_cases(u, p):
+    return [(p, 0), (u, 0), (u, 1)]
+
+
+class TestClippedBandKernel:
+    def test_random_bands_match_reference(self, strip_fields):
+        space, u, p = strip_fields
+        rng = np.random.default_rng(11)
+        y0s = rng.uniform(-10, 8, size=4)
+        for y0, y1 in zip(y0s, y0s + rng.uniform(0.2, 2.0, size=4)):
+            for field, comp in _field_cases(u, p):
+                for avg in (False, True):
+                    ref = reference_band_integral(space, field, y0, y1, comp, avg)
+                    val = band_integral(space, field, y0, y1, comp, avg)
+                    assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_band_edges_through_vertices_and_on_mesh_lines(self, strip_fields):
+        space, u, p = strip_fields
+        y = space.mesh.vertices[:, 1]
+        y0s = np.random.default_rng(5).choice(y, size=3)
+        # bands from one vertex to the vertex nearest one unit above it
+        through = [(y0, y[np.argmin(np.abs(y - y0 - 1.0))]) for y0 in y0s]
+        # y = 0 and y = -1 are mesh lines; y = 1 one within a rounding error
+        lines = [(-1.0, 0.0), (0.0, 1.0), (8.0, 9.0)]
+        for y0, y1 in through + lines:
+            for field, comp in _field_cases(u, p):
+                ref = reference_band_integral(space, field, y0, y1, comp, True)
+                val = band_integral(space, field, y0, y1, comp, average=True)
+                assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_sections_match_reference(self, strip_fields):
+        space, u, p = strip_fields
+        y = space.mesh.vertices[:, 1]
+        heights = np.concatenate([[-1.0, 0.0, 1.0, -5.0, 2.5, 8.25],
+                                  np.random.default_rng(3).choice(y, size=4)])
+        assert np.sum(np.abs(y - 1.0) < 1e-13) > 2     # a mesh line, rounded
+        for field, comp in _field_cases(u, p):
+            vals = section_average(space, field, heights, comp)
+            for h, val in zip(heights, vals):
+                ref = reference_section_average(space, field, h, comp)
+                assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+                assert section_average(space, field, h, comp) == val
+
+    def test_shared_mesh_line_edge_counts_once(self, strip_fields):
+        space, _, _ = strip_fields
+        one = np.ones(space.n_p)
+        vals = section_average(space, one, np.array([-1.0, 0.0, 1.0]))
+        assert np.abs(vals - 1.0).max() <= 1e-13
+
+
+class TestElementKernel:
+    @pytest.mark.parametrize("which", ["strip", "macro"])
+    def test_matches_quadrature_point_reference(self, which):
+        if which == "strip":
+            mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+        else:
+            mesh = triangulate(build_macro_geometry(0.25, "collateral",
+                                                   ObstacleSpec()), 0.12)
+        space = build_space(mesh, {t: BC.natural() for t in set(mesh.boundary_tags)})
+        system = assemble_stokes(space)
+        for new, ref in zip((system.A, system.B, system.Mp),
+                            reference_element_matrices(space)):
+            assert abs(new - ref).max() <= 1e-14 * abs(ref).max()
+        assert abs(system.A - system.A.T).max() == 0.0
+        K = scalar_p2_stiffness(space)
+        assert abs(K - system.A[:space.n_vnode, :space.n_vnode]).max() == 0.0
+
+
+def _rowwise_edges(tris):
+    e = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
+    uniq, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
+    return uniq, inv.reshape(3, -1).T
+
+
+def _rowwise_boundary_edges(tris):
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    _, inv, counts = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True,
+                               return_counts=True)
+    return e[counts[inv] == 1]
+
+
+def _rowwise_interior_line_edges(verts, tris, axis, value):
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    uniq, counts = np.unique(np.sort(e, axis=1), axis=0, return_counts=True)
+    interior = uniq[counts == 2]
+    on = np.abs(verts[:, axis] - value) < 1e-12
+    return interior[on[interior[:, 0]] & on[interior[:, 1]]]
+
+
+@pytest.mark.parametrize("which", ["default strip", "eps = 1/8 macro"])
+def test_integer_edge_keys_match_rowwise_unique(which):
+    if which == "default strip":
+        mesh = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)
+    else:
+        mesh = triangulate(build_macro_geometry(0.125, "collateral",
+                                               ObstacleSpec()), 0.1)
+    tris = mesh.triangles.astype(np.int64)
+    edges, keys, tri_edges = _build_edges(tris, mesh.n_vertices)
+    ref_edges, ref_tri_edges = _rowwise_edges(tris)
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(tri_edges, ref_tri_edges)
+    assert np.array_equal(keys, ref_edges[:, 0] * mesh.n_vertices + ref_edges[:, 1])
+    for t in (tris, mesh.triangles):
+        got, ref = _boundary_edge_set(t), _rowwise_boundary_edges(t)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        got = _interior_line_edges(mesh.vertices, t, 1, 0.0)
+        ref = _rowwise_interior_line_edges(mesh.vertices, t, 1, 0.0)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert len(ref)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from stentflow.cell import solve_all, strip_operator
+from stentflow.errors import NonConvergence
 from stentflow.fem import (
     BC,
     Sources,
@@ -124,7 +125,7 @@ class TestStokes:
         with pytest.raises(ValueError):
             SolverConfig(max_outer=0)
 
-    def test_nonconvergence_returns_best_iterate_with_flag(self):
+    def test_nonconvergence_raises_with_diagnostics(self):
         geo = build_macro_geometry(0.25, "collateral", ObstacleSpec())
         mesh = triangulate(geo, 0.15)
         bc = {
@@ -136,11 +137,10 @@ class TestStokes:
             T.GAMMA_EPS: BC.dirichlet((0.0, 0.0)),
         }
         space = build_space(mesh, bc)
-        sol = solve_stokes(assemble_stokes(space),
-                           SolverConfig(max_outer=2), quiet=True)
-        assert sol.diagnostics["converged"] is False
-        assert sol.diagnostics["iterations"] == 2
-        assert np.isfinite(sol.u).all()
+        with pytest.raises(NonConvergence) as exc:
+            solve_stokes(assemble_stokes(space), SolverConfig(max_outer=2), quiet=True)
+        assert exc.value.diagnostics["converged"] is False
+        assert exc.value.diagnostics["iterations"] == 2
 
 
 @pytest.fixture(scope="module")
