@@ -480,6 +480,11 @@ class TestElementKernel:
         assert abs(system.A - system.A.T).max() == 0.0
         K = scalar_p2_stiffness(space)
         assert abs(K - system.A[:space.n_vnode, :space.n_vnode]).max() == 0.0
+        # a vertex and the midpoint of the opposite edge share one triangle,
+        # and their grad-grad entry vanishes exactly
+        tris = mesh.triangles
+        for i in range(3):
+            assert np.all(K[tris[:, i], space.tri_edges[:, i] + mesh.n_vertices] == 0)
 
 
 def _rowwise_edges(tris):
