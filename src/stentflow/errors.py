@@ -37,9 +37,9 @@ class NonConvergence(StentflowError):
     """Iterative solver exhausted its iteration budget; ``diagnostics`` holds
     the solver's record of the last iterate."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
 
 class SingularSystem(StentflowError):

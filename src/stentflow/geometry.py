@@ -496,7 +496,8 @@ def _interior_line_edges(verts, tris, axis, value):
     """Interior edges both of whose endpoints lie on an axis-aligned line."""
     _, key, n = _edge_keys(tris)
     uniq, counts = np.unique(key, return_counts=True)
-    interior = np.stack([uniq // n, uniq % n], axis=1).astype(tris.dtype)[counts == 2]
+    k = uniq[counts == 2]
+    interior = np.stack([k // n, k % n], axis=1).astype(tris.dtype)
     on = _on_line(verts, axis, value)
     return interior[on[interior[:, 0]] & on[interior[:, 1]]]
 
