@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import CellConstants
+from .errors import StentflowError
 from .fem import (
     BC,
     VelocityField,
@@ -24,6 +25,7 @@ from .fem import (
     edge_flux,
     eval_on_quadrature,
     integrate_field,
+    l2_norm_diff,
 )
 from .geometry import (
     BoundaryTag as T,
@@ -101,24 +103,18 @@ def _disk_quadrature(cx, cy, r, n_r=4, n_t=16):
     return pts.reshape(-1, 2), W.ravel()
 
 
-def l2_velocity_error(direct: StokesSolution, approx_velocity, mesh: Mesh = None,
-                      include_holes=True) -> float:
+def l2_velocity_error(direct: StokesSolution, approx_velocity) -> float:
     """L2 distance between the direct velocity and an approximation.
 
-    Integrates over the perforated mesh plus, with ``include_holes``, the
-    obstacle disks where the direct field is extended by zero (so the
-    approximation's own values are charged there).
+    Integrates over the perforated mesh plus the obstacle disks, where the
+    direct field is extended by zero (so the approximation's own values are
+    charged there).
     """
-    mesh = direct.space.mesh if mesh is None else mesh
-    fields = eval_on_quadrature(direct.space, u=direct.u)
-    pts = fields["pts"].reshape(-1, 2)
-    ref = np.asarray(approx_velocity(pts)).reshape(fields["u"].shape)
-    total = float(np.sum(fields["w"][:, :, None] * (fields["u"] - ref) ** 2))
-    if include_holes:
-        for cx, cy, r in mesh.holes:
-            hp, hw = _disk_quadrature(cx, cy, r)
-            vals = np.asarray(approx_velocity(hp))
-            total += float(np.sum(hw[:, None] * vals**2))
+    total = l2_norm_diff(direct.space, direct.u, approx_velocity) ** 2
+    for cx, cy, r in direct.space.mesh.holes:
+        hp, hw = _disk_quadrature(cx, cy, r)
+        vals = np.asarray(approx_velocity(hp))
+        total += float(np.sum(hw[:, None] * vals**2))
     return float(np.sqrt(total))
 
 
@@ -140,24 +136,20 @@ def _hm1_dirichlet_nodes(mesh: Mesh, eps: float):
                                      on_line]))
 
 
-def hm1_pressure_error(direct: StokesSolution, approx_pressure,
-                       mesh: Mesh = None, eps: float = None) -> float:
+def hm1_pressure_error(direct: StokesSolution, approx_pressure) -> float:
     """Weak-norm pressure error: gradient norm of -Lap(q) = p_direct - p_approx.
 
     The Poisson solve runs on the direct mesh with homogeneous Dirichlet
-    data as in :func:`_hm1_dirichlet_nodes`; its source is taken at the
-    quadrature points of that mesh, where the direct pressure is evaluated
-    element by element.  ``eps`` defaults to the layer height recorded on
-    the mesh.
+    data as in :func:`_hm1_dirichlet_nodes`, at the layer height recorded on
+    the mesh; its source is taken at the quadrature points of that mesh,
+    where the direct pressure is evaluated element by element.
     """
-    mesh = direct.space.mesh if mesh is None else mesh
-    if eps is None:
-        eps = mesh.meta["eps"]
+    mesh = direct.space.mesh
     fields = eval_on_quadrature(direct.space, p=direct.p)
     approx = np.asarray(approx_pressure(fields["pts"].reshape(-1, 2)))
     rhs = fields["p"] - approx.reshape(fields["p"].shape)
-    nodes = _hm1_dirichlet_nodes(mesh, eps)
-    _, grad_norm = solve_poisson(mesh, rhs, extra_dirichlet_nodes=nodes)
+    nodes = _hm1_dirichlet_nodes(mesh, mesh.meta["eps"])
+    _, grad_norm = solve_poisson(mesh, rhs, nodes)
     return grad_norm
 
 
@@ -200,9 +192,11 @@ def interface_normal_samples(direct: StokesSolution, xs=(0.25, 0.75)) -> list:
 # ----------------------------------------------------------------------------
 
 
-def velocity_profiles(direct: StokesSolution, avg, eps, n=201):
+def velocity_profiles(direct: StokesSolution, avg, eps):
     """Horizontal-velocity profile just above the layer and the normal
-    velocity on the interface, for the direct and averaged fields."""
+    velocity on the interface, for the direct and averaged fields, at 201
+    evenly spaced x1."""
+    n = 201
     x = np.linspace(0.0, 1.0, n)
     vel = VelocityField(direct.space, direct.u)
     top = np.stack([x, np.full(n, eps)], axis=1)
@@ -283,15 +277,16 @@ class StudyConfig:
 
 
 def convergence_study(eps_list, study: StudyConfig | None = None,
-                      constants: CellConstants | None = None,
-                      first_order=None, progress=None, with_profiles=False):
+                      constants: CellConstants | None = None, progress=None):
     """Run the full study over descending eps values.
 
     Cell constants are computed once (or passed in); the first-order
     corrector is eps-independent and solved once.  Per eps: mesh, direct
-    solve, both error norms against the zero- and first-order models, and
-    the three flow rates.  A failure records its message and the study
-    continues.  Returns (reports, slope fits).
+    solve, both error norms against the zero- and first-order models, the
+    three flow rates and the velocity profiles.  A numerical failure
+    (:class:`~stentflow.errors.StentflowError`) records its message and the
+    study continues; any other exception propagates.  Returns (reports,
+    slope fits, first-order solution, constants).
     """
     study = study or StudyConfig()
     eps_list = list(eps_list)
@@ -305,11 +300,10 @@ def convergence_study(eps_list, study: StudyConfig | None = None,
                                  h=study.strip_h, refine_spec=study.refine)
         _, constants = solve_all(strip, study.solver, with_varkappa=False)
     zero = zero_order(study.flow)
-    if first_order is None:
-        mesh_up, mesh_lo = first_order_meshes(study.h_first_order, study.refine,
-                                              case=study.flow.case)
-        first_order = solve_first_order(mesh_up, mesh_lo, zero, constants,
-                                        config=study.solver)
+    mesh_up, mesh_lo = first_order_meshes(study.h_first_order, study.refine,
+                                          case=study.flow.case)
+    first_order = solve_first_order(mesh_up, mesh_lo, zero, constants,
+                                    config=study.solver)
 
     reports = []
     for eps in eps_list:
@@ -321,10 +315,10 @@ def convergence_study(eps_list, study: StudyConfig | None = None,
             mesh = triangulate(geo, study.h_macro, study.refine)
             direct = solve_direct(mesh, study.flow, study.solver)
             avg = averaged_approximation(zero, first_order, eps)
-            rep.l2_vel_zero = l2_velocity_error(direct, zero.velocity, mesh)
-            rep.l2_vel_first = l2_velocity_error(direct, avg.velocity, mesh)
-            rep.hm1_p_zero = hm1_pressure_error(direct, zero.pressure, mesh, eps)
-            rep.hm1_p_first = hm1_pressure_error(direct, avg.pressure, mesh, eps)
+            rep.l2_vel_zero = l2_velocity_error(direct, zero.velocity)
+            rep.l2_vel_first = l2_velocity_error(direct, avg.velocity)
+            rep.hm1_p_zero = hm1_pressure_error(direct, zero.pressure)
+            rep.hm1_p_first = hm1_pressure_error(direct, avg.pressure)
             rep.q_direct = flowrate_direct(direct)
             if study.flow.case == "collateral":
                 rep.q_formula = flowrate_formula(zero, constants, eps)
@@ -335,9 +329,8 @@ def convergence_study(eps_list, study: StudyConfig | None = None,
                 "solver": dict(direct.diagnostics),
                 "runtime_s": round(time.time() - t0, 2),
             }
-            if with_profiles:
-                rep.meta["profiles"] = velocity_profiles(direct, avg, eps)
-        except Exception as exc:               # keep going with the other eps
+            rep.meta["profiles"] = velocity_profiles(direct, avg, eps)
+        except StentflowError as exc:          # keep going with the other eps
             rep.error = f"{type(exc).__name__}: {exc}"
         if progress:
             progress(rep)

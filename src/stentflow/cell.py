@@ -320,18 +320,18 @@ def varkappa1_cross_integral(chi: CellSolution, beta: CellSolution) -> float:
 
 
 def identity_report(beta, upsilon, chi, varkappa=None,
-                    constants: CellConstants | None = None,
-                    sections=(-5.0, -2.5, -1.0, 1.0, 2.5, 5.0)) -> dict:
+                    constants: CellConstants | None = None) -> dict:
     """Residuals of the averaged identities the cell solutions must satisfy.
 
     Keys map to scalar residuals (absolute or relative as noted); the caller
-    decides pass/fail thresholds.
+    decides pass/fail thresholds.  Section averages are read at y2 = +-1,
+    +-2.5 and +-5.
     """
     from .fem import l2_norm_diff
 
     c = constants or extract_constants(beta, upsilon, chi, varkappa)
     rep = {}
-    sections = np.asarray(sections, dtype=float)
+    sections = np.array([-5.0, -2.5, -1.0, 1.0, 2.5, 5.0])
 
     def section_max(cell, component):
         return float(np.max(np.abs(section_average(cell, component, sections))))

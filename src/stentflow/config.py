@@ -10,8 +10,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
-from .geometry import ObstacleSpec, RefineSpec
+from .errors import ConfigError, NonIntegerReciprocal
+from .geometry import ObstacleSpec, RefineSpec, _period_count
 from .homogenized import FlowData
 from .solvers import SolverConfig
 
@@ -35,12 +35,10 @@ DEFAULTS = {
     "solver.method": "uzawa_cg",
     "solver.outer_tol": 1e-10,
     "solver.max_outer": 500,
-    "solver.schur_preconditioner": "pressure_mass",
     "output.dir": "out",
 }
 
-_STRING_KEYS = {"case", "eps_list", "solver.method", "solver.schur_preconditioner",
-                "output.dir"}
+_STRING_KEYS = {"case", "eps_list", "solver.method", "output.dir"}
 _INT_KEYS = {"mesh.min_circle_segments", "solver.max_outer"}
 
 
@@ -63,12 +61,8 @@ class RunConfig:
 
     @property
     def eps_list(self):
-        try:
-            vals = [float(tok) for tok in str(self.values["eps_list"]).split(",")
-                    if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad eps_list: {exc}") from None
-        return vals
+        return [float(tok) for tok in str(self.values["eps_list"]).split(",")
+                if tok.strip()]
 
     def flow(self) -> FlowData:
         return FlowData(p_in=self.values["p_in"], p_out1=self.values["p_out1"],
@@ -91,7 +85,6 @@ class RunConfig:
             method=self.values["solver.method"],
             outer_tol=self.values["solver.outer_tol"],
             max_outer=self.values["solver.max_outer"],
-            schur_preconditioner=self.values["solver.schur_preconditioner"],
         )
 
     def digest(self) -> str:
@@ -139,6 +132,14 @@ def parse_config(text: str) -> RunConfig:
         cfg.solver()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        eps_list = cfg.eps_list
+        if len(eps_list) < 3:
+            raise ValueError(f"needs at least 3 values, got {len(eps_list)}")
+        for eps in eps_list:
+            _period_count(eps)
+    except (ValueError, NonIntegerReciprocal) as exc:
+        raise ConfigError(f"eps_list: {exc}") from None
     return cfg
 
 

@@ -169,9 +169,6 @@ class FESpace:
     def n_p(self):
         return self.mesh.n_vertices
 
-    def vdof(self, comp, nodes):
-        return comp * self.n_vnode + np.asarray(nodes)
-
     def mid_nodes(self, a, b):
         """Midpoint node ids of the mesh edges (a[k], b[k]), either orientation."""
         a = np.asarray(a, dtype=np.int64)
@@ -604,13 +601,18 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
 
 
 class PointLocator:
-    """Locates points in a triangulation via a centroid kd-tree."""
+    """Locates points in a triangulation via a centroid kd-tree.
 
-    def __init__(self, mesh: Mesh, n_candidates=24):
+    Each point is tried against the 24 nearest centroids, then against every
+    triangle; it lies in a triangle when no barycentric coordinate is below
+    -1e-10.
+    """
+
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         p = mesh.vertices[mesh.triangles]
         self.tree = cKDTree(p.mean(axis=1))
-        self.k = min(n_candidates, mesh.n_triangles)
+        self.k = min(24, mesh.n_triangles)
         _, _, self.gradlam = _geometry_tables(mesh)
         self.v0 = p[:, 0]
 
@@ -620,8 +622,9 @@ class PointLocator:
         l2 = np.einsum("md,md->m", self.gradlam[t, 2], d)
         return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
-    def locate(self, pts, tol=1e-10):
+    def locate(self, pts):
         """Return (triangle index, barycentric coords) for each point."""
+        tol = 1e-10
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _, cand = self.tree.query(pts, k=self.k)
         cand = np.asarray(cand).reshape(len(pts), -1)

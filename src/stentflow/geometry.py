@@ -99,6 +99,19 @@ class RefineSpec:
     min_angle_deg: float = 20.0
 
 
+def _period_count(eps) -> int:
+    """The integer m = 1/eps of an obstacle-row period eps in (0, 1].
+
+    Raises :class:`NonIntegerReciprocal` for any other eps.
+    """
+    if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
+        raise NonIntegerReciprocal(f"eps = {eps} must lie in (0, 1]")
+    m = 1.0 / eps
+    if abs(m - round(m)) > 1e-12 * max(1.0, m):
+        raise NonIntegerReciprocal(f"1/eps = {m} is not an integer")
+    return int(round(m))
+
+
 @dataclass(frozen=True)
 class MacroGeometry:
     """The channel pair with an eps-periodic row of obstacles in the layer.
@@ -114,12 +127,7 @@ class MacroGeometry:
     m: int = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and 0.0 < self.eps <= 1.0):
-            raise NonIntegerReciprocal(f"eps = {self.eps} must lie in (0, 1]")
-        m = 1.0 / self.eps
-        if abs(m - round(m)) > 1e-12 * max(1.0, m):
-            raise NonIntegerReciprocal(f"1/eps = {m} is not an integer")
-        object.__setattr__(self, "m", int(round(m)))
+        object.__setattr__(self, "m", _period_count(self.eps))
         if self.case not in ("collateral", "aneurysm"):
             raise ValueError(f"unknown case {self.case!r}")
         self.obstacle.validate_in_unit_cell()
@@ -132,20 +140,6 @@ class MacroGeometry:
 
     def hole_radius(self) -> float:
         return self.eps * self.obstacle.radius
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """A plain rectangular domain with per-side boundary tags."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    tag_left: BoundaryTag
-    tag_right: BoundaryTag
-    tag_bottom: BoundaryTag
-    tag_top: BoundaryTag
 
 
 @dataclass
@@ -536,74 +530,19 @@ def _n_circle(radius, spacing, min_segments):
     return n + (-n) % 4  # multiple of 4 keeps the sampling mirror-symmetric
 
 
-def triangulate(geometry, h_target, refine_spec: RefineSpec | None = None) -> Mesh:
-    """Triangulate a macroscopic geometry or a plain rectangle.
+def triangulate(geometry: MacroGeometry, h_target,
+                refine_spec: RefineSpec | None = None) -> Mesh:
+    """Triangulate the macroscopic channel pair.
 
-    For :class:`MacroGeometry` the obstacle layer is meshed at lattice spacing
-    eps/n_cell <= h_target * obstacle_factor, stays fine within one eps of the
-    layer, and coarsens away from it; x2 = 0 and x2 = eps are mesh lines.  For
-    :class:`Rectangle` a structured grid at spacing <= h_target is built.
+    The obstacle layer is meshed at lattice spacing eps/n_cell <= h_target *
+    obstacle_factor, stays fine within one eps of the layer, and coarsens
+    away from it; x2 = 0 and x2 = eps are mesh lines.
     """
     if h_target is None or h_target <= 0:
         raise ValueError("h_target must be positive")
-    spec = refine_spec or RefineSpec()
-    if isinstance(geometry, Rectangle):
-        return _rect_mesh(geometry, h_target, spec)
-    if isinstance(geometry, MacroGeometry):
-        return _macro_mesh(geometry, h_target, spec)
-    raise TypeError(f"cannot triangulate {type(geometry).__name__}")
-
-
-def _rect_mesh(rect: Rectangle, h, spec: RefineSpec, grade_to_y=None) -> Mesh:
-    wx = rect.x1 - rect.x0
-    wy = rect.y1 - rect.y0
-    b = _Builder()
-    if grade_to_y is None:
-        nx = max(1, int(math.ceil(wx / h - GEOM_TOL)))
-        ny = max(1, int(math.ceil(wy / h - GEOM_TOL)))
-        x = np.linspace(rect.x0, rect.x1, nx + 1)
-        row = b.add_row(x, rect.y0)
-        _uniform_fill(b, row, x, rect.y0, rect.y1, wy / ny, upward=True)
-    else:
-        s0 = h * spec.obstacle_factor
-        nx = int(math.ceil(wx / s0))
-        nx += nx % 2
-        x = np.linspace(rect.x0, rect.x1, nx + 1)
-        s0 = wx / nx
-        if abs(grade_to_y - rect.y0) < GEOM_TOL:
-            fine_top = min(rect.y1, rect.y0 + 4 * s0)
-            row = b.add_row(x, rect.y0)
-            row, _ = _uniform_fill(b, row, x, rect.y0, fine_top, s0, upward=True)
-            _coarsen_away(b, row, x, fine_top, rect.y1, h, upward=True)
-        elif abs(grade_to_y - rect.y1) < GEOM_TOL:
-            fine_bot = max(rect.y0, rect.y1 - 4 * s0)
-            row = b.add_row(x, rect.y1)
-            row, _ = _uniform_fill(b, row, x, rect.y1, fine_bot, s0, upward=False)
-            _coarsen_away(b, row, x, fine_bot, rect.y0, h, upward=False)
-        else:
-            raise ValueError("grade_to_y must be one of the rectangle's y sides")
-    verts, tris = b.finish()
-    _check_quality(verts, tris, spec.min_angle_deg, "rectangle mesh")
-
-    bed = _boundary_edge_set(tris)
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    tags = np.empty(len(bed), dtype=object)
-    tags[_on_line(mids, 0, rect.x0)] = rect.tag_left
-    tags[_on_line(mids, 0, rect.x1)] = rect.tag_right
-    tags[_on_line(mids, 1, rect.y0)] = rect.tag_bottom
-    tags[_on_line(mids, 1, rect.y1)] = rect.tag_top
-    if any(t is None for t in tags):
-        raise MeshQualityFailure("untagged boundary edge on rectangle")
-    return Mesh(
-        vertices=verts,
-        triangles=tris.astype(np.int32),
-        boundary_edges=bed.astype(np.int32),
-        boundary_tags=tags,
-        interface_edges=np.empty((0, 2), dtype=np.int32),
-        interface_tags=np.empty(0, dtype=object),
-        holes=np.empty((0, 3)),
-        meta={"kind": "rectangle", "h": h},
-    )
+    if not isinstance(geometry, MacroGeometry):
+        raise TypeError(f"cannot triangulate {type(geometry).__name__}")
+    return _macro_mesh(geometry, h_target, refine_spec or RefineSpec())
 
 
 def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
@@ -611,13 +550,60 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
     """Tagged rectangle mesh, optionally graded toward one horizontal side.
 
     ``tags`` is (left, right, bottom, top); defaults to the upper-channel
-    tags (inflow / outflow / interface / top wall).
+    tags (inflow / outflow / interface / top wall).  Without grading the grid
+    is structured at spacing <= h.
     """
     if tags is None:
         tags = (BoundaryTag.GAMMA_IN, BoundaryTag.GAMMA_OUT1,
                 BoundaryTag.GAMMA0, BoundaryTag.GAMMA1)
-    rect = Rectangle(x0, x1, y0, y1, tags[0], tags[1], tags[2], tags[3])
-    return _rect_mesh(rect, h, refine_spec or RefineSpec(), grade_to_y=grade_to_y)
+    spec = refine_spec or RefineSpec()
+    wx = x1 - x0
+    wy = y1 - y0
+    b = _Builder()
+    if grade_to_y is None:
+        nx = max(1, int(math.ceil(wx / h - GEOM_TOL)))
+        ny = max(1, int(math.ceil(wy / h - GEOM_TOL)))
+        x = np.linspace(x0, x1, nx + 1)
+        row = b.add_row(x, y0)
+        _uniform_fill(b, row, x, y0, y1, wy / ny, upward=True)
+    else:
+        s0 = h * spec.obstacle_factor
+        nx = int(math.ceil(wx / s0))
+        nx += nx % 2
+        x = np.linspace(x0, x1, nx + 1)
+        s0 = wx / nx
+        if abs(grade_to_y - y0) < GEOM_TOL:
+            fine_top = min(y1, y0 + 4 * s0)
+            row = b.add_row(x, y0)
+            row, _ = _uniform_fill(b, row, x, y0, fine_top, s0, upward=True)
+            _coarsen_away(b, row, x, fine_top, y1, h, upward=True)
+        elif abs(grade_to_y - y1) < GEOM_TOL:
+            fine_bot = max(y0, y1 - 4 * s0)
+            row = b.add_row(x, y1)
+            row, _ = _uniform_fill(b, row, x, y1, fine_bot, s0, upward=False)
+            _coarsen_away(b, row, x, fine_bot, y0, h, upward=False)
+        else:
+            raise ValueError("grade_to_y must be one of the rectangle's y sides")
+    verts, tris = b.finish()
+    _check_quality(verts, tris, spec.min_angle_deg, "rectangle mesh")
+
+    bed = _boundary_edge_set(tris)
+    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
+    btags = np.empty(len(bed), dtype=object)
+    for (axis, value), tag in zip(((0, x0), (0, x1), (1, y0), (1, y1)), tags):
+        btags[_on_line(mids, axis, value)] = tag
+    if any(t is None for t in btags):
+        raise MeshQualityFailure("untagged boundary edge on rectangle")
+    return Mesh(
+        vertices=verts,
+        triangles=tris.astype(np.int32),
+        boundary_edges=bed.astype(np.int32),
+        boundary_tags=btags,
+        interface_edges=np.empty((0, 2), dtype=np.int32),
+        interface_tags=np.empty(0, dtype=object),
+        holes=np.empty((0, 3)),
+        meta={"kind": "rectangle", "h": h},
+    )
 
 
 def _cell_divisions(obstacle: ObstacleSpec, eps, h, spec: RefineSpec) -> int:
@@ -634,6 +620,27 @@ def _cell_divisions(obstacle: ObstacleSpec, eps, h, spec: RefineSpec) -> int:
     n = max(4.0, n_h, n_geom, n_circ)
     n = int(math.ceil(n - GEOM_TOL))
     return n + n % 2
+
+
+def _channel_pair_tags(verts, bed, case):
+    """Tags of the outer boundary edges ``bed`` of the channel pair.
+
+    The left and right sides split at x2 = 0 into inflow/outflow above and
+    wall below, the top is a wall, and the bottom is the lower outflow in the
+    collateral case and a wall in the aneurysm case.  Edges off the outer
+    box stay None.
+    """
+    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
+    tags = np.empty(len(bed), dtype=object)
+    upper = mids[:, 1] > 0.0
+    for x, tag_up in ((0.0, BoundaryTag.GAMMA_IN), (1.0, BoundaryTag.GAMMA_OUT1)):
+        side = _on_line(mids, 0, x)
+        tags[side & upper] = tag_up
+        tags[side & ~upper] = BoundaryTag.GAMMA2
+    tags[_on_line(mids, 1, 1.0)] = BoundaryTag.GAMMA1
+    tags[_on_line(mids, 1, -1.0)] = (
+        BoundaryTag.GAMMA_OUT2 if case == "collateral" else BoundaryTag.GAMMA2)
+    return tags
 
 
 def _macro_mesh(geo: MacroGeometry, h, spec: RefineSpec) -> Mesh:
@@ -666,19 +673,7 @@ def _macro_mesh(geo: MacroGeometry, h, spec: RefineSpec) -> Mesh:
     _check_quality(verts, tris, spec.min_angle_deg, f"macro mesh eps=1/{m}")
 
     bed = _boundary_edge_set(tris)
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    tags = np.empty(len(bed), dtype=object)
-    on_left = _on_line(mids, 0, 0.0)
-    on_right = _on_line(mids, 0, 1.0)
-    upper = mids[:, 1] > 0.0
-    tags[on_left & upper] = BoundaryTag.GAMMA_IN
-    tags[on_left & ~upper] = BoundaryTag.GAMMA2
-    tags[on_right & upper] = BoundaryTag.GAMMA_OUT1
-    tags[on_right & ~upper] = BoundaryTag.GAMMA2
-    tags[_on_line(mids, 1, 1.0)] = BoundaryTag.GAMMA1
-    bottom_tag = (BoundaryTag.GAMMA_OUT2 if geo.case == "collateral"
-                  else BoundaryTag.GAMMA2)
-    tags[_on_line(mids, 1, -1.0)] = bottom_tag
+    tags = _channel_pair_tags(verts, bed, geo.case)
     untagged = np.array([t is None for t in tags])
     circ_keys = {tuple(sorted(e)) for e in b.circle_edges}
     bed_keys = {tuple(sorted(e)) for e in bed[untagged]}
@@ -725,19 +720,7 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     _check_quality(verts, tris, spec.min_angle_deg, "no-stent mesh")
 
     bed = _boundary_edge_set(tris)
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    tags = np.empty(len(bed), dtype=object)
-    on_left = _on_line(mids, 0, 0.0)
-    on_right = _on_line(mids, 0, 1.0)
-    upper = mids[:, 1] > 0.0
-    tags[on_left & upper] = BoundaryTag.GAMMA_IN
-    tags[on_left & ~upper] = BoundaryTag.GAMMA2
-    tags[on_right & upper] = BoundaryTag.GAMMA_OUT1
-    tags[on_right & ~upper] = BoundaryTag.GAMMA2
-    tags[_on_line(mids, 1, 1.0)] = BoundaryTag.GAMMA1
-    tags[_on_line(mids, 1, -1.0)] = (
-        BoundaryTag.GAMMA_OUT2 if case == "collateral" else BoundaryTag.GAMMA2
-    )
+    tags = _channel_pair_tags(verts, bed, case)
     if any(t is None for t in tags):
         raise MeshQualityFailure("untagged boundary edge on no-stent mesh")
     ife = _interior_line_edges(verts, tris, 1, 0.0)
@@ -759,7 +742,9 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
 
     The left/right boundary vertex sets are exact y-translates of each other
     (periodic identification); y2 = 0 is a mesh line carrying the SIGMA tag;
-    the lattice spacing equals ``h`` near the obstacle and coarsens away.
+    the lattice spacing near the obstacle is 1/n, with n = 1/h (or what the
+    obstacle's margin needs, if more) rounded up to a multiple of 4, and
+    coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
     if L < 2:
@@ -767,8 +752,10 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     if h is None or h <= 0:
         raise ValueError("h must be positive")
     spec = refine_spec or RefineSpec()
+    # a multiple of 4 columns halves twice on the way to the far field; an
+    # odd count after one halving would stop the coarsening there
     n = max(8, int(round(1.0 / h)))
-    n += n % 2
+    n += (-n) % 4
     s = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
     L = float(L)
@@ -783,7 +770,7 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
             margins.append(abs(cy) - r)
         n_geom = int(math.ceil(1.3 / min(margins)))
         if n < n_geom:
-            n = n_geom + n_geom % 2
+            n = n_geom + (-n_geom) % 4
             s = 1.0 / n
             x = np.linspace(0.0, 1.0, n + 1)
         if min(cx - r, 1.0 - cx - r) <= 2 * s:

@@ -151,7 +151,7 @@ def first_order_meshes(h=0.05, refine_spec: RefineSpec | None = None,
 
 
 def solve_first_order(mesh_upper: Mesh, mesh_lower: Mesh, zero: ZeroOrder,
-                      constants: CellConstants, case=None,
+                      constants: CellConstants,
                       config: SolverConfig | None = None) -> FirstOrderSolution:
     """Solve the two macroscopic corrector problems.
 
@@ -161,8 +161,9 @@ def solve_first_order(mesh_upper: Mesh, mesh_lower: Mesh, zero: ZeroOrder,
     the lower problem is fully Dirichlet: the data must satisfy the
     divergence-free compatibility (zero net interface flux), the pressure is
     determined up to a constant, and its mean over the sac is set to zero.
+    The case is the zero-order flow's.
     """
-    case = case or zero.flow.case
+    case = zero.flow.case
     tr_plus = interface_dirichlet(zero, constants, "plus")
     tr_minus = interface_dirichlet(zero, constants, "minus")
 
@@ -290,8 +291,9 @@ def flowrate_first_order(first: FirstOrderSolution, eps) -> float:
 
 
 def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
-                              constants: CellConstants, eps, x_samples=None):
-    """Residuals of the derived implicit interface conditions, sampled on x1.
+                              constants: CellConstants, eps):
+    """Residuals of the derived implicit interface conditions at 19 evenly
+    spaced x1 from 0.05 to 0.95.
 
     Per sample: the slip-ratio mismatch between the one-sided tangential
     traces (zero by construction of the interface data) and the
@@ -299,9 +301,7 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     one-sided stresses taken from each side's own mesh at the interface.
     Diagnostic only: the implicit problem is never solved here.
     """
-    if x_samples is None:
-        x_samples = np.linspace(0.05, 0.95, 19)
-    x = np.asarray(x_samples, dtype=float)
+    x = np.linspace(0.05, 0.95, 19)
     su, sl = first.upper.space, first.lower.space
     pts0 = np.stack([x, np.zeros_like(x)], axis=1)
 

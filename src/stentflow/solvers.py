@@ -31,31 +31,25 @@ from .geometry import Mesh
 
 
 METHODS = ("uzawa_cg", "direct")
-SCHUR_PRECONDITIONERS = ("pressure_mass", "none")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iterative-solver parameters.
 
-    ``method`` is ``uzawa_cg`` or ``direct``, ``schur_preconditioner`` is
-    ``pressure_mass`` or ``none``.  Uzawa iterations invert the velocity
-    block by an exact sparse LU, made once per reduced operator.
+    ``method`` is ``uzawa_cg`` or ``direct``.  Uzawa iterations invert the
+    velocity block by an exact sparse LU, made once per reduced operator, and
+    are preconditioned by the pressure mass matrix.
     """
 
     method: str = "uzawa_cg"
     outer_tol: float = 1e-10
     max_outer: int = 500
-    schur_preconditioner: str = "pressure_mass"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"solver.method must be one of {', '.join(METHODS)}, "
                              f"got {self.method!r}")
-        if self.schur_preconditioner not in SCHUR_PRECONDITIONERS:
-            raise ValueError("solver.schur_preconditioner must be one of "
-                             f"{', '.join(SCHUR_PRECONDITIONERS)}, "
-                             f"got {self.schur_preconditioner!r}")
         if not 0 < self.outer_tol < 1:
             raise ValueError(f"solver.outer_tol must lie in (0, 1), "
                              f"got {self.outer_tol!r}")
@@ -99,12 +93,8 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     f, g = red.f, red.g
     n_p = B.shape[0]
     Ainv = _factor(red, "A").solve
-
-    if config.schur_preconditioner == "pressure_mass":
-        precond = _factor(red, "Mp").solve
-    else:
-        precond = lambda r: r  # noqa: E731
-
+    # the pressure mass matrix is spectrally equivalent to the Schur complement
+    precond = _factor(red, "Mp").solve
     kernel = red.pressure_kernel
 
     def project(q):
@@ -185,8 +175,7 @@ def _direct(red: ReducedSystem, config: SolverConfig):
     }
 
 
-def solve_stokes(system, config: SolverConfig | None = None,
-                 quiet=False) -> StokesSolution:
+def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
     """Solve a (possibly unreduced) Stokes system.
 
     Accepts a :class:`StokesSystem` or an already-reduced system.  With the
@@ -200,13 +189,12 @@ def solve_stokes(system, config: SolverConfig | None = None,
     solve = _direct if config.method == "direct" else _uzawa_cg
     u_r, p_r, diag = solve(red, config)
     u, p = red.expand(u_r, p_r)
-    if not quiet:
-        print(
-            "stentflow solve: method={method} iters={iterations} "
-            "mom={momentum_residual:.2e} div={divergence_residual:.2e} "
-            "converged={converged}".format(**diag),
-            file=sys.stderr,
-        )
+    print(
+        "stentflow solve: method={method} iters={iterations} "
+        "mom={momentum_residual:.2e} div={divergence_residual:.2e} "
+        "converged={converged}".format(**diag),
+        file=sys.stderr,
+    )
     if not diag["converged"]:
         raise NonConvergence(
             f"{diag['method']} did not converge in {diag['iterations']} iterations "
@@ -219,14 +207,13 @@ def solve_stokes(system, config: SolverConfig | None = None,
 # ----------------------------------------------------------------------------
 
 
-def solve_poisson(mesh: Mesh, rhs, dirichlet_tags=(), extra_dirichlet_nodes=()):
+def solve_poisson(mesh: Mesh, rhs, dirichlet_nodes):
     """Galerkin P1 solve of -Laplace(q) = rhs with homogeneous Dirichlet data.
 
     ``rhs`` is None or the source at the volume quadrature points of every
     triangle, shape (M, q) as :func:`~stentflow.fem.eval_on_quadrature` lays
-    them out.  Dirichlet vertices come from the tagged boundary edges plus
-    ``extra_dirichlet_nodes`` (vertex ids).  Returns (nodal coefficients,
-    gradient L2 norm).
+    them out.  ``dirichlet_nodes`` holds the ids of the clamped vertices.
+    Returns (nodal coefficients, gradient L2 norm).
     """
     tris = mesh.triangles.astype(np.int64)
     _, area, gradlam = _geometry_tables(mesh)
@@ -244,12 +231,7 @@ def solve_poisson(mesh: Mesh, rhs, dirichlet_tags=(), extra_dirichlet_nodes=()):
             w = TRI_QW[q] * area
             np.add.at(b, tris, (w * fv[:, q])[:, None] * TRI_QP[q][None, :])
 
-    fixed = set(int(v) for v in extra_dirichlet_nodes)
-    for tag in dirichlet_tags:
-        for a, bb in mesh.edges_with_tag(tag):
-            fixed.add(int(a))
-            fixed.add(int(bb))
-    fixed = np.array(sorted(fixed), dtype=np.int64)
+    fixed = np.unique(np.asarray(dirichlet_nodes, dtype=np.int64))
     free = np.setdiff1d(np.arange(n), fixed)
     q = np.zeros(n)
     if len(free):

@@ -1,13 +1,17 @@
 """Configuration parsing and CLI subcommand behaviour."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from stentflow.cli import main
 from stentflow.config import DEFAULTS, RunConfig, parse_config
 from stentflow.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestConfig:
@@ -33,9 +37,10 @@ p_in = 3.5
         with pytest.raises(ConfigError):
             parse_config("nonsense = 1")
         # removed keys: the cell solves share one factored operator instead
-        # of a thread pool, and the velocity block has one inner solver
+        # of a thread pool, the velocity block has one inner solver, and
+        # Uzawa is always preconditioned by the pressure mass matrix
         for key in ("threads = 1", "solver.inner_tol = 1e-12",
-                    "solver.max_inner = 2000"):
+                    "solver.max_inner = 2000", "solver.schur_preconditioner = none"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(key)
 
@@ -62,6 +67,25 @@ p_in = 3.5
         # every key is typed and reachable
         cfg = RunConfig()
         assert set(cfg.values) == set(DEFAULTS)
+
+    def test_readme_table_names_every_key(self):
+        # the README's configuration table is one contiguous table: each key
+        # is named in a row, and each row names only known keys
+        lines = README.read_text().splitlines()
+        start = lines.index("### Configuration keys and defaults")
+        rows = []
+        for line in lines[start + 1:]:
+            if line.startswith("|"):
+                rows.append(line)
+            elif rows:
+                break
+        named = set()
+        for row in rows[2:]:                      # skip header and rule
+            keys = re.findall(r"`([^`]+)`", row.split("|")[1])
+            assert keys, row
+            assert set(keys) <= set(DEFAULTS), row
+            named.update(keys)
+        assert named == set(DEFAULTS)
 
 
 @pytest.fixture
@@ -214,6 +238,18 @@ class TestCli:
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text() + "eps_list = 0.25\n")
         assert main(["converge", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["mesh", "converge"])
+    @pytest.mark.parametrize("eps_list", ["0.25,0.125", "0.25,abc",
+                                          "0.25,0.3,0.0625"])
+    def test_bad_eps_list_exit_2(self, workdir, capsys, command, eps_list):
+        # eps_list means the same in every subcommand: rejected when the
+        # file is read, before any meshing, naming the key
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + f"eps_list = {eps_list}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "eps_list" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
 
     def test_entry_point_module(self):
         proc = subprocess.run(

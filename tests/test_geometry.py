@@ -1,5 +1,7 @@
 """Geometry and meshing: spec examples, invariants, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from stentflow.geometry import (
     rectangle_mesh,
     triangulate,
 )
+from stentflow.meshio import save_mesh
 
 
 class TestMacroGeometry:
@@ -197,6 +200,21 @@ class TestStripMesh:
         with pytest.raises(ObstacleTouchesCell):
             build_strip_mesh(ObstacleSpec(center=(0.05, 0.25), radius=0.04),
                              L=6, h=0.5)
+
+    def test_coarser_request_gives_no_bigger_strip(self):
+        # 22 columns halve to 11, an odd count that stopped the far-field
+        # coarsening early: h = 1/8 ... 1/22 gave 6,658 triangles, 1/24 4,172
+        n24 = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 24).n_triangles
+        for h in (1 / 16, 1 / 22):
+            assert build_strip_mesh(ObstacleSpec(), L=10, h=h).n_triangles <= n24
+
+    def test_default_strip_file_unchanged(self, tmp_path):
+        # the mesh file of the default strip, as written before the column
+        # count was rounded to a multiple of 4
+        path = tmp_path / "strip.mesh"
+        save_mesh(build_strip_mesh(ObstacleSpec()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "eb6e9e9c565937c0e495d4763df82b0bbc9bf3ac6c9f1efce8d97538ac170f07")
 
     def test_deterministic(self):
         a = build_strip_mesh(ObstacleSpec(), L=6, h=1 / 24)

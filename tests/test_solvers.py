@@ -58,7 +58,7 @@ class TestStokes:
     @pytest.mark.parametrize("method", ["uzawa_cg", "direct"])
     def test_poiseuille_exact(self, method):
         space, system = poiseuille_system()
-        sol = solve_stokes(system, SolverConfig(method=method), quiet=True)
+        sol = solve_stokes(system, SolverConfig(method=method))
         xy = space.node_xy
         u1_exact = xy[:, 1] * (1 - xy[:, 1])
         assert np.abs(sol.u[: space.n_vnode] - u1_exact).max() <= 1e-8
@@ -68,7 +68,7 @@ class TestStokes:
 
     def test_zero_pressure_drop(self):
         space, system = poiseuille_system(p_in=0.0, p_out=0.0)
-        sol = solve_stokes(system, quiet=True)
+        sol = solve_stokes(system)
         assert np.abs(sol.u).max() < 1e-12
         assert np.abs(sol.p).max() < 1e-10
 
@@ -79,13 +79,13 @@ class TestStokes:
                                    for t in WALL_TAGS})
         system = assemble_stokes(space)
         assert system.pressure_kernel
-        sol = solve_stokes(system, quiet=True)
+        sol = solve_stokes(system)
         assert np.abs(sol.u).max() < 1e-12
         assert np.abs(sol.p - sol.p.mean()).max() < 1e-10
 
     def test_energy_identity(self):
         space, system = poiseuille_system(h=0.2)
-        sol = solve_stokes(system, quiet=True)
+        sol = solve_stokes(system)
         energy = energy_norm_sq(system, sol.u)
         work = float(system.f @ sol.u)
         assert abs(energy - work) <= 10 * 1e-10 * max(abs(work), 1.0)
@@ -102,7 +102,7 @@ class TestStokes:
             T.GAMMA_EPS: BC.dirichlet((0.0, 0.0)),
         }
         space = build_space(mesh, bc)
-        sol = solve_stokes(assemble_stokes(space), quiet=True)
+        sol = solve_stokes(assemble_stokes(space))
         total = 0.0
         for tag in (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA_OUT2):
             total += edge_flux(space, sol.u, mesh.edges_with_tag(tag))
@@ -114,8 +114,8 @@ class TestStokes:
 
     def test_uzawa_matches_direct(self):
         space, system = poiseuille_system(h=0.2)
-        s1 = solve_stokes(system, SolverConfig(method="uzawa_cg"), quiet=True)
-        s2 = solve_stokes(system, SolverConfig(method="direct"), quiet=True)
+        s1 = solve_stokes(system, SolverConfig(method="uzawa_cg"))
+        s2 = solve_stokes(system, SolverConfig(method="direct"))
         assert np.abs(s1.u - s2.u).max() <= 1e-9
         assert np.abs(s1.p - s2.p).max() <= 1e-8
 
@@ -138,7 +138,7 @@ class TestStokes:
         }
         space = build_space(mesh, bc)
         with pytest.raises(NonConvergence) as exc:
-            solve_stokes(assemble_stokes(space), SolverConfig(max_outer=2), quiet=True)
+            solve_stokes(assemble_stokes(space), SolverConfig(max_outer=2))
         assert exc.value.diagnostics["converged"] is False
         assert exc.value.diagnostics["iterations"] == 2
 
@@ -184,14 +184,14 @@ class TestFactorize:
         assert len(calls) == 2
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
         solve_poisson(mesh, quadrature_source(mesh, sine_source),
-                      dirichlet_tags=WALL_TAGS)
+                      np.unique(mesh.boundary_edges))
         assert len(calls) == 3
 
 
 class TestPoisson:
     def test_zero_rhs(self):
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
-        q, norm = solve_poisson(mesh, None, dirichlet_tags=WALL_TAGS)
+        q, norm = solve_poisson(mesh, None, np.unique(mesh.boundary_edges))
         assert np.abs(q).max() == 0.0
         assert norm == 0.0
 
@@ -199,7 +199,7 @@ class TestPoisson:
         # -lap(q) = 2 pi^2 sin(pi x) sin(pi y) -> q = sin sin, |grad q| = pi/sqrt(2)
         mesh = rectangle_mesh(0, 1, 0, 1, 0.05, tags=WALL_TAGS)
         q, norm = solve_poisson(mesh, quadrature_source(mesh, sine_source),
-                                dirichlet_tags=WALL_TAGS)
+                                np.unique(mesh.boundary_edges))
         exact_nodal = (np.sin(np.pi * mesh.vertices[:, 0])
                        * np.sin(np.pi * mesh.vertices[:, 1]))
         assert np.abs(q - exact_nodal).max() < 0.02
@@ -209,7 +209,7 @@ class TestPoisson:
         # rhs = 1: |grad q|^2 equals the integral of q (two quadratures agree)
         mesh = rectangle_mesh(0, 1, 0, 1, 0.1, tags=WALL_TAGS)
         ones = quadrature_source(mesh, lambda pts: np.ones(len(pts)))
-        q, norm = solve_poisson(mesh, ones, dirichlet_tags=WALL_TAGS)
+        q, norm = solve_poisson(mesh, ones, np.unique(mesh.boundary_edges))
         space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
         int_q = integrate_field(space, q)
         assert abs(norm**2 - int_q) < 1e-10
@@ -220,7 +220,7 @@ class TestPoisson:
         for h in (0.1, 0.05, 0.025):
             mesh = rectangle_mesh(0, 1, 0, 1, h, tags=WALL_TAGS)
             q, _ = solve_poisson(mesh, quadrature_source(mesh, sine_source),
-                                 dirichlet_tags=WALL_TAGS)
+                                 np.unique(mesh.boundary_edges))
             space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
             exact = lambda pts: (np.sin(np.pi * pts[:, 0])
                                  * np.sin(np.pi * pts[:, 1]))
@@ -232,11 +232,11 @@ class TestPoisson:
     def test_source_must_be_quadrature_data(self):
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
         with pytest.raises(ValueError, match="not \\(M, q\\)"):
-            solve_poisson(mesh, sine_source, dirichlet_tags=WALL_TAGS)
+            solve_poisson(mesh, sine_source, np.unique(mesh.boundary_edges))
         rhs = quadrature_source(mesh, sine_source)
         for bad in (rhs[:-1], rhs[:, :3], rhs.ravel(), rhs[:, :, None]):
             with pytest.raises(ValueError, match="not \\(M, q\\)"):
-                solve_poisson(mesh, bad, dirichlet_tags=WALL_TAGS)
+                solve_poisson(mesh, bad, np.unique(mesh.boundary_edges))
 
 
 class TestStokesManufactured:
@@ -286,7 +286,7 @@ class TestStokesManufactured:
         space = build_space(mesh, {t: BC.dirichlet((0.0, 0.0)) for t in WALL_TAGS})
         pts = eval_on_quadrature(space)["pts"]
         system = assemble_stokes(space, Sources(volume=self.body_force(pts)))
-        sol = solve_stokes(system, SolverConfig(outer_tol=1e-12), quiet=True)
+        sol = solve_stokes(system, SolverConfig(outer_tol=1e-12))
         fields = eval_on_quadrature(space, u=sol.u, grad=True)
         dgrad = fields["gradu"] - self.velocity_gradient(fields["pts"])
         p_mean_free = sol.p - integrate_field(space, sol.p)    # unit area
