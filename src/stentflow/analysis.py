@@ -25,7 +25,6 @@ from .fem import (
     edge_flux,
     eval_on_quadrature,
     integrate_field,
-    l2_norm_diff,
 )
 from .geometry import (
     BoundaryTag as T,
@@ -90,17 +89,54 @@ def solve_direct(mesh: Mesh, flow: FlowData,
 # ----------------------------------------------------------------------------
 
 
-def _disk_quadrature(cx, cy, r, n_r=4, n_t=16):
-    """Tensor Gauss(r) x trapezoid(theta) rule on a disk: points, weights."""
-    xg, wg = np.polynomial.legendre.leggauss(n_r)
-    rr = 0.5 * r * (xg + 1.0)
-    wr = 0.5 * r * wg * rr
-    th = 2.0 * np.pi * np.arange(n_t) / n_t
-    wt = np.full(n_t, 2.0 * np.pi / n_t)
-    R, TH = np.meshgrid(rr, th, indexing="ij")
-    W = np.outer(wr, wt)
-    pts = np.stack([cx + R * np.cos(TH), cy + R * np.sin(TH)], axis=-1)
-    return pts.reshape(-1, 2), W.ravel()
+def _disk_quadrature(holes):
+    """Tensor Gauss(r) x trapezoid(theta) rule, 4 x 16 points, on each disk
+    (cx, cy, r) of ``holes``: points (64 H, 2) and weights (64 H,)."""
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    cx, cy, r = np.asarray(holes, dtype=float).reshape(-1, 3).T[:, :, None, None]
+    th = 2.0 * np.pi * np.arange(16) / 16
+    rr = 0.5 * r * (xg + 1.0)[:, None]                  # (H, 4, 1)
+    wr = 0.5 * r * wg[:, None] * rr
+    pts = np.stack([cx + rr * np.cos(th), cy + rr * np.sin(th)], axis=-1)
+    w = wr * np.full(16, 2.0 * np.pi / 16)
+    return pts.reshape(-1, 2), w.ravel()
+
+
+def _error_points(direct: StokesSolution) -> dict:
+    """Where the error norms read the direct solution.
+
+    ``pts``, ``w`` and ``u`` are the volume quadrature points of the direct
+    mesh with their weights and the direct velocity there, followed by
+    quadrature points on the obstacle disks, where the direct velocity is
+    extended by zero; ``p`` (M, q) is the direct pressure at the volume
+    quadrature points, which come first in ``pts``.
+    """
+    fields = eval_on_quadrature(direct.space, u=direct.u, p=direct.p)
+    disk_pts, disk_w = _disk_quadrature(direct.space.mesh.holes)
+    return {
+        "pts": np.concatenate([fields["pts"].reshape(-1, 2), disk_pts]),
+        "w": np.concatenate([fields["w"].ravel(), disk_w]),
+        "u": np.concatenate([fields["u"].reshape(-1, 2), np.zeros_like(disk_pts)]),
+        "p": fields["p"],
+    }
+
+
+def _l2_errors(points: dict, approx):
+    """L2 distances between the direct velocity and approximations given at
+    ``points["pts"]``, shape (n, 2) or a stack (k, n, 2)."""
+    sq = points["w"][:, None] * (points["u"] - approx) ** 2
+    return np.sqrt(np.sum(sq, axis=(-2, -1)))
+
+
+def _hm1_errors(direct: StokesSolution, points: dict, approx):
+    """Weak-norm distances between the direct pressure and approximations
+    given at the volume quadrature points, shape (M q,) or a stack (k, M q),
+    from one Poisson factorization (:func:`hm1_pressure_error`)."""
+    mesh = direct.space.mesh
+    p = points["p"]
+    rhs = p - np.reshape(approx, np.shape(approx)[:-1] + p.shape)
+    nodes = _hm1_dirichlet_nodes(mesh, mesh.meta["eps"])
+    return solve_poisson(mesh, rhs, nodes)[1]
 
 
 def l2_velocity_error(direct: StokesSolution, approx_velocity) -> float:
@@ -110,12 +146,8 @@ def l2_velocity_error(direct: StokesSolution, approx_velocity) -> float:
     direct field is extended by zero (so the approximation's own values are
     charged there).
     """
-    total = l2_norm_diff(direct.space, direct.u, approx_velocity) ** 2
-    for cx, cy, r in direct.space.mesh.holes:
-        hp, hw = _disk_quadrature(cx, cy, r)
-        vals = np.asarray(approx_velocity(hp))
-        total += float(np.sum(hw[:, None] * vals**2))
-    return float(np.sqrt(total))
+    points = _error_points(direct)
+    return float(_l2_errors(points, np.asarray(approx_velocity(points["pts"]))))
 
 
 def _hm1_dirichlet_nodes(mesh: Mesh, eps: float):
@@ -144,13 +176,9 @@ def hm1_pressure_error(direct: StokesSolution, approx_pressure) -> float:
     the mesh; its source is taken at the quadrature points of that mesh,
     where the direct pressure is evaluated element by element.
     """
-    mesh = direct.space.mesh
-    fields = eval_on_quadrature(direct.space, p=direct.p)
-    approx = np.asarray(approx_pressure(fields["pts"].reshape(-1, 2)))
-    rhs = fields["p"] - approx.reshape(fields["p"].shape)
-    nodes = _hm1_dirichlet_nodes(mesh, mesh.meta["eps"])
-    _, grad_norm = solve_poisson(mesh, rhs, nodes)
-    return grad_norm
+    points = _error_points(direct)
+    approx = np.asarray(approx_pressure(points["pts"][: points["p"].size]))
+    return float(_hm1_errors(direct, points, approx))
 
 
 def flowrate_direct(direct: StokesSolution) -> float:
@@ -198,14 +226,11 @@ def velocity_profiles(direct: StokesSolution, avg, eps):
     evenly spaced x1."""
     n = 201
     x = np.linspace(0.0, 1.0, n)
-    vel = VelocityField(direct.space, direct.u)
-    top = np.stack([x, np.full(n, eps)], axis=1)
-    mid = np.stack([x, np.zeros(n)], axis=1)
+    top_mid = np.concatenate([np.stack([x, np.full(n, eps)], axis=1),
+                              np.stack([x, np.zeros(n)], axis=1)])
+    u_top, u_mid = np.split(VelocityField(direct.space, direct.u)(top_mid), 2)
+    a_top, a_mid = np.split(avg.velocity(top_mid), 2)
     rows = []
-    u_top = vel(top)
-    u_mid = vel(mid)
-    a_top = avg.velocity(top)
-    a_mid = avg.velocity(mid)
     for i in range(n):
         rows.append({
             "x1": float(x[i]),
@@ -276,6 +301,37 @@ class StudyConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
 
+def _measure(rep: ErrorReport, study: StudyConfig, zero, first_order,
+             constants: CellConstants):
+    """Fill the report of one eps: mesh, direct solve, the four errors from
+    one point location of the direct mesh's error points on the corrector
+    meshes and one Poisson factorization, flow rates and profiles."""
+    eps = rep.eps
+    t0 = time.time()
+    geo = build_macro_geometry(eps, study.flow.case, study.obstacle)
+    mesh = triangulate(geo, study.h_macro, study.refine)
+    direct = solve_direct(mesh, study.flow, study.solver)
+    avg = averaged_approximation(zero, first_order, eps)
+    points = _error_points(direct)
+    pts, n = points["pts"], points["p"].size
+    located = avg.locate(pts)
+    vel = np.stack([zero.velocity(pts), avg.velocity_at(located)])
+    rep.l2_vel_zero, rep.l2_vel_first = map(float, _l2_errors(points, vel))
+    prs = np.stack([zero.pressure(pts[:n]), avg.pressure_at(located)[:n]])
+    rep.hm1_p_zero, rep.hm1_p_first = map(float, _hm1_errors(direct, points, prs))
+    rep.q_direct = flowrate_direct(direct)
+    if study.flow.case == "collateral":
+        rep.q_formula = flowrate_formula(zero, constants, eps)
+        rep.q_first_order = flowrate_first_order(first_order, eps)
+    rep.meta = {
+        "n_triangles": mesh.n_triangles,
+        "n_vel_dofs": direct.space.n_vel,
+        "solver": dict(direct.diagnostics),
+        "runtime_s": round(time.time() - t0, 2),
+    }
+    rep.meta["profiles"] = velocity_profiles(direct, avg, eps)
+
+
 def convergence_study(eps_list, study: StudyConfig | None = None,
                       constants: CellConstants | None = None, progress=None):
     """Run the full study over descending eps values.
@@ -309,27 +365,8 @@ def convergence_study(eps_list, study: StudyConfig | None = None,
     for eps in eps_list:
         rep = ErrorReport(eps=float(eps))
         reports.append(rep)
-        t0 = time.time()
         try:
-            geo = build_macro_geometry(eps, study.flow.case, study.obstacle)
-            mesh = triangulate(geo, study.h_macro, study.refine)
-            direct = solve_direct(mesh, study.flow, study.solver)
-            avg = averaged_approximation(zero, first_order, eps)
-            rep.l2_vel_zero = l2_velocity_error(direct, zero.velocity)
-            rep.l2_vel_first = l2_velocity_error(direct, avg.velocity)
-            rep.hm1_p_zero = hm1_pressure_error(direct, zero.pressure)
-            rep.hm1_p_first = hm1_pressure_error(direct, avg.pressure)
-            rep.q_direct = flowrate_direct(direct)
-            if study.flow.case == "collateral":
-                rep.q_formula = flowrate_formula(zero, constants, eps)
-                rep.q_first_order = flowrate_first_order(first_order, eps)
-            rep.meta = {
-                "n_triangles": mesh.n_triangles,
-                "n_vel_dofs": direct.space.n_vel,
-                "solver": dict(direct.diagnostics),
-                "runtime_s": round(time.time() - t0, 2),
-            }
-            rep.meta["profiles"] = velocity_profiles(direct, avg, eps)
+            _measure(rep, study, zero, first_order, constants)
         except StentflowError as exc:          # keep going with the other eps
             rep.error = f"{type(exc).__name__}: {exc}"
         if progress:

@@ -59,9 +59,9 @@ def _write_csv(path, header_cols, rows, provenance):
 
 
 def cmd_mesh(cfg: RunConfig, args) -> int:
+    geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())   # checks eps
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
-    geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())
     macro = triangulate(geo, cfg["mesh.h"], cfg.refine_spec())
     save_mesh(macro, os.path.join(out, f"macro_eps{cfg.eps:g}.mesh"),
               header_lines=[prov])
@@ -138,9 +138,9 @@ def cmd_cell(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     from .analysis import boundary_fluxes, flowrate_direct, solve_direct
 
+    geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())   # checks eps
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
-    geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())
     mesh = triangulate(geo, cfg["mesh.h"], cfg.refine_spec())
     sol = solve_direct(mesh, cfg.flow(), cfg.solver())
     fluxes = boundary_fluxes(sol)

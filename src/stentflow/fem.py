@@ -603,16 +603,16 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
 class PointLocator:
     """Locates points in a triangulation via a centroid kd-tree.
 
-    Each point is tried against the 24 nearest centroids, then against every
-    triangle; it lies in a triangle when no barycentric coordinate is below
-    -1e-10.
+    A point lies in a triangle when no barycentric coordinate is below
+    -1e-10.  Each point is tried against its 4 nearest centroids, nearest
+    first; the few left over (next to strongly graded triangles) against
+    their 24 nearest, and any still left over against every triangle.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         p = mesh.vertices[mesh.triangles]
         self.tree = cKDTree(p.mean(axis=1))
-        self.k = min(24, mesh.n_triangles)
         _, _, self.gradlam = _geometry_tables(mesh)
         self.v0 = p[:, 0]
 
@@ -626,21 +626,26 @@ class PointLocator:
         """Return (triangle index, barycentric coords) for each point."""
         tol = 1e-10
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        _, cand = self.tree.query(pts, k=self.k)
-        cand = np.asarray(cand).reshape(len(pts), -1)
         tri = -np.ones(len(pts), dtype=np.int64)
         lam = np.zeros((len(pts), 3))
         remaining = np.arange(len(pts))
-        for j in range(cand.shape[1]):
+        for k in (4, 24):
             if not len(remaining):
                 break
-            t = cand[remaining, j]
-            lm = self._bary(t, pts[remaining])
-            ok = np.all(lm >= -tol, axis=1)
-            hit = remaining[ok]
-            tri[hit] = t[ok]
-            lam[hit] = lm[ok]
-            remaining = remaining[~ok]
+            _, cand = self.tree.query(pts[remaining], k=min(k, self.mesh.n_triangles))
+            cand = np.asarray(cand).reshape(len(remaining), -1)
+            left = np.arange(len(remaining))      # rows of cand not placed yet
+            for j in range(cand.shape[1]):
+                if not len(left):
+                    break
+                t = cand[left, j]
+                lm = self._bary(t, pts[remaining[left]])
+                ok = np.all(lm >= -tol, axis=1)
+                hit = remaining[left[ok]]
+                tri[hit] = t[ok]
+                lam[hit] = lm[ok]
+                left = left[~ok]
+            remaining = remaining[left]
         for i in remaining:   # rare: exhaustive scan before giving up
             lm = self._bary(np.arange(self.mesh.n_triangles), pts[i][None].repeat(
                 self.mesh.n_triangles, axis=0))
@@ -662,13 +667,17 @@ class VelocityField:
         self.locator = locator or PointLocator(space.mesh)
         self.nodes = _p2_nodes(space)
 
-    def __call__(self, pts):
-        tri, lam = self.locator.locate(pts)
+    def at(self, tri, lam):
+        """Values (n, 2) at the located points (``tri``, ``lam``) that
+        :meth:`PointLocator.locate` returns."""
         phi = p2_basis(lam)                      # (n, 6)
         nd = self.nodes[tri]                     # (n, 6)
         ux = np.einsum("ni,ni->n", phi, self.u[nd])
         uy = np.einsum("ni,ni->n", phi, self.u[self.space.n_vnode + nd])
         return np.stack([ux, uy], axis=1)
+
+    def __call__(self, pts):
+        return self.at(*self.locator.locate(pts))
 
 
 class PressureField:
@@ -679,10 +688,13 @@ class PressureField:
         self.p = p
         self.locator = locator or PointLocator(space.mesh)
 
-    def __call__(self, pts):
-        tri, lam = self.locator.locate(pts)
+    def at(self, tri, lam):
+        """Values (n,) at the located points (``tri``, ``lam``)."""
         nd = self.space.mesh.triangles[tri]
         return np.einsum("ni,ni->n", lam, self.p[nd])
+
+    def __call__(self, pts):
+        return self.at(*self.locator.locate(pts))
 
 
 def _coeffs_on_quadrature(space: FESpace, coeffs, tri_sel=None):
@@ -885,10 +897,9 @@ def eval_on_quadrature(space: FESpace, u=None, p=None, grad=False, tri_sel=None)
     return out
 
 
-def velocity_gradient_at(space: FESpace, u, pts, locator=None):
-    """Velocity gradient at arbitrary points: (n, 2, 2) with [i, j] = du_i/dx_j."""
-    locator = locator or PointLocator(space.mesh)
-    tri, lam = locator.locate(pts)
+def velocity_gradient_at(space: FESpace, u, tri, lam):
+    """Velocity gradient (n, 2, 2), [i, j] = du_i/dx_j, at the located points
+    (``tri``, ``lam``) that :meth:`PointLocator.locate` returns."""
     _, _, gradlam = _geometry_tables(space.mesh, tri)
     dphi = np.einsum("nij,njd->nid", _p2_grad_coeff(lam), gradlam)
     nodes6 = _p2_nodes(space, tri)

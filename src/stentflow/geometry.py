@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
     MeshQualityFailure,
@@ -213,8 +213,8 @@ class _Builder:
 
     def __init__(self):
         self.verts: list[np.ndarray] = []
-        self.tris: list[tuple[int, int, int]] = []
-        self.circle_edges: list[tuple[int, int]] = []
+        self.tris: list[np.ndarray] = []             # blocks of (k, 3) ids
+        self.circle_edges: list[np.ndarray] = []     # blocks of (k, 2) ids
         self.n = 0
 
     def add_points(self, pts: np.ndarray) -> np.ndarray:
@@ -234,15 +234,11 @@ class _Builder:
         symmetric; symmetric domains then get parity-exact meshes.
         """
         n = len(bottom) - 1
-        for i in range(n):
-            a, b = bottom[i], bottom[i + 1]
-            c, d = top[i], top[i + 1]
-            if 2 * i < n:
-                self.tris.append((a, b, d))
-                self.tris.append((a, d, c))
-            else:
-                self.tris.append((a, b, c))
-                self.tris.append((b, d, c))
+        a, b, c, d = bottom[:-1], bottom[1:], top[:-1], top[1:]
+        left = np.stack([a, b, d, a, d, c], axis=1)
+        right = np.stack([a, b, c, b, d, c], axis=1)
+        tris = np.where((2 * np.arange(n) < n)[:, None], left, right)
+        self.tris.append(tris.reshape(-1, 3))
 
     def transition_rows(self, fine, coarse, fine_on_bottom):
         """2:1 band between a fine row (2k+1 points) and a coarse row (k+1).
@@ -252,20 +248,18 @@ class _Builder:
         """
         k = len(coarse) - 1
         assert len(fine) == 2 * k + 1
-        for i in range(k):
-            f0, f1, f2 = fine[2 * i], fine[2 * i + 1], fine[2 * i + 2]
-            c0, c1 = coarse[i], coarse[i + 1]
-            if 2 * i < k:
-                tris = [(f0, f1, c0), (f1, c1, c0), (f1, f2, c1)]
-            else:
-                tris = [(f1, f0, c0), (f1, c0, c1), (f2, f1, c1)]
-            if not fine_on_bottom:
-                tris = [(a, c, b) for (a, b, c) in tris]
-            self.tris.extend(tris)
+        f0, f1, f2 = fine[0:-1:2], fine[1::2], fine[2::2]
+        c0, c1 = coarse[:-1], coarse[1:]
+        left = np.stack([f0, f1, c0, f1, c1, c0, f1, f2, c1], axis=1)
+        right = np.stack([f1, f0, c0, f1, c0, c1, f2, f1, c1], axis=1)
+        tris = np.where((2 * np.arange(k) < k)[:, None], left, right).reshape(-1, 3)
+        if not fine_on_bottom:
+            tris = tris[:, [0, 2, 1]]
+        self.tris.append(tris)
 
     def finish(self):
         verts = np.concatenate(self.verts, axis=0)
-        tris = np.asarray(self.tris, dtype=np.int64)
+        tris = np.concatenate(self.tris).astype(np.int64)
         p = verts[tris]
         area2 = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         flip = area2 < 0
@@ -346,38 +340,28 @@ def _circle_points(center, radius, n_c):
     )
 
 
-def _disk_block(b, x, y_rows, disk, n_c, existing):
+def _disk_block(b, x, y_rows, disk, n_c, known):
     """Mesh one rectangular block containing a disk hole.
 
-    ``existing`` maps lattice indices (i, j) to global vertex ids that were
-    created by neighbouring bands/blocks (shared rows and columns).  Lattice
-    points too close to the disk are dropped and replaced by a polar ring on
-    the circle; the block is then triangulated by Delaunay.  Lattice lines
-    and ring chords carry empty-circumcircle clearances, so they are kept as
-    mesh edges.  Returns the map (i, j) -> global id of all lattice points.
+    ``known`` (len(y_rows), len(x)) holds the global vertex ids of lattice
+    points created by neighbouring bands/blocks (shared rows and columns),
+    -1 elsewhere.  Lattice points too close to the disk are dropped and
+    replaced by a polar ring on the circle; the block is then triangulated
+    by Delaunay.  Lattice lines and ring chords carry empty-circumcircle
+    clearances, so they are kept as mesh edges.  Returns the global ids of
+    all lattice points in the same layout, -1 at dropped points.
     """
     cx, cy, r = disk
     s = x[1] - x[0]
     clear = r + 0.75 * s
-    ring1 = _circle_points((cx, cy), r, n_c)
-
-    local_pts = []
-    local_gid = []
-    lattice_of_local = []
-    for j, yv in enumerate(y_rows):
-        for i, xv in enumerate(x):
-            boundary = i in (0, len(x) - 1) or j in (0, len(y_rows) - 1)
-            if not boundary and math.hypot(xv - cx, yv - cy) < clear:
-                continue
-            local_pts.append((xv, yv))
-            local_gid.append(existing.get((i, j), -1))
-            lattice_of_local.append((i, j))
-    n_lat = len(local_pts)
-    for p in ring1:
-        local_pts.append((p[0], p[1]))
-        local_gid.append(-1)
-    local_pts = np.asarray(local_pts, dtype=float)
-    local_gid = np.asarray(local_gid, dtype=np.int64)
+    X, Y = np.meshgrid(x, y_rows)
+    inner = np.zeros(X.shape, dtype=bool)
+    inner[1:-1, 1:-1] = True
+    kept = ~(inner & (np.hypot(X - cx, Y - cy) < clear))
+    n_lat = int(kept.sum())
+    local_pts = np.concatenate([np.column_stack([X[kept], Y[kept]]),
+                                _circle_points((cx, cy), r, n_c)])
+    local_gid = np.concatenate([known[kept], np.full(n_c, -1, dtype=np.int64)])
 
     new_mask = local_gid < 0
     local_gid[new_mask] = b.add_points(local_pts[new_mask])
@@ -385,14 +369,14 @@ def _disk_block(b, x, y_rows, disk, n_c, existing):
     simplices = _triangulate_block(local_pts, (cx, cy, r), x)
     cent = local_pts[simplices].mean(axis=1)
     keep = np.hypot(cent[:, 0] - cx, cent[:, 1] - cy) > r
-    for t in simplices[keep]:
-        b.tris.append((local_gid[t[0]], local_gid[t[1]], local_gid[t[2]]))
+    b.tris.append(local_gid[simplices[keep]])
 
-    ring_ids = local_gid[n_lat : n_lat + n_c]
-    for k in range(n_c):
-        b.circle_edges.append((ring_ids[k], ring_ids[(k + 1) % n_c]))
+    ring_ids = local_gid[n_lat:]
+    b.circle_edges.append(np.stack([ring_ids, np.roll(ring_ids, -1)], axis=1))
 
-    return {lat: local_gid[k] for k, lat in enumerate(lattice_of_local)}
+    lattice = np.full(X.shape, -1, dtype=np.int64)
+    lattice[kept] = local_gid[:n_lat]
+    return lattice
 
 
 def _triangulate_block(pts, disk, x):
@@ -404,29 +388,12 @@ def _triangulate_block(pts, disk, x):
     """
     cx = disk[0]
     tol = 1e-9
-    mirror = np.full(len(pts), -1, dtype=np.int64)
-    key = {}
-    for i, (px, py) in enumerate(pts):
-        key[(round(px / tol), round(py / tol))] = i
-
-    def find(px, py):
-        kx, ky = round(px / tol), round(py / tol)
-        for dx in (0, -1, 1):
-            for dy in (0, -1, 1):
-                j = key.get((kx + dx, ky + dy))
-                if j is not None and abs(pts[j, 0] - px) < tol \
-                        and abs(pts[j, 1] - py) < tol:
-                    return j
-        return None
-
     symmetric = abs((x[0] + x[-1]) * 0.5 - cx) < tol
     if symmetric:
-        for i, (px, py) in enumerate(pts):
-            j = find(2 * cx - px, py)
-            if j is None:
-                symmetric = False
-                break
-            mirror[i] = j
+        # mirror partner of every point: the point within tol of its reflection
+        dist, mirror = cKDTree(pts).query(
+            np.column_stack([2 * cx - pts[:, 0], pts[:, 1]]), p=np.inf)
+        symmetric = bool(np.all(dist < tol))
     if not symmetric:
         return Delaunay(pts).simplices
     left = np.nonzero(pts[:, 0] <= cx + tol)[0]
@@ -443,22 +410,19 @@ def _block_band(b, x, y_rows, disks, n_c, bottom_row):
 
     ``disks`` lists ((cx, cy, r), i0, i1) with i0/i1 the first/last lattice
     column of each block.  Shared columns between neighbouring blocks and
-    the shared bottom row are stitched through the lattice map.  Returns the
+    the shared bottom row are stitched through the lattice ids.  Returns the
     top frontier row ids.
     """
-    n_rows = len(y_rows) - 1
     top = np.empty(len(x), dtype=np.int64)
-    prev_right: dict[int, np.int64] = {}
+    prev_right = None
     for disk, i0, i1 in disks:
-        existing = {(i - i0, 0): bottom_row[i] for i in range(i0, i1 + 1)}
-        for j, gid in prev_right.items():
-            existing[(0, j)] = gid
-        lat = _disk_block(b, x[i0 : i1 + 1], y_rows, disk, n_c, existing)
-        prev_right = {j: lat[(i1 - i0, j)] for j in range(n_rows + 1)
-                      if (i1 - i0, j) in lat}
-        for (i, j), gid in lat.items():
-            if j == n_rows:
-                top[i0 + i] = gid
+        known = np.full((len(y_rows), i1 - i0 + 1), -1, dtype=np.int64)
+        known[0] = bottom_row[i0 : i1 + 1]
+        if prev_right is not None:
+            known[:, 0] = prev_right
+        lat = _disk_block(b, x[i0 : i1 + 1], y_rows, disk, n_c, known)
+        prev_right = lat[:, -1]
+        top[i0 : i1 + 1] = lat[-1]
     return top
 
 
@@ -675,7 +639,7 @@ def _macro_mesh(geo: MacroGeometry, h, spec: RefineSpec) -> Mesh:
     bed = _boundary_edge_set(tris)
     tags = _channel_pair_tags(verts, bed, geo.case)
     untagged = np.array([t is None for t in tags])
-    circ_keys = {tuple(sorted(e)) for e in b.circle_edges}
+    circ_keys = {tuple(sorted(e)) for e in np.concatenate(b.circle_edges).tolist()}
     bed_keys = {tuple(sorted(e)) for e in bed[untagged]}
     if circ_keys != bed_keys:
         raise MeshQualityFailure("obstacle boundary edges do not close the circles")

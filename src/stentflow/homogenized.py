@@ -224,7 +224,12 @@ def _trace_flux(trace, n=64):
 
 @dataclass
 class AveragedApproximation:
-    """Pointwise evaluators of u0 + eps*u1 and p0 + eps*p1 on both channels."""
+    """Pointwise evaluators of u0 + eps*u1 and p0 + eps*p1 on both channels.
+
+    :meth:`locate` places points on the corrector meshes once, and the
+    ``*_at`` methods evaluate from that placement, so the velocity and the
+    pressure at the same points share one point location.
+    """
 
     zero: ZeroOrder
     first: FirstOrderSolution
@@ -239,29 +244,33 @@ class AveragedApproximation:
         self._pr_u = PressureField(su, self.first.upper.p, self._loc_u)
         self._pr_l = PressureField(sl, self.first.lower.p, self._loc_l)
 
-    def _split(self, pts):
+    def locate(self, pts):
+        """(points, upper-channel mask, (tri, lam) on the upper corrector
+        mesh, (tri, lam) on the lower one); x2 >= 0 counts as upper."""
         pts = np.atleast_2d(pts)
-        return pts, pts[:, 1] >= 0.0
+        upper = pts[:, 1] >= 0.0
+        return (pts, upper, self._loc_u.locate(pts[upper]),
+                self._loc_l.locate(pts[~upper]))
+
+    def velocity_at(self, located):
+        pts, upper, on_u, on_l = located
+        out = self.zero.velocity(pts)
+        out[upper] += self.eps * self._vel_u.at(*on_u)
+        out[~upper] += self.eps * self._vel_l.at(*on_l)
+        return out
+
+    def pressure_at(self, located):
+        pts, upper, on_u, on_l = located
+        out = self.zero.pressure(pts)
+        out[upper] += self.eps * self._pr_u.at(*on_u)
+        out[~upper] += self.eps * self._pr_l.at(*on_l)
+        return out
 
     def velocity(self, pts):
-        pts, upper = self._split(pts)
-        out = self.zero.velocity(pts)
-        if self.eps != 0.0:
-            if upper.any():
-                out[upper] += self.eps * self._vel_u(pts[upper])
-            if (~upper).any():
-                out[~upper] += self.eps * self._vel_l(pts[~upper])
-        return out
+        return self.velocity_at(self.locate(pts))
 
     def pressure(self, pts):
-        pts, upper = self._split(pts)
-        out = self.zero.pressure(pts)
-        if self.eps != 0.0:
-            if upper.any():
-                out[upper] += self.eps * self._pr_u(pts[upper])
-            if (~upper).any():
-                out[~upper] += self.eps * self._pr_l(pts[~upper])
-        return out
+        return self.pressure_at(self.locate(pts))
 
 
 def averaged_approximation(zero: ZeroOrder, first: FirstOrderSolution,
@@ -306,8 +315,9 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     pts0 = np.stack([x, np.zeros_like(x)], axis=1)
 
     loc_up, loc_lo = PointLocator(su.mesh), PointLocator(sl.mesh)
-    tr_up = VelocityField(su, first.upper.u, loc_up)(pts0)
-    tr_lo = VelocityField(sl, first.lower.u, loc_lo)(pts0)
+    at_up, at_lo = loc_up.locate(pts0), loc_lo.locate(pts0)
+    tr_up = VelocityField(su, first.upper.u, loc_up).at(*at_up)
+    tr_lo = VelocityField(sl, first.lower.u, loc_lo).at(*at_lo)
     ut_plus = eps * tr_up[:, 0]          # averaged tangential trace (u0 = 0 here)
     ut_minus = eps * tr_lo[:, 0]
     un = -eps * tr_up[:, 1]              # normal points into the lower channel
@@ -317,10 +327,12 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     slip_residual = ut_plus / slip_plus - ut_minus / slip_minus
 
     # one-sided sigma.n.n = du2/dx2 - p of the averaged fields at y = 0+-
-    g_up = velocity_gradient_at(su, first.upper.u, pts0, loc_up)[:, 1, 1]
-    g_lo = velocity_gradient_at(sl, first.lower.u, pts0, loc_lo)[:, 1, 1]
-    p_up = zero.pressure(pts0) + eps * PressureField(su, first.upper.p, loc_up)(pts0)
-    p_lo = zero.p_lower + eps * PressureField(sl, first.lower.p, loc_lo)(pts0)
+    g_up = velocity_gradient_at(su, first.upper.u, *at_up)[:, 1, 1]
+    g_lo = velocity_gradient_at(sl, first.lower.u, *at_lo)[:, 1, 1]
+    p1_up = PressureField(su, first.upper.p, loc_up).at(*at_up)
+    p1_lo = PressureField(sl, first.lower.p, loc_lo).at(*at_lo)
+    p_up = zero.pressure(pts0) + eps * p1_up
+    p_lo = zero.p_lower + eps * p1_lo
     jump_signn = (eps * g_up - p_up) - (eps * g_lo - p_lo)
     # u.n = -u2; the condition reads -u2 = -(eps/[eta]) [sigma]nn
     normal_residual = un - (-(eps / constants.eta_jump) * jump_signn)

@@ -212,8 +212,10 @@ def solve_poisson(mesh: Mesh, rhs, dirichlet_nodes):
 
     ``rhs`` is None or the source at the volume quadrature points of every
     triangle, shape (M, q) as :func:`~stentflow.fem.eval_on_quadrature` lays
-    them out.  ``dirichlet_nodes`` holds the ids of the clamped vertices.
-    Returns (nodal coefficients, gradient L2 norm).
+    them out, or a stack of k such sources, shape (k, M, q), solved with one
+    factorization.  ``dirichlet_nodes`` holds the ids of the clamped
+    vertices.  Returns (nodal coefficients, gradient L2 norm), each with a
+    leading axis of length k for a stack.
     """
     tris = mesh.triangles.astype(np.int64)
     _, area, gradlam = _geometry_tables(mesh)
@@ -222,19 +224,23 @@ def solve_poisson(mesh: Mesh, rhs, dirichlet_nodes):
     cols = np.tile(tris, (1, 3)).ravel()
     n = mesh.n_vertices
     K = sp.coo_matrix((K_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    b = np.zeros(n)
-    if rhs is not None:
-        fv = np.asarray(rhs)
-        if fv.shape != (mesh.n_triangles, len(TRI_QW)):
-            raise ValueError(f"Poisson source of shape {fv.shape}, not (M, q)")
-        for q in range(len(TRI_QW)):
-            w = TRI_QW[q] * area
-            np.add.at(b, tris, (w * fv[:, q])[:, None] * TRI_QP[q][None, :])
+    shape = (mesh.n_triangles, len(TRI_QW))
+    fv = np.zeros(shape) if rhs is None else np.asarray(rhs)
+    if fv.ndim not in (2, 3) or fv.shape[-2:] != shape:
+        raise ValueError(f"Poisson source of shape {fv.shape}, not (M, q) or (k, M, q)")
+    # element loads sum_q w_q f(x_q) lam_i(x_q), scattered per source
+    loads = (fv.reshape(-1, *shape) * (TRI_QW * area[:, None])) @ TRI_QP   # (k, M, 3)
+    k = len(loads)
+    ids = tris.ravel() + n * np.arange(k)[:, None]
+    b = np.bincount(ids.ravel(), weights=loads.ravel(), minlength=k * n).reshape(k, n)
 
     fixed = np.unique(np.asarray(dirichlet_nodes, dtype=np.int64))
     free = np.setdiff1d(np.arange(n), fixed)
-    q = np.zeros(n)
+    q = np.zeros((k, n))
     if len(free):
-        q[free] = factorize(K[free][:, free]).solve(b[free])
-    grad_norm = float(np.sqrt(max(q @ (K @ q), 0.0)))
+        lu = factorize(K[free][:, free])
+        q[:, free] = lu.solve(np.ascontiguousarray(b[:, free].T)).T
+    grad_norm = np.sqrt(np.maximum(np.einsum("kn,nk->k", q, K @ q.T), 0.0))
+    if fv.ndim == 2:
+        return q[0], float(grad_norm[0])
     return q, grad_norm

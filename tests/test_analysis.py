@@ -213,21 +213,29 @@ class TestProfiles:
         assert mid["u1_direct_at_eps"] > 0
 
 
+TABLE = CellConstants(
+    beta1_plus=-0.377928, beta1_minus=-0.122114,
+    ups1_plus=-0.000371269, ups1_minus=0.121744,
+    eta_jump=27.9435, chi_grad_energy=27.9435,
+    beta_grad_energy=0.1454, ups_grad_energy=0.121744,
+    obstacle_area=float(np.pi * (3 / 16) ** 2),
+)
+COARSE_EPS = [0.5, 0.25, 0.125]
+
+
+def coarse_study():
+    """A cheap three-eps study with the paper's constants."""
+    study = StudyConfig(h_macro=0.25, h_first_order=0.25)
+    return convergence_study(COARSE_EPS, study, constants=TABLE)
+
+
 class TestStudyFailures:
     """Only a numerical failure turns one eps into an error row."""
 
-    TABLE = CellConstants(
-        beta1_plus=-0.377928, beta1_minus=-0.122114,
-        ups1_plus=-0.000371269, ups1_minus=0.121744,
-        eta_jump=27.9435, chi_grad_energy=27.9435,
-        beta_grad_energy=0.1454, ups_grad_energy=0.121744,
-        obstacle_area=float(np.pi * (3 / 16) ** 2),
-    )
-    EPS = [0.5, 0.25, 0.125]
+    EPS = COARSE_EPS
 
     def run(self):
-        study = StudyConfig(h_macro=0.25, h_first_order=0.25)
-        return convergence_study(self.EPS, study, constants=self.TABLE)
+        return coarse_study()
 
     def test_nonconvergence_becomes_error_row(self, monkeypatch):
         real = analysis.solve_direct
@@ -255,3 +263,48 @@ class TestStudyFailures:
         monkeypatch.setattr(analysis, "solve_direct", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             self.run()
+
+
+class TestStudyWork:
+    """Each eps locates its error points once and factors one Poisson matrix."""
+
+    def test_one_location_and_one_factorization_per_eps(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        import stentflow.fem as fem
+
+        located = []
+        locate = fem.PointLocator.locate
+
+        def counting_locate(self, pts):
+            located.append(len(pts))
+            return locate(self, pts)
+
+        inside_poisson = []
+        poisson_factors = []
+        solve_poisson = analysis.solve_poisson
+        splu = spla.splu
+
+        def tracked_poisson(*args):
+            inside_poisson.append(True)
+            try:
+                return solve_poisson(*args)
+            finally:
+                inside_poisson.pop()
+
+        def counting_splu(*args, **kwargs):
+            if inside_poisson:
+                poisson_factors.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem.PointLocator, "locate", counting_locate)
+        monkeypatch.setattr(analysis, "solve_poisson", tracked_poisson)
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        reports, fits, _, _ = coarse_study()
+        assert all(r.error is None for r in reports) and len(fits) == 4
+        assert len(poisson_factors) == len(COARSE_EPS)
+        # the 6 volume quadrature points of every direct triangle and the
+        # 64 points of every obstacle disk, once; 4 x 201 profile points
+        expected = sum(6 * r.meta["n_triangles"] + 64 * round(1 / r.eps) + 804
+                       for r in reports)
+        assert sum(located) == expected

@@ -114,10 +114,14 @@ class TestCli:
         save_mesh(mesh, twice, header_lines=[first_line.lstrip("# ")])
         assert twice.read_bytes() == mesh_file.read_bytes()
 
-    def test_invalid_eps_exit_2(self, workdir):
+    def test_invalid_eps_exit_2(self, workdir, capsys):
+        # eps is checked before the output directory is made
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.3"))
-        assert main(["mesh", "--config", str(cfg)]) == 2
+        for command in ("mesh", "solve"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "1/eps = 3.33" in capsys.readouterr().err
+            assert not (tmp / "out").exists()
 
     def test_nonpositive_obstacle_radius_exit_2(self, workdir, capsys):
         # obstacle.r has one meaning in every subcommand: the unobstructed

@@ -5,11 +5,18 @@ import pytest
 
 import scipy.sparse as sp
 
-from stentflow.errors import ConflictingConstraints, UnassembledTag
+from scipy.spatial import cKDTree
+
+from stentflow.errors import (
+    ConflictingConstraints,
+    PointLocationFailure,
+    UnassembledTag,
+)
 from stentflow.fem import (
     BC,
     EDGE_QP,
     EDGE_QW,
+    PointLocator,
     Sources,
     TRI_QP,
     TRI_QW,
@@ -528,3 +535,83 @@ def test_integer_edge_keys_match_rowwise_unique(which):
         ref = _rowwise_interior_line_edges(mesh.vertices, t, 1, 0.0)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert len(ref)
+
+
+# ----------------------------------------------------------------------------
+# point location: the staged kd-tree search against a scan of all triangles
+# ----------------------------------------------------------------------------
+
+
+def _bary(mesh, pts, tris):
+    """Barycentrics (n, k, 3) of each point pts[i] in the triangles tris[i]
+    (n, k), or in tris[0] for every point when tris is (1, k); Cramer's rule."""
+    v = mesh.vertices[mesh.triangles[tris]]                  # (., k, 3, 2)
+    e1, e2 = v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    d = pts[:, None, :] - v[..., 0, :]
+    l1 = (d[..., 0] * e2[..., 1] - d[..., 1] * e2[..., 0]) / det
+    l2 = (e1[..., 0] * d[..., 1] - e1[..., 1] * d[..., 0]) / det
+    return np.stack([1 - l1 - l2, l1, l2], axis=-1)
+
+
+def _check_against_scan(mesh, pts):
+    """Locate ``pts`` and compare with a scan of every triangle."""
+    tri, lam = PointLocator(mesh).locate(pts)
+    every = np.arange(mesh.n_triangles)[None, :]
+    for chunk in np.array_split(np.arange(len(pts)), -(-len(pts) // 500)):
+        ref = _bary(mesh, pts[chunk], every)
+        inside = np.all(ref >= -1e-10, axis=-1)
+        rows = np.arange(len(chunk))
+        assert inside.any(axis=1).all()
+        # the returned triangle contains its point, with matching barycentrics
+        assert inside[rows, tri[chunk]].all()
+        assert np.abs(lam[chunk] - ref[rows, tri[chunk]]).max() < 1e-12
+        # a point inside exactly one triangle gets that triangle
+        single = inside.sum(axis=1) == 1
+        assert np.array_equal(tri[chunk][single], inside[single].argmax(axis=1))
+    return tri
+
+
+@pytest.fixture(scope="module")
+def graded_mesh():
+    # the upper corrector mesh of the study: 2:1 transition bands coarsen the
+    # grid away from the interface
+    return rectangle_mesh(0, 1, 0, 1, 0.05, grade_to_y=0.0)
+
+
+class TestPointLocator:
+    def test_random_points_match_scan(self, graded_mesh):
+        pts = np.random.default_rng(3).random((3000, 2))
+        _check_against_scan(graded_mesh, pts)
+
+    def test_vertices_and_shared_edges(self, graded_mesh):
+        v = graded_mesh.vertices
+        e = _rowwise_edges(graded_mesh.triangles.astype(np.int64))[0]
+        pts = np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]]),
+                              (2 * v[e[:, 0]] + v[e[:, 1]]) / 3])
+        _check_against_scan(graded_mesh, pts)
+
+    def test_points_beyond_the_four_nearest_centroids(self, graded_mesh):
+        # quadrature points of the eps = 1/16 macro mesh in the upper channel,
+        # as the study places them on this mesh: a few lie in none of the
+        # triangles of their 4 nearest centroids
+        macro = triangulate(build_macro_geometry(0.0625, "collateral",
+                                                 ObstacleSpec()), 0.1)
+        pts = np.einsum("qj,mjd->mqd", TRI_QP,
+                        macro.vertices[macro.triangles]).reshape(-1, 2)
+        pts = pts[pts[:, 1] >= 0.0]
+        p = graded_mesh.vertices[graded_mesh.triangles]
+        _, near = cKDTree(p.mean(axis=1)).query(pts, k=4)
+        far = ~np.any(np.all(_bary(graded_mesh, pts, near) >= -1e-10, axis=-1),
+                      axis=1)
+        assert far.sum() > 0
+        _check_against_scan(graded_mesh, pts[far])
+
+    def test_point_outside_mesh_raises(self):
+        macro = triangulate(build_macro_geometry(0.25, "collateral",
+                                                 ObstacleSpec()), 0.12)
+        locator = PointLocator(macro)
+        hole = macro.holes[0, :2]
+        for bad in ([1.5, 0.5], hole):
+            with pytest.raises(PointLocationFailure):
+                locator.locate(np.array([[0.5, 0.5], bad]))

@@ -146,6 +146,18 @@ class TestMacroMesh:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.boundary_edges, b.boundary_edges)
 
+    @pytest.mark.parametrize("eps, digest", [
+        (0.25, "46bef1339ca2c679241983b3da4bf57c5274a7b41b38b8728a134c3b589a79a3"),
+        (0.0625, "24ceddfa9624ef57dee640f3b3c3799e98ef52a8b259cbf994cd675dd59a457c"),
+    ])
+    def test_macro_file_unchanged(self, tmp_path, eps, digest):
+        # the mesh files of the study's first and last eps, as written when
+        # the obstacle blocks were assembled point by point in Python loops
+        path = tmp_path / "macro.mesh"
+        save_mesh(triangulate(build_macro_geometry(eps, "collateral", ObstacleSpec()),
+                              0.1), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_identity_scaling_meshable(self):
         # eps = 1: the layer fills the whole upper channel
         geo = build_macro_geometry(1.0, "collateral", ObstacleSpec())

@@ -229,6 +229,28 @@ class TestPoisson:
         order2 = np.log2(errs[1] / errs[2])
         assert order1 >= 1.9 and order2 >= 1.9
 
+    def test_stacked_sources_match_single_solves(self, monkeypatch):
+        # a (k, M, q) stack shares one factorization and gives the k solves
+        mesh = rectangle_mesh(0, 1, 0, 1, 0.05, tags=WALL_TAGS)
+        nodes = np.unique(mesh.boundary_edges)
+        sources = np.stack([quadrature_source(mesh, sine_source),
+                            quadrature_source(mesh, lambda p: p[:, 0] ** 2 - p[:, 1])])
+        singles = [solve_poisson(mesh, src, nodes) for src in sources]
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        q, norms = solve_poisson(mesh, sources, nodes)
+        assert len(calls) == 1
+        assert q.shape == (2, mesh.n_vertices) and norms.shape == (2,)
+        for (q1, n1), qk, nk in zip(singles, q, norms):
+            assert np.abs(qk - q1).max() <= 1e-14 * np.abs(q1).max()
+            assert abs(nk - n1) <= 1e-14 * n1
+
     def test_source_must_be_quadrature_data(self):
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
         with pytest.raises(ValueError, match="not \\(M, q\\)"):
