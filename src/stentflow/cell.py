@@ -99,12 +99,17 @@ class CellConstants:
 def _strip_bc(top_bottom_value, obstacle_value):
     """Common strip boundary conditions.
 
-    Vertical component fixed at y2 = +-L (horizontal natural), periodic
-    sides, Dirichlet on the obstacle circle.
+    Vertical component fixed at y2 = +-L, periodic sides, Dirichlet on the
+    obstacle circle.  The horizontal component is natural at y2 = +-L, except
+    without an obstacle: there a constant horizontal velocity is a kernel
+    mode, and fixing it to zero at y2 = +-L selects the symmetric
+    representative.
     """
+    ends = (BC.dirichlet((0.0, top_bottom_value)) if obstacle_value is None
+            else BC.normal(top_bottom_value))
     bc = {
-        T.STRIP_TOP: BC.normal(top_bottom_value),
-        T.STRIP_BOTTOM: BC.normal(top_bottom_value),
+        T.STRIP_TOP: ends,
+        T.STRIP_BOTTOM: ends,
         T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
         T.STRIP_RIGHT: BC.periodic(T.STRIP_LEFT),
     }
@@ -141,15 +146,6 @@ def _normalize_pressure(space, sol: StokesSolution, mesh) -> dict:
     return {"band": (y0, y1), "shift": float(shift)}
 
 
-def _pin_kernel(space):
-    """Without an obstacle the constant horizontal velocity is a genuine
-    kernel mode; pin one DOF to select the symmetric representative."""
-    if len(space.mesh.holes) == 0:
-        space.fixed_dofs = np.append(space.fixed_dofs, 0)
-        space.fixed_vals = np.append(space.fixed_vals, 0.0)
-    return space
-
-
 def strip_operator(strip_mesh: Mesh) -> ReducedSystem:
     """The constrained Stokes operator that every strip corrector shares.
 
@@ -160,7 +156,7 @@ def strip_operator(strip_mesh: Mesh) -> ReducedSystem:
     longer than the solves using it.
     """
     obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
-    space = _pin_kernel(build_space(strip_mesh, _strip_bc(0.0, obstacle)))
+    space = build_space(strip_mesh, _strip_bc(0.0, obstacle))
     return apply_constraints(assemble_stokes(space))
 
 
@@ -169,14 +165,13 @@ def _solve(which, mesh, bc, sources, config, operator) -> CellSolution:
         operator = strip_operator(mesh)
     elif operator.space.mesh is not mesh:
         raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
-    space = _pin_kernel(operator.space.with_bc(bc))
+    space = operator.space.with_bc(bc)
     sol = solve_stokes(operator.with_loads(space, *assemble_loads(space, sources)),
                        config)
     norm = _normalize_pressure(space, sol, mesh)
-    # gradient energy u . (A u) on the assembled operator, one block per component
-    Au = operator.system.A @ sol.u
-    n = space.n_vnode
-    energy = float(sol.u[:n] @ Au[:n] + sol.u[n:] @ Au[n:])
+    # gradient energy u . (A u) on the assembled operator; numpy's pairwise
+    # sum, unlike a BLAS dot product, does not depend on the thread count
+    energy = float(np.sum(sol.u * (operator.system.A @ sol.u)))
     return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
                         grad_energy=energy)
 
@@ -189,7 +184,7 @@ def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None,
     the same holds for the other correctors.
     """
     _require_obstacle(strip_mesh, "beta")
-    bc = _strip_bc(0.0, lambda x, y: (-y, 0.0))
+    bc = _strip_bc(0.0, lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
     return _solve("beta", strip_mesh, bc, None, config, operator)
 
 

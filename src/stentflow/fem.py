@@ -114,17 +114,19 @@ class BC:
 
     @classmethod
     def dirichlet(cls, value=(0.0, 0.0)):
-        """Fix both velocity components (value: pair or callable(x, y))."""
+        """Fix both velocity components: a pair, or a callable mapping node
+        coordinates (n, 2) to values (n, 2)."""
         return cls("dirichlet", value)
 
     @classmethod
     def pressure(cls, h=0.0):
-        """Zero tangential velocity; natural pressure datum h."""
+        """Zero tangential velocity; natural pressure datum h (a number)."""
         return cls("pressure", h)
 
     @classmethod
     def normal(cls, value=0.0):
-        """Fix the boundary-normal velocity component, tangential natural."""
+        """Fix the boundary-normal velocity component to a number,
+        tangential natural."""
         return cls("normal", value)
 
     @classmethod
@@ -220,118 +222,87 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
 
 
 def _impose_constraints(space: FESpace):
-    """Fill the fixed DOFs, periodic pairs and pressure kernel of ``space``."""
-    mesh, bc_spec = space.mesh, space.bc_spec
-    n_vert = mesh.n_vertices
+    """Fill the fixed DOFs, periodic pairs and pressure kernel of ``space``.
 
-    # per velocity DOF: (priority, value).  Full Dirichlet (2) wins over
-    # component constraints (1); interface Dirichlet (3) wins at the corner
-    # vertices where the interface data meets a wall, so each macroscopic
-    # solve keeps its own one-sided interface trace there.
-    best: dict[int, tuple[int, float]] = {}
-
-    def impose(dof, value, priority):
-        dof = int(dof)
-        cur = best.get(dof)
-        if cur is None or priority > cur[0]:
-            best[dof] = (priority, value)
-        elif priority == cur[0] and abs(cur[1] - value) > 1e-12:
-            raise ConflictingConstraints(
-                f"velocity DOF {dof}: {cur[1]} vs {value}"
-            )
-
-    periodic_tags = []
-    for tag in set(mesh.boundary_tags):
-        if tag not in bc_spec:
+    Each constrained node of each boundary edge gives one (dof, priority,
+    value) row.  Full Dirichlet (2) wins over component constraints (1);
+    interface Dirichlet (3) wins at the corner vertices where the interface
+    data meets a wall, so each macroscopic solve keeps its own one-sided
+    interface trace there.  A DOF keeps its first top-priority row in
+    boundary-edge order; another top-priority row with another value is a
+    conflict.
+    """
+    mesh, spec, n = space.mesh, space.bc_spec, space.n_vnode
+    rows = [np.empty((0, 4))]                 # dof, priority, value, order
+    for tag, bc in spec.items():
+        if bc.kind in ("natural", "periodic"):
             continue
-        bc = bc_spec[tag]
-        if bc.kind == "periodic":
-            periodic_tags.append((tag, bc.partner))
-
-    b_edges = mesh.boundary_edges
-    b_mids = space.mid_nodes(b_edges[:, 0], b_edges[:, 1])
-    for (a, b), mid, tag in zip(b_edges, b_mids, mesh.boundary_tags):
-        bc = bc_spec.get(tag)
-        if bc is None:
-            continue
-        nodes = (int(a), int(b), int(mid))
-        dx, dy = (mesh.vertices[b] - mesh.vertices[a])
-        horizontal = abs(dy) <= abs(dx)
+        edge = np.flatnonzero(mesh.boundary_tags == tag)
+        nodes, d, _ = _edge_tables(space, mesh.boundary_edges[edge])
+        order = 3 * edge[:, None] + np.arange(3)
+        horizontal = np.abs(d[:, 1:]) <= np.abs(d[:, :1])
         if bc.kind == "dirichlet":
-            prio = 3 if tag is BoundaryTag.GAMMA0 else 2
-            for nd in nodes:
-                x, y = space.node_xy[nd]
-                val = bc.value(x, y) if callable(bc.value) else bc.value
-                impose(nd, float(val[0]), prio)
-                impose(space.n_vnode + nd, float(val[1]), prio)
-        elif bc.kind == "pressure":
-            comp = 0 if horizontal else 1       # boundary-parallel component
-            for nd in nodes:
-                impose(comp * space.n_vnode + nd, 0.0, 1)
-        elif bc.kind == "normal":
-            comp = 1 if horizontal else 0       # boundary-normal component
-            for nd in nodes:
-                x, y = space.node_xy[nd]
-                val = bc.value(x, y) if callable(bc.value) else bc.value
-                impose(comp * space.n_vnode + nd, float(val), 1)
-        elif bc.kind in ("natural", "periodic"):
-            pass
+            xy = space.node_xy[nodes.ravel()]
+            val = bc.value(xy) if callable(bc.value) else bc.value
+            val = np.broadcast_to(np.asarray(val, dtype=float), xy.shape)
+            row = (nodes[..., None] + n * np.arange(2), 3 if tag is BoundaryTag.GAMMA0 else 2,
+                   val.reshape(nodes.shape + (2,)), order[..., None])
+        elif bc.kind == "pressure":           # boundary-parallel component
+            row = (nodes + n * ~horizontal, 1, 0.0, order)
+        elif bc.kind == "normal":             # boundary-normal component
+            row = (nodes + n * horizontal, 1, float(bc.value), order)
         else:
             raise ValueError(f"unknown bc kind {bc.kind!r}")
+        rows.append(np.stack(np.broadcast_arrays(*row), axis=-1).reshape(-1, 4))
+    dof, prio, val, order = np.concatenate(rows).T
+    idx = np.lexsort((order, -prio, dof))
+    dof, prio, val = dof[idx].astype(np.int64), prio[idx], val[idx]
+    first = np.diff(dof, prepend=-1) != 0
+    kept = np.flatnonzero(first)[np.cumsum(first) - 1]
+    clash = np.flatnonzero((prio == prio[kept]) & (np.abs(val - val[kept]) > 1e-12))
+    if len(clash):
+        i = clash[0]
+        raise ConflictingConstraints(f"velocity DOF {dof[i]}: {val[kept[i]]} vs {val[i]}")
+    is_fixed = np.zeros(space.n_vel, dtype=bool)
+    fixed_val = np.zeros(space.n_vel)
+    is_fixed[dof[first]] = True
+    fixed_val[dof[first]] = val[first]
 
-    # periodic identification: match boundary nodes of the two tags by the
-    # coordinate along the boundary
-    vel_pairs = []
-    p_pairs = []
-    for tag, partner in periodic_tags:
-        if bc_spec.get(partner) is not None and bc_spec[partner].kind == "periodic":
-            if tag.value < partner.value:
-                continue  # handle each pair once, slave = lexicographically larger
-        slave_nodes = _tag_nodes(mesh, space, tag)
-        master_nodes = _tag_nodes(mesh, space, partner)
-        if len(slave_nodes) != len(master_nodes):
+    # periodic identification: match the nodes of the two tags by the
+    # coordinate along the boundary; the slave is the larger tag value
+    vel_pairs = p_pairs = np.empty((0, 2), dtype=np.int64)
+    for tag, bc in spec.items():
+        other = spec.get(bc.partner)
+        if (bc.kind != "periodic" or tag not in mesh.boundary_tags
+                or other is not None and other.kind == "periodic"
+                and tag.value < bc.partner.value):
+            continue
+        sides = [np.unique(_edge_tables(space, mesh.boundary_edges[
+            mesh.boundary_tags == t])[0]) for t in (tag, bc.partner)]
+        if len(sides[0]) != len(sides[1]):
             raise ConflictingConstraints(
-                f"periodic tags {tag}/{partner}: node counts differ"
-            )
-        s_xy = space.node_xy[slave_nodes]
-        m_xy = space.node_xy[master_nodes]
-        axis = 1 if np.ptp(s_xy[:, 1]) > np.ptp(s_xy[:, 0]) else 0
-        s_order = np.argsort(s_xy[:, axis])
-        m_order = np.argsort(m_xy[:, axis])
-        if np.max(np.abs(np.sort(s_xy[:, axis]) - np.sort(m_xy[:, axis]))) > 1e-12:
+                f"periodic tags {tag}/{bc.partner}: node counts differ")
+        xy = space.node_xy[sides[0]]
+        axis = 1 if np.ptp(xy[:, 1]) > np.ptp(xy[:, 0]) else 0
+        coord = [space.node_xy[s, axis] for s in sides]
+        if np.max(np.abs(np.sort(coord[0]) - np.sort(coord[1]))) > 1e-12:
             raise ConflictingConstraints(
-                f"periodic tags {tag}/{partner}: traces do not match"
-            )
-        for s, m in zip(slave_nodes[s_order], master_nodes[m_order]):
-            p_pairs_ok = s < n_vert
-            for comp in range(2):
-                sd, md = comp * space.n_vnode + s, comp * space.n_vnode + m
-                if sd in best or md in best:
-                    # fixed wins; make sure both sides carry the constraint
-                    if sd in best and md not in best:
-                        best[md] = best[sd]
-                    elif md in best and sd not in best:
-                        best[sd] = best[md]
-                    continue
-                vel_pairs.append((sd, md))
-            if p_pairs_ok:
-                p_pairs.append((s, m))
+                f"periodic tags {tag}/{bc.partner}: traces do not match")
+        s, m = (nodes[np.argsort(c)] for nodes, c in zip(sides, coord))
+        sd, md = ((nodes[:, None] + n * np.arange(2)).ravel() for nodes in (s, m))
+        # a fixed side wins, and both sides carry its value
+        fs, fm = is_fixed[sd], is_fixed[md]
+        one = fs ^ fm
+        v = np.where(fs, fixed_val[sd], fixed_val[md])[one]
+        fixed_val[sd[one]] = fixed_val[md[one]] = v
+        is_fixed[sd] = is_fixed[md] = fs | fm
+        vel_pairs = np.concatenate([vel_pairs, np.stack([sd, md], axis=1)[~(fs | fm)]])
+        p_pairs = np.concatenate([p_pairs, np.stack([s, m], axis=1)[s < mesh.n_vertices]])
 
-    fixed = np.array(sorted(best), dtype=np.int64)
-    space.fixed_dofs = fixed
-    space.fixed_vals = np.array([best[d][1] for d in fixed])
-    space.vel_pairs = np.array(vel_pairs, dtype=np.int64).reshape(-1, 2)
-    space.p_pairs = np.array(p_pairs, dtype=np.int64).reshape(-1, 2)
-    space.pressure_kernel = not any(
-        bc.kind == "pressure" for bc in bc_spec.values()
-    )
-
-
-def _tag_nodes(mesh, space, tag):
-    """All P2 node ids (vertices + midpoints) on edges carrying ``tag``."""
-    e = mesh.boundary_edges[mesh.boundary_tags == tag].astype(np.int64)
-    return np.unique(np.concatenate([e[:, 0], e[:, 1],
-                                     space.mid_nodes(e[:, 0], e[:, 1])]))
+    space.fixed_dofs = np.flatnonzero(is_fixed)
+    space.fixed_vals = fixed_val[space.fixed_dofs]
+    space.vel_pairs, space.p_pairs = vel_pairs, p_pairs
+    space.pressure_kernel = not any(bc.kind == "pressure" for bc in spec.values())
 
 
 # ----------------------------------------------------------------------------
@@ -362,7 +333,6 @@ class StokesSystem:
     Mp: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
-    pressure_kernel: bool
 
     def reduced(self):
         return apply_constraints(self)
@@ -431,10 +401,7 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
                  (n_vert, 2 * n_vnode))
     # P1 pressure mass matrix (Schur preconditioner)
     Mp = _scatter(area[:, None] * _MP, tris, tris, (n_vert, n_vert))
-    return StokesSystem(
-        space=space, A=A, B=B, Mp=Mp, f=f, g=g,
-        pressure_kernel=space.pressure_kernel,
-    )
+    return StokesSystem(space=space, A=A, B=B, Mp=Mp, f=f, g=g)
 
 
 def assemble_loads(space: FESpace, sources: Sources | None = None):
@@ -461,10 +428,7 @@ def assemble_loads(space: FESpace, sources: Sources | None = None):
         nodes, d, length = _edge_tables(space, mesh.boundary_edges[
             mesh.boundary_tags == tag])
         nrm = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]  # outward
-        pts = (mesh.vertices[nodes[:, 0]][:, None, :]
-               + EDGE_QP[None, :, None] * d[:, None, :])      # (E, q, 2)
-        h = (np.array([[bc.value(x, y) for x, y in row] for row in pts])
-             if callable(bc.value) else np.full(pts.shape[:2], float(bc.value)))
+        h = np.full((len(nodes), len(EDGE_QP)), float(bc.value))
         load = length[:, None] * np.einsum("q,eq,qi->ei", EDGE_QW, h, tr)
         for comp in range(2):
             on = np.abs(nrm[:, comp]) >= 1e-14
@@ -525,7 +489,6 @@ class ReducedSystem:
     Tu: sp.csr_matrix
     Tp: sp.csr_matrix
     u_fix: np.ndarray
-    pressure_kernel: bool
     factors: dict = field(default_factory=dict, repr=False)
 
     def expand(self, u_r, p_r):
@@ -590,7 +553,6 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
         B=(Tp.T @ system.B @ Tu).tocsr(),
         Mp=(Tp.T @ system.Mp @ Tp).tocsr(),
         f=None, g=None, Tu=Tu, Tp=Tp, u_fix=None,
-        pressure_kernel=system.pressure_kernel,
     )
     return reduced.with_loads(space, system.f, system.g)
 

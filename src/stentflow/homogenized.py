@@ -171,13 +171,13 @@ def solve_first_order(mesh_upper: Mesh, mesh_lower: Mesh, zero: ZeroOrder,
         T.GAMMA_IN: BC.pressure(0.0),
         T.GAMMA_OUT1: BC.pressure(0.0),
         T.GAMMA1: BC.dirichlet((0.0, 0.0)),
-        T.GAMMA0: BC.dirichlet(lambda x, y: tuple(tr_plus(x))),
+        T.GAMMA0: BC.dirichlet(lambda xy: tr_plus(xy[:, 0])),
     }
     if case == "collateral":
         bc_lower = {
             T.GAMMA2: BC.dirichlet((0.0, 0.0)),
             T.GAMMA_OUT2: BC.pressure(0.0),
-            T.GAMMA0: BC.dirichlet(lambda x, y: tuple(tr_minus(x))),
+            T.GAMMA0: BC.dirichlet(lambda xy: tr_minus(xy[:, 0])),
         }
     else:
         # closed sac: check compatibility of the Dirichlet data first
@@ -189,7 +189,7 @@ def solve_first_order(mesh_upper: Mesh, mesh_lower: Mesh, zero: ZeroOrder,
             )
         bc_lower = {
             T.GAMMA2: BC.dirichlet((0.0, 0.0)),
-            T.GAMMA0: BC.dirichlet(lambda x, y: tuple(tr_minus(x))),
+            T.GAMMA0: BC.dirichlet(lambda xy: tr_minus(xy[:, 0])),
         }
 
     space_u = build_space(mesh_upper, bc_upper)

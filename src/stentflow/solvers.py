@@ -95,7 +95,7 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     Ainv = _factor(red, "A").solve
     # the pressure mass matrix is spectrally equivalent to the Schur complement
     precond = _factor(red, "Mp").solve
-    kernel = red.pressure_kernel
+    kernel = red.space.pressure_kernel
 
     def project(q):
         if kernel:
@@ -150,7 +150,7 @@ def _direct(red: ReducedSystem, config: SolverConfig):
     n_u, n_p = A.shape[0], B.shape[0]
     K = sp.bmat([[A, B.T], [B, None]], format="coo")
     rhs = np.concatenate([red.f, red.g])
-    if red.pressure_kernel and n_p:
+    if red.space.pressure_kernel and n_p:
         # pin one pressure DOF to remove the constant kernel: clear its row
         # and column and put a unit diagonal there, which keeps K symmetric
         pin = n_u

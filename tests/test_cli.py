@@ -1,5 +1,6 @@
 """Configuration parsing and CLI subcommand behaviour."""
 
+import os
 import re
 import subprocess
 import sys
@@ -270,3 +271,30 @@ def test_deterministic_outputs(workdir):
     flux = (tmp / "out" / "fluxes_eps0.25.csv").read_bytes()
     assert main(["solve", "--config", str(cfg)]) == 0
     assert (tmp / "out" / "fluxes_eps0.25.csv").read_bytes() == flux
+
+
+def test_cell_outputs_independent_of_blas_threads(tmp_path):
+    # the default strip: at strip.h = 1/16 a BLAS dot product happened to
+    # give the same last digits with 1 and 2 threads, here it did not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = {}
+    for n in ("1", "2"):
+        run = tmp_path / f"threads{n}"
+        run.mkdir()
+        (run / "run.cfg").write_text(f"output.dir = {run / 'out'}\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                                      if os.environ.get("PYTHONPATH") else [])))
+        procs[n] = subprocess.Popen(
+            [sys.executable, "-m", "stentflow.cli", "cell", "--config", "run.cfg"],
+            cwd=run, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    assert all(proc.wait() == 0 for proc in procs.values())
+    one, two = tmp_path / "threads1" / "out", tmp_path / "threads2" / "out"
+    names = sorted(f.name for f in one.iterdir())
+    assert names == sorted(f.name for f in two.iterdir())
+    assert {"constants.csv", "constants.txt", "identity_report.txt"} <= set(names)
+    for name in names:
+        # below the provenance line, whose config digest names the out dir
+        a = (one / name).read_bytes().split(b"\n", 1)[1]
+        b = (two / name).read_bytes().split(b"\n", 1)[1]
+        assert a == b, name

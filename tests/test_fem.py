@@ -1,5 +1,7 @@
 """FEM core: quadrature, assembly, constraints, norms, line integrals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ import scipy.sparse as sp
 
 from scipy.spatial import cKDTree
 
+from stentflow.analysis import macro_bc_spec, solve_direct
+from stentflow.cell import _strip_bc, solve_all, solve_chi, solve_varkappa
 from stentflow.errors import (
     ConflictingConstraints,
     PointLocationFailure,
@@ -16,6 +20,7 @@ from stentflow.fem import (
     BC,
     EDGE_QP,
     EDGE_QW,
+    FESpace,
     PointLocator,
     Sources,
     TRI_QP,
@@ -41,8 +46,17 @@ from stentflow.geometry import (
     build_macro_geometry,
     build_strip_mesh,
     cross2,
+    no_stent_mesh,
     rectangle_mesh,
     triangulate,
+)
+from stentflow.homogenized import (
+    CellConstants,
+    FlowData,
+    first_order_meshes,
+    interface_dirichlet,
+    solve_first_order,
+    zero_order,
 )
 
 WALL_TAGS = (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)
@@ -54,6 +68,75 @@ def flat_channel(h=0.25):
 
 def all_dirichlet_bc():
     return {t: BC.dirichlet((0.0, 0.0)) for t in WALL_TAGS}
+
+
+TABLE = CellConstants(
+    beta1_plus=-0.377928, beta1_minus=-0.122114,
+    ups1_plus=-0.000371269, ups1_minus=0.121744,
+    eta_jump=27.9435, chi_grad_energy=27.9435,
+    beta_grad_energy=0.1454, ups_grad_energy=0.121744,
+    obstacle_area=float(np.pi * (3 / 16) ** 2),
+)
+
+# sha256 of fixed_dofs, fixed_vals, vel_pairs, p_pairs and pressure_kernel
+# (dtype, shape and bytes of each), as the per-DOF dictionary build of the
+# constraint sets gave them; see _constraint_case for the (mesh, spec) pairs
+CONSTRAINT_DIGESTS = {
+    "macro-collateral-4": "426a7e194c4adcb0532fdc7068951242c424632be5e9c326fffd963ba509d57f",
+    "macro-collateral-8": "3923a2b53558055cb1f115adfa2c78f1c48c8044b8e81d54e5e1de6ea590f992",
+    "macro-collateral-16": "024303798103526479ac764d88bc9238af2529deb9004ca0bca28b70124a2f9b",
+    "macro-collateral-64": "eefcf5d2803579a435f44af699c04ca5795062edd9432e59c7616e4b2bb3f64b",
+    "nostent-collateral": "bd459738ec41f2586ab6c5d983e1070a568134801357c9ceafd3062c25f68270",
+    "first-collateral-upper": "7e236abdaa26a38e6d78df1365920cf1a1386f688426c6164e297f8d1ca7e87d",
+    "first-collateral-lower": "9439430f202377549882fd618ab963cb26a4370609f9af8dec9b3e3058be4506",
+    "macro-aneurysm-4": "9d4473f8a261346508d4fb81d1c7ef0c00b9470fec4fd8f46f47fbc21dcc6d32",
+    "macro-aneurysm-8": "3f996c2b15839ce4252e121b081b1504d43f7f82f359a0fd137dd22f93f0dee4",
+    "macro-aneurysm-16": "53be5fe4103e6a4e44ffa658245b04dcb28ab6797bbfb767f98e625afda386df",
+    "macro-aneurysm-64": "958e3f9ef1f22472e18b6de44f2b2a238b42d4fa7293c178b734d9e56283d588",
+    "nostent-aneurysm": "311f965fc15031f4b7cdd00fff06d00a01a7e4b90cd52a9f344f26f030d1d100",
+    "first-aneurysm-upper": "0b9990bca9dac8d927975834f5fdff3959025516b2e678f3ead5154975493cec",
+    "first-aneurysm-lower": "5d28e8725ba98fac40818a9bb838d980db276ef5e76a0fb5f39d7f0e64028922",
+    "strip-16-operator": "b59c614e783ff28fbebb02fae079d79d8646b4dcdc79027f2f85adba1694334a",
+    "strip-16-beta": "7748f3b7e7c6ba4191841f0f9a42b2784e27aa0e118f735dad5dd726531f873f",
+    "strip-16-chi": "f29bbb5763660d75cfe53c073462c3abdca80ec3657cfa1cc370413d76b1fab5",
+    "strip-16-varkappa": "da0bed9d939af5308675cd3c5189a482ca2279493eb244fe9fcf42c2b7452bae",
+    "strip-48-operator": "421cec247461770189061e55d9d9da358a8174df304a40c487bc0105ed531f1e",
+    "strip-48-beta": "4981bc3d1e1ecf4df3829975ff01cbd9eda6664f31e8010f6da18a9b808b6979",
+    "strip-48-chi": "0b8d3c956a3427a8a054955fbd9f569ec9ca985d2d700c0711e7bf8cd2aaa6f2",
+    "strip-48-varkappa": "3da433116df444c531d0ca72e93a4ab3d9b191f0a618aeb3f51cffd0ec7db6af",
+}
+
+
+def _constraint_case(name):
+    """The (mesh, bc spec) pair of a CONSTRAINT_DIGESTS entry.
+
+    ``macro-<case>-<1/eps>`` and ``nostent-<case>``: the direct problem's
+    spec; ``first-<case>-upper|lower``: the first-order problem with its
+    callable interface data; ``strip-<1/h>-<problem>``: a corrector on the
+    obstacle strip.
+    """
+    kind, key, which = (name.split("-") + [None])[:3]
+    if kind == "strip":
+        mesh = build_strip_mesh(ObstacleSpec(), L=10.0, h=1 / int(key))
+        obstacle = ((lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
+                    if which == "beta" else (0.0, 0.0))
+        return mesh, _strip_bc({"chi": -1.0, "varkappa": 1.0}.get(which, 0.0), obstacle)
+    flow = FlowData(case=key)
+    if kind in ("macro", "nostent"):
+        mesh = (no_stent_mesh(key, 0.1) if kind == "nostent" else
+                triangulate(build_macro_geometry(1 / int(which), key, ObstacleSpec()), 0.1))
+        return mesh, macro_bc_spec(mesh, flow)
+    upper, lower = first_order_meshes(0.05, case=key)
+    trace = interface_dirichlet(zero_order(flow), TABLE, "plus" if which == "upper" else "minus")
+    spec = {T.GAMMA0: BC.dirichlet(lambda xy: trace(xy[:, 0]))}
+    if which == "upper":
+        spec.update({T.GAMMA_IN: BC.pressure(0.0), T.GAMMA_OUT1: BC.pressure(0.0),
+                     T.GAMMA1: BC.dirichlet((0.0, 0.0))})
+        return upper, spec
+    spec[T.GAMMA2] = BC.dirichlet((0.0, 0.0))
+    if key == "collateral":
+        spec[T.GAMMA_OUT2] = BC.pressure(0.0)
+    return lower, spec
 
 
 class TestQuadrature:
@@ -131,19 +214,50 @@ class TestSpace:
         with pytest.raises(ConflictingConstraints):
             build_space(mesh, bc)
 
-    def test_no_dof_both_fixed_and_slave(self):
-        mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
-        bc = {
-            T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
-            T.STRIP_RIGHT: BC.periodic(T.STRIP_LEFT),
-            T.STRIP_TOP: BC.normal(0.0),
-            T.STRIP_BOTTOM: BC.normal(0.0),
-            T.GAMMA_EPS: BC.dirichlet((0.0, 0.0)),
-        }
-        space = build_space(mesh, bc)
-        fixed = set(space.fixed_dofs.tolist())
-        slaves = set(space.vel_pairs[:, 0].tolist())
-        assert not fixed & slaves
+    def test_no_dof_both_fixed_and_slave(self, monkeypatch):
+        # every space the cell and macro solves build, the unobstructed
+        # strip's shared operator included: fixed DOFs strictly increasing,
+        # none of them a periodic slave or master
+        spaces = []
+        with_bc = FESpace.with_bc
+        monkeypatch.setattr(FESpace, "with_bc",
+                            lambda self, bc: spaces.append(with_bc(self, bc)) or spaces[-1])
+        solve_all(build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16))
+        free = build_strip_mesh(None, L=4, h=0.25)
+        solve_varkappa(free, solve_chi(free))
+        for case in ("collateral", "aneurysm"):
+            flow = FlowData(case=case)
+            solve_direct(triangulate(build_macro_geometry(0.25, case, ObstacleSpec()), 0.12),
+                         flow)
+            solve_first_order(*first_order_meshes(0.1, case=case), zero_order(flow), TABLE)
+        assert len(spaces) == 15
+        for space in spaces:
+            assert np.all(np.diff(space.fixed_dofs) > 0)
+            assert not np.isin(space.fixed_dofs, space.vel_pairs).any()
+        assert sum(len(space.vel_pairs) > 0 for space in spaces) == 9
+
+    @pytest.mark.parametrize("name", sorted(CONSTRAINT_DIGESTS))
+    def test_constraint_sets_unchanged(self, name):
+        # the constraint sets as the per-DOF dictionary build made them
+        space = build_space(*_constraint_case(name))
+        digest = hashlib.sha256()
+        for a in (space.fixed_dofs, space.fixed_vals, space.vel_pairs, space.p_pairs,
+                  np.array(space.pressure_kernel)):
+            a = np.ascontiguousarray(a)
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == CONSTRAINT_DIGESTS[name]
+
+    @pytest.mark.parametrize("width, match", [
+        (2, "node counts differ"),      # inflow side of length 1, top of 2
+        (1, "traces do not match"),     # as many nodes, but not a translate
+    ])
+    def test_periodic_mismatch_raises(self, width, match):
+        mesh = rectangle_mesh(0, width, 0, 1, 0.25, tags=WALL_TAGS)
+        bc = dict(all_dirichlet_bc())
+        bc[T.GAMMA_IN] = BC.periodic(T.GAMMA1)
+        with pytest.raises(ConflictingConstraints, match=match):
+            build_space(mesh, bc)
 
 
 class TestAssembly:

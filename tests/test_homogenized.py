@@ -243,3 +243,12 @@ class TestImplicitReport:
         # the normal condition holds up to O(eps) relative to the data scale
         scale = max(abs(r["u_n"]) for r in rows)
         assert max(abs(r["normal_residual"]) for r in mid) < 5 * eps * scale
+
+    def test_normal_residual_scales_as_eps_squared(self, collateral_first_order):
+        # by the report's algebra the residual is (eps^2/[eta]) ([du2/dx2] - [p1])
+        # with eps-independent first-order fields: halving eps divides it by 4
+        z, fo = collateral_first_order
+        peak = [max(abs(r["normal_residual"])
+                    for r in implicit_interface_report(z, fo, TABLE, eps))
+                for eps in (1 / 8, 1 / 16)]
+        assert 3.8 <= peak[0] / peak[1] <= 4.2

@@ -78,7 +78,7 @@ class TestStokes:
         space = build_space(mesh, {t: BC.dirichlet((0.0, 0.0))
                                    for t in WALL_TAGS})
         system = assemble_stokes(space)
-        assert system.pressure_kernel
+        assert system.space.pressure_kernel
         sol = solve_stokes(system)
         assert np.abs(sol.u).max() < 1e-12
         assert np.abs(sol.p - sol.p.mean()).max() < 1e-10
