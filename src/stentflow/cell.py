@@ -42,7 +42,7 @@ class CellSolution:
     """One boundary-layer solve plus its pressure normalization record.
 
     ``grad_energy`` is the squared L2 norm of the velocity gradient, u . (A u)
-    on the assembled strip operator.  ``quadrature`` holds a chi solution's
+    with the assembled strip operator A.  ``quadrature`` holds a chi solution's
     fields at the quadrature points once :func:`_chi_on_quadrature` has
     evaluated them.
     """
@@ -166,12 +166,15 @@ def _solve(which, mesh, bc, sources, config, operator) -> CellSolution:
     elif operator.space.mesh is not mesh:
         raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
     space = operator.space.with_bc(bc)
-    sol = solve_stokes(operator.with_loads(space, *assemble_loads(space, sources)),
-                       config)
+    red = operator.with_loads(space, *assemble_loads(space, sources))
+    sol = solve_stokes(red, config)
     norm = _normalize_pressure(space, sol, mesh)
-    # gradient energy u . (A u) on the assembled operator; numpy's pairwise
-    # sum, unlike a BLAS dot product, does not depend on the thread count
-    energy = float(np.sum(sol.u * (operator.system.A @ sol.u)))
+    # u.(A u) = u_r.(A_r u_r) + (2 u - u_fix).(A_fix vals) for u = Tu u_r + u_fix;
+    # numpy's pairwise sums, unlike a BLAS dot, do not depend on the thread count
+    Tu = red.Tu.tocsc()
+    u_r = sol.u[Tu.indices[Tu.indptr[:-1]]]     # every DOF of a column holds u_r
+    energy = float(np.sum(u_r * (red.A @ u_r))
+                   + np.sum((2.0 * sol.u - red.u_fix) * (red.A_fix @ space.fixed_vals)))
     return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
                         grad_energy=energy)
 

@@ -174,11 +174,14 @@ def cmd_homog(cfg: RunConfig, args) -> int:
         zero_order,
     )
 
+    if args.constants:
+        try:
+            constants = read_constants(args.constants)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"constants file {args.constants}: {exc}") from None
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
-    if args.constants:
-        constants = read_constants(args.constants)
-    else:
+    if not args.constants:
         strip = build_strip_mesh(cfg.obstacle(), L=cfg["strip.L"],
                                  h=cfg["strip.h"], refine_spec=cfg.refine_spec())
         _, constants = solve_all(strip, cfg.solver(), with_varkappa=False)
@@ -310,8 +313,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
-    except (ConfigError, NonIntegerReciprocal, ObstacleTouchesCell,
-            ValueError) as exc:
+    except (ConfigError, NonIntegerReciprocal, ObstacleTouchesCell) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except StentflowError as exc:

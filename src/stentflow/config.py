@@ -8,6 +8,7 @@ configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NonIntegerReciprocal
@@ -122,22 +123,28 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} expects a number") from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
     cfg = RunConfig(values=values)
     if cfg.case not in ("collateral", "aneurysm"):
         raise ConfigError(f"case must be collateral or aneurysm, got {cfg.case!r}")
     if cfg["obstacle.r"] <= 0:
         raise ConfigError(f"obstacle.r must be positive, got {cfg['obstacle.r']!r}; "
                           "use 'cell --no-obstacle' for the unobstructed strip")
+    for key in ("mesh.h", "first_order.h", "strip.h"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    if cfg["strip.L"] < 2:
+        raise ConfigError(f"strip.L must be >= 2, got {cfg['strip.L']!r}")
     try:
         cfg.solver()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        eps_list = cfg.eps_list
-        if len(eps_list) < 3:
-            raise ValueError(f"needs at least 3 values, got {len(eps_list)}")
-        for eps in eps_list:
-            _period_count(eps)
+        # each value is checked; the slope fit leaves out eps = 1 (m = 1)
+        n_fit = sum(_period_count(eps) > 1 for eps in cfg.eps_list)
+        if n_fit < 3:
+            raise ValueError(f"needs at least 3 values below 1, got {n_fit}")
     except (ValueError, NonIntegerReciprocal) as exc:
         raise ConfigError(f"eps_list: {exc}") from None
     return cfg

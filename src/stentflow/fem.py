@@ -479,9 +479,8 @@ class ReducedSystem:
     solvers make of the blocks, shared by every system derived that way.
     """
 
-    system: StokesSystem          # the assembled blocks the reduction came from
     space: FESpace                # the problem whose loads and fixed values these are
-    A: sp.csr_matrix
+    A: sp.csc_matrix              # canonical CSC, the form the sparse LU takes
     B: sp.csr_matrix
     Mp: sp.csr_matrix
     f: np.ndarray
@@ -489,6 +488,8 @@ class ReducedSystem:
     Tu: sp.csr_matrix
     Tp: sp.csr_matrix
     u_fix: np.ndarray
+    A_fix: sp.csr_matrix          # the assembled A and B at the fixed DOFs' columns,
+    B_fix: sp.csr_matrix          # kept for the Dirichlet correction of the loads
     factors: dict = field(default_factory=dict, repr=False)
 
     def expand(self, u_r, p_r):
@@ -512,8 +513,8 @@ class ReducedSystem:
         # replace() hands the blocks and the factors dict on by reference
         return dataclasses.replace(
             self, space=space, u_fix=u_fix,
-            f=self.Tu.T @ (f - self.system.A @ u_fix),
-            g=self.Tp.T @ (g - self.system.B @ u_fix),
+            f=self.Tu.T @ (f - self.A_fix @ space.fixed_vals),
+            g=self.Tp.T @ (g - self.B_fix @ space.fixed_vals),
         )
 
 
@@ -548,11 +549,12 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
     Tu = _prolongation(space.n_vel, space.fixed_dofs, space.vel_pairs)
     Tp = _prolongation(space.n_p, np.empty(0, dtype=np.int64), space.p_pairs)
     reduced = ReducedSystem(
-        system=system, space=space,
-        A=(Tu.T @ system.A @ Tu).tocsr(),
+        space=space,
+        A=(Tu.T @ system.A @ Tu).tocsr().tocsc(),
         B=(Tp.T @ system.B @ Tu).tocsr(),
         Mp=(Tp.T @ system.Mp @ Tp).tocsr(),
         f=None, g=None, Tu=Tu, Tp=Tp, u_fix=None,
+        A_fix=system.A[:, space.fixed_dofs], B_fix=system.B[:, space.fixed_dofs],
     )
     return reduced.with_loads(space, system.f, system.g)
 

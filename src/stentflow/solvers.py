@@ -186,6 +186,7 @@ def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
     """
     config = config or SolverConfig()
     red = system.reduced() if isinstance(system, StokesSystem) else system
+    del system                  # the assembled blocks are freed once reduced
     solve = _direct if config.method == "direct" else _uzawa_cg
     u_r, p_r, diag = solve(red, config)
     u, p = red.expand(u_r, p_r)

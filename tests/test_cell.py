@@ -158,6 +158,17 @@ def test_constants_stable_under_h_halving():
     assert abs(c_coarse.ups1_plus - c_fine.ups1_plus) < 5e-3
 
 
+def test_constants_converge_at_second_order_in_h():
+    # observed order log2((c(h) - c(h/2)) / (c(h/2) - c(h/4))) of the far-field
+    # constants over strip.h = 1/24, 1/48, 1/96 (measured 2.16 to 2.18)
+    c = [solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=h), with_varkappa=False)[1]
+         for h in (1 / 24, 1 / 48, 1 / 96)]
+    for key in ("eta_jump", "beta1_plus", "beta1_minus", "ups1_minus"):
+        v = [getattr(ci, key) for ci in c]
+        order = np.log2((v[0] - v[1]) / (v[1] - v[2]))
+        assert 1.9 <= order <= 2.5, (key, order)
+
+
 def test_asymmetric_obstacle_duality_identities():
     # the averaged identities do not rely on the reference disk's symmetry
     mesh = build_strip_mesh(ObstacleSpec(center=(0.4, 0.3), radius=0.15),

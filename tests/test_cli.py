@@ -256,6 +256,48 @@ class TestCli:
         assert "eps_list" in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
+    @pytest.mark.parametrize("command, line", [
+        ("mesh", "mesh.h = 0"), ("solve", "mesh.h = -0.1"), ("mesh", "mesh.h = nan"),
+        ("homog", "first_order.h = 0"), ("converge", "first_order.h = -1"),
+        ("cell", "strip.h = 0"), ("homog", "strip.h = inf"),
+        ("cell", "strip.L = 1.5"), ("mesh", "strip.L = -inf"),
+        ("solve", "p_in = nan"), ("homog", "p_out1 = inf"), ("converge", "p_out2 = -inf"),
+        ("solve", "obstacle.cx = nan"), ("mesh", "obstacle.r = nan"),
+        ("converge", "eps_list = 1,0.5,0.25"),
+    ])
+    def test_out_of_range_value_exit_2(self, workdir, capsys, command, line):
+        # rejected when the file is read, before any output, naming the key
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and line.split(" =")[0] in err
+        assert not (tmp / "out").exists()
+
+    def test_value_error_in_command_is_not_a_configuration_error(self, workdir,
+                                                                  capsys, monkeypatch):
+        # a ValueError past parsing is a fault of the program, not of the input
+        import stentflow.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "triangulate", broken)
+        tmp, cfg = workdir
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["mesh", "--config", str(cfg)])
+        assert "configuration error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["beta1_plus -0.37\n", "beta1_plus=fast\n",
+                                      "nonsense=1.0\n"])
+    def test_malformed_constants_file_exit_2(self, workdir, capsys, text):
+        tmp, cfg = workdir
+        constants = tmp / "c.txt"
+        constants.write_text(text)
+        assert main(["homog", "--config", str(cfg), "--constants", str(constants)]) == 2
+        assert f"constants file {constants}" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stentflow.cli", "--version"],

@@ -1,14 +1,24 @@
 """Stokes and Poisson solvers: exactness, invariants, cross-validation."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from stentflow.cell import solve_all, strip_operator
+import stentflow.analysis as analysis
+import stentflow.cell as cell
+import stentflow.homogenized as homogenized
+import stentflow.solvers as solvers
+from stentflow.analysis import macro_bc_spec, solve_direct
+from stentflow.cell import CellConstants, solve_all, solve_chi, strip_operator
 from stentflow.errors import NonConvergence
 from stentflow.fem import (
     BC,
+    ReducedSystem,
     Sources,
+    apply_constraints,
     assemble_stokes,
     build_space,
     edge_flux,
@@ -25,6 +35,7 @@ from stentflow.geometry import (
     rectangle_mesh,
     triangulate,
 )
+from stentflow.homogenized import FlowData, first_order_meshes, solve_first_order, zero_order
 from stentflow.solvers import SolverConfig, factorize, solve_poisson, solve_stokes
 
 WALL_TAGS = (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)
@@ -323,3 +334,92 @@ class TestStokesManufactured:
         assert np.all((vel_l2 >= 2.8) & (vel_l2 <= 3.2)), rates
         assert np.all((vel_h1 >= 1.85) & (vel_h1 <= 2.15)), rates
         assert np.all(p_l2 >= 1.8), rates
+
+
+def _first_order_solve():
+    constants = CellConstants(
+        beta1_plus=-0.377928, beta1_minus=-0.122114,
+        ups1_plus=-0.000371269, ups1_minus=0.121744,
+        eta_jump=27.9435, chi_grad_energy=27.9435,
+        beta_grad_energy=0.1454, ups_grad_energy=0.121744,
+        obstacle_area=float(np.pi * (3 / 16) ** 2))
+    solve_first_order(*first_order_meshes(0.1), zero_order(FlowData()), constants)
+
+
+class TestReducedBlocks:
+    """Only the reduced blocks live through the factorization, and the
+    factorization sees the same matrix as when the full blocks were kept."""
+
+    @pytest.mark.parametrize("module, run", [
+        (analysis, lambda: solve_direct(
+            triangulate(build_macro_geometry(0.25, "collateral", ObstacleSpec()), 0.12),
+            FlowData())),
+        (cell, lambda: solve_chi(build_strip_mesh(ObstacleSpec(), L=4.0, h=1 / 12))),
+        (homogenized, _first_order_solve),
+    ], ids=["solve_direct", "strip_operator", "solve_first_order"])
+    def test_assembled_system_freed_before_factorization(self, monkeypatch, module, run):
+        assembled, seen = [], []
+
+        def assemble(space, *args):
+            system = assemble_stokes(space, *args)
+            assembled.append((weakref.ref(system), weakref.ref(system.A)))
+            return system
+
+        def checked_factorize(M):
+            seen.append([ref() is None for refs in assembled for ref in refs])
+            return factorize(M)
+
+        monkeypatch.setattr(module, "assemble_stokes", assemble)
+        monkeypatch.setattr(solvers, "factorize", checked_factorize)
+        run()
+        assert assembled and seen
+        # every factorization (A, then Mp, per solve) runs after the full
+        # blocks of every system assembled so far are gone
+        assert all(all(dead) for dead in seen), seen
+        assert "system" not in {f.name for f in dataclasses.fields(ReducedSystem)}
+
+    @staticmethod
+    def _check_reduced_A(red):
+        # the reduced A is the canonical CSC matrix the factorization takes,
+        # equal to the CSR-then-CSC reduction of a separately assembled A
+        assert red.A.tocsc() is red.A
+        assert red.A.format == "csc" and red.A.has_canonical_format
+        full = assemble_stokes(red.space)
+        ref = (red.Tu.T @ full.A @ red.Tu).tocsr().tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(red.A, name), getattr(ref, name)), name
+        return full
+
+    @staticmethod
+    def _check_loads(red, space, f, g, full):
+        u_fix = np.zeros(space.n_vel)
+        u_fix[space.fixed_dofs] = space.fixed_vals
+        assert np.array_equal(red.f, red.Tu.T @ (f - full.A @ u_fix))
+        assert np.array_equal(red.g, red.Tp.T @ (g - full.B @ u_fix))
+
+    def test_strip_factor_input_and_corrector_loads(self, monkeypatch):
+        strip = build_strip_mesh(ObstacleSpec(), L=10.0, h=1 / 48)
+        loads = []
+        with_loads = ReducedSystem.with_loads
+
+        def recording(self, space, f, g):
+            red = with_loads(self, space, f, g)
+            loads.append((red, space, f, g))
+            return red
+
+        monkeypatch.setattr(ReducedSystem, "with_loads", recording)
+        solve_all(strip, with_varkappa=True)
+        # the operator's own (unloaded) reduction, then beta, upsilon, chi
+        # and varkappa on its blocks
+        assert len(loads) == 5
+        full = self._check_reduced_A(loads[0][0])
+        for red, space, f, g in loads:
+            assert red.A is loads[0][0].A
+            self._check_loads(red, space, f, g, full)
+
+    def test_macro_factor_input_and_loads(self):
+        mesh = triangulate(build_macro_geometry(0.125, "collateral", ObstacleSpec()), 0.1)
+        space = build_space(mesh, macro_bc_spec(mesh, FlowData()))
+        system = assemble_stokes(space)
+        red = apply_constraints(system)
+        self._check_loads(red, space, system.f, system.g, self._check_reduced_A(red))
