@@ -136,6 +136,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     if cfg["strip.L"] < 2:
         raise ConfigError(f"strip.L must be >= 2, got {cfg['strip.L']!r}")
+    if cfg["mesh.obstacle_factor"] <= 0:
+        raise ConfigError("mesh.obstacle_factor must be positive, "
+                          f"got {cfg['mesh.obstacle_factor']!r}")
+    if cfg["mesh.min_circle_segments"] < 3:
+        raise ConfigError("mesh.min_circle_segments must be >= 3, "
+                          f"got {cfg['mesh.min_circle_segments']!r}")
+    if not 0 <= cfg["mesh.min_angle"] < 60:
+        raise ConfigError(f"mesh.min_angle must lie in [0, 60), got {cfg['mesh.min_angle']!r}")
     try:
         cfg.solver()
     except ValueError as exc:

@@ -67,6 +67,16 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+# SuperLU factors PANEL_SIZE consecutive columns at a time, with dense work
+# arrays of PANEL_SIZE x n; the ordering and the fill do not depend on it.  On
+# every matrix the benchmark workloads factor (604 to 254,709 rows) one column
+# is the fastest, and at eps = 1/64 it takes the solve's peak from 369 MB (the
+# default of 20) down to 299 MB (notes/decisions.md).  Keep it <= 20: SuperLU
+# appears to size its per-panel statistics by the default width, and a wider
+# panel corrupts the heap (under MALLOC_CHECK_=3, 40 aborts and 64 segfaults).
+PANEL_SIZE = 1
+
+
 def factorize(M):
     """Sparse LU of the symmetric matrix ``M``.
 
@@ -77,8 +87,8 @@ def factorize(M):
     the saddle point.  ``splu`` is looked up on ``scipy.sparse.linalg`` at
     call time, so a wrapper installed there sees every factorization.
     """
-    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     panel_size=PANEL_SIZE, options={"SymmetricMode": True})
 
 
 def _factor(red: ReducedSystem, key):

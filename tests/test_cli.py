@@ -264,6 +264,9 @@ class TestCli:
         ("solve", "p_in = nan"), ("homog", "p_out1 = inf"), ("converge", "p_out2 = -inf"),
         ("solve", "obstacle.cx = nan"), ("mesh", "obstacle.r = nan"),
         ("converge", "eps_list = 1,0.5,0.25"),
+        ("mesh", "mesh.obstacle_factor = 0"), ("solve", "mesh.obstacle_factor = -1"),
+        ("mesh", "mesh.min_circle_segments = 0"), ("cell", "mesh.min_circle_segments = 2"),
+        ("mesh", "mesh.min_angle = -1"), ("converge", "mesh.min_angle = 60"),
     ])
     def test_out_of_range_value_exit_2(self, workdir, capsys, command, line):
         # rejected when the file is read, before any output, naming the key

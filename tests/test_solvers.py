@@ -1,7 +1,11 @@
 """Stokes and Poisson solvers: exactness, invariants, cross-validation."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,13 +163,50 @@ def coarse_strip():
     return build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)
 
 
+@pytest.fixture(scope="module")
+def default_strip_A():
+    # the default strip's reduced A, as the cell command factors it
+    return strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)).A
+
+
 class TestFactorize:
-    def test_symmetric_ordering_halves_fill(self):
-        # the default strip, as the cell command factors it
-        A = strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)).A
+    def test_symmetric_ordering_halves_fill(self, default_strip_A):
+        A = default_strip_A
         lu = factorize(A)
         plain = spla.splu(A.tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.6 * (plain.L.nnz + plain.U.nnz)
+
+    def test_panel_keeps_ordering_and_fill(self, default_strip_A):
+        # the panel width changes how SuperLU works through the columns, not
+        # the column ordering or the pattern of L and U
+        A = default_strip_A
+        lu = factorize(A)
+        ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+        b = np.sin(np.arange(A.shape[0]))
+        assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-14 * np.linalg.norm(b)
+
+    def test_panel_size_within_superlu_default(self):
+        # a panel wider than SuperLU's default of 20 corrupts the heap
+        assert 1 <= solvers.PANEL_SIZE <= 20
+
+    def test_factorize_heap_clean_under_malloc_check(self):
+        # glibc checks every allocation and aborts on a corrupted heap
+        code = ("from stentflow.cell import strip_operator\n"
+                "from stentflow.geometry import ObstacleSpec, build_strip_mesh\n"
+                "from stentflow.solvers import factorize\n"
+                "A = strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)).A\n"
+                "for _ in range(10):\n"
+                "    factorize(A)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, MALLOC_CHECK_="3",
+                   PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                                      if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_solution_matches_spsolve(self, coarse_strip):
         A = strip_operator(coarse_strip).A
