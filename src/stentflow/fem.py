@@ -24,7 +24,7 @@ from .errors import (
     PointLocationFailure,
     UnassembledTag,
 )
-from .geometry import BoundaryTag, Mesh, cross2
+from .geometry import BoundaryTag, Mesh, cross2, mesh_edges
 
 # ----------------------------------------------------------------------------
 # quadrature (order-4 six-point triangle rule, 3-point Gauss on edges)
@@ -193,16 +193,6 @@ class FESpace:
         return space
 
 
-def _build_edges(tris, n_vertices):
-    """Unique edges (a, b), a < b, in lexicographic order, their sorted keys
-    a * n_vertices + b, and the edge of each local edge of each triangle."""
-    e = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
-    keys, inv = np.unique(e.min(axis=1) * n_vertices + e.max(axis=1),
-                          return_inverse=True)
-    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
-    return edges, keys, inv.reshape(3, -1).T
-
-
 def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """Create the Taylor-Hood space and populate its constraint sets.
 
@@ -214,8 +204,9 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
-    space.edges, space.edge_keys, space.tri_edges = _build_edges(
-        mesh.triangles.astype(np.int64), mesh.n_vertices)
+    space.edges, space.edge_keys, tri_edges, _, _ = mesh_edges(
+        mesh.vertices, mesh.triangles.astype(np.int64))
+    space.tri_edges = tri_edges[:, [1, 2, 0]]     # local edge i opposite vertex i
     mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])
     space.node_xy = np.concatenate([mesh.vertices, mids], axis=0)
     return space.with_bc(bc_spec)

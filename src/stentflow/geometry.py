@@ -318,16 +318,6 @@ def _coarsen_away(b, row, x, y, y_end, h_max, upward):
     return row, cur_x, y
 
 
-def _graded_channel(b, row, x, y0, y_fine_end, y_end, h_fine, h_max, upward):
-    """Fill a channel away from the interface in two grading phases.
-
-    Spacing is capped at ``h_fine`` until ``y_fine_end`` and at ``h_max``
-    beyond it; 2:1 transition bands carry the grid between caps.
-    """
-    row, cur_x, y = _coarsen_away(b, row, x, y0, y_fine_end, h_fine, upward)
-    _coarsen_away(b, row, cur_x, y, y_end, h_max, upward)
-
-
 # ----------------------------------------------------------------------------
 # obstacle block: lattice + polar rings, Delaunay-stitched
 # ----------------------------------------------------------------------------
@@ -431,33 +421,23 @@ def _block_band(b, x, y_rows, disks, n_c, bottom_row):
 # ----------------------------------------------------------------------------
 
 
-def _edge_keys(tris: np.ndarray):
-    """The directed edges (3M, 2) of the triangles and their undirected keys
-    min * n + max, n past the largest vertex id."""
+def mesh_edges(verts, tris):
+    """One edge pass over a triangulation.
+
+    The local edges 01, 12, 20 of every triangle get the integer key
+    a * n + b (a < b, n vertices), and one sort of the keys yields
+    the unique edges (E, 2) in lexicographic order, their keys, the edge of
+    each local edge (M, 3), the boundary edges (those of one triangle)
+    oriented as in their triangle, and the interior edges on the line x2 = 0.
+    """
+    n = len(verts)
     e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    n = int(e.max()) + 1
-    return e, e.min(axis=1).astype(np.int64) * n + e.max(axis=1), n
-
-
-def _boundary_edge_set(tris: np.ndarray) -> np.ndarray:
-    """Edges belonging to exactly one triangle, oriented as in the triangle."""
-    e, key, _ = _edge_keys(tris)
-    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return e[counts[inv] == 1]
-
-
-def _on_line(pts, axis, value, tol=1e-12):
-    return np.abs(pts[:, axis] - value) < tol
-
-
-def _interior_line_edges(verts, tris, axis, value):
-    """Interior edges both of whose endpoints lie on an axis-aligned line."""
-    _, key, n = _edge_keys(tris)
-    uniq, counts = np.unique(key, return_counts=True)
-    k = uniq[counts == 2]
-    interior = np.stack([k // n, k % n], axis=1).astype(tris.dtype)
-    on = _on_line(verts, axis, value)
-    return interior[on[interior[:, 0]] & on[interior[:, 1]]]
+    keys, inv, counts = np.unique(e.min(axis=1).astype(np.int64) * n + e.max(axis=1),
+                                  return_inverse=True, return_counts=True)
+    edges = np.stack([keys // n, keys % n], axis=1).astype(tris.dtype)
+    on = np.abs(verts[:, 1]) < 1e-12
+    line = edges[(counts == 2) & on[edges[:, 0]] & on[edges[:, 1]]]
+    return edges, keys, inv.reshape(3, -1).T, e[counts[inv] == 1], line
 
 
 def _check_quality(verts, tris, min_angle_deg, context):
@@ -470,6 +450,40 @@ def _check_quality(verts, tris, min_angle_deg, context):
         raise MeshQualityFailure(
             f"{context}: min angle {worst:.2f} deg below threshold {min_angle_deg}"
         )
+
+
+def _finish(b, spec, context, sides, interface_tag, holes, meta) -> Mesh:
+    """The mesh of a filled builder: quality-checked, every edge tagged.
+
+    ``sides`` lists the outer sides as (axis, value, tag above x2 = 0, tag
+    below); a boundary edge takes the tags of the side its midpoint lies on.
+    The boundary edges on no side must be exactly the builder's circle edges;
+    they are tagged GAMMA_EPS.  Interior edges on x2 = 0 get ``interface_tag``.
+    """
+    verts, tris = b.finish()
+    _check_quality(verts, tris, spec.min_angle_deg, context)
+    _, _, _, bed, ife = mesh_edges(verts, tris)
+    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
+    tags = np.full(len(bed), BoundaryTag.GAMMA_EPS, dtype=object)
+    on_side = np.zeros(len(bed), dtype=bool)
+    for axis, value, above, below in sides:
+        on = np.abs(mids[:, axis] - value) < 1e-12
+        tags[on] = np.where(mids[on, 1] > 0.0, above, below)
+        on_side |= on
+    circles = {frozenset(e) for block in b.circle_edges for e in block.tolist()}
+    if {frozenset(e) for e in bed[~on_side].tolist()} != circles:
+        raise MeshQualityFailure(
+            f"{context}: the boundary edges off the outer sides are not the obstacle circles")
+    return Mesh(
+        vertices=verts,
+        triangles=tris.astype(np.int32),
+        boundary_edges=bed.astype(np.int32),
+        boundary_tags=tags,
+        interface_edges=ife.astype(np.int32),
+        interface_tags=np.full(len(ife), interface_tag, dtype=object),
+        holes=holes,
+        meta=meta,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -494,6 +508,19 @@ def _n_circle(radius, spacing, min_segments):
     return n + (-n) % 4  # multiple of 4 keeps the sampling mirror-symmetric
 
 
+def _channel_pair_sides(case):
+    """Outer sides of the channel pair, as :func:`_finish` takes them.
+
+    The left and right sides split at x2 = 0 into inflow/outflow above and
+    wall below, the top is a wall, and the bottom is the lower outflow in the
+    collateral case and a wall in the aneurysm case.
+    """
+    T = BoundaryTag
+    bottom = T.GAMMA_OUT2 if case == "collateral" else T.GAMMA2
+    return [(0, 0.0, T.GAMMA_IN, T.GAMMA2), (0, 1.0, T.GAMMA_OUT1, T.GAMMA2),
+            (1, 1.0, T.GAMMA1, T.GAMMA1), (1, -1.0, bottom, bottom)]
+
+
 def triangulate(geometry: MacroGeometry, h_target,
                 refine_spec: RefineSpec | None = None) -> Mesh:
     """Triangulate the macroscopic channel pair.
@@ -506,7 +533,37 @@ def triangulate(geometry: MacroGeometry, h_target,
         raise ValueError("h_target must be positive")
     if not isinstance(geometry, MacroGeometry):
         raise TypeError(f"cannot triangulate {type(geometry).__name__}")
-    return _macro_mesh(geometry, h_target, refine_spec or RefineSpec())
+    geo, h, spec = geometry, h_target, refine_spec or RefineSpec()
+    eps, m = geo.eps, geo.m
+    n_cell = _cell_divisions(geo.obstacle, eps, h, spec)
+    n_c = _n_circle(geo.obstacle.radius, 1.0 / n_cell, spec.min_circle_segments)
+    x = np.linspace(0.0, 1.0, m * n_cell + 1)
+
+    b = _Builder()
+    gamma0_row = b.add_row(x, 0.0)
+
+    # obstacle layer [0, eps]
+    y_rows = np.linspace(0.0, eps, n_cell + 1)
+    centers = geo.hole_centers()
+    r_hole = geo.hole_radius()
+    disks = [((centers[i, 0], centers[i, 1], r_hole), i * n_cell, (i + 1) * n_cell)
+             for i in range(m)]
+    top_row = _block_band(b, x, y_rows, disks, n_c, gamma0_row)
+
+    # each channel is graded away from the layer: spacing capped at
+    # h*factor within one eps of it (the upper channel from x2 = eps, the
+    # lower one downward from x2 = 0), at h beyond
+    for row, y0, y_fine_end, y_end, upward in (
+            (top_row, eps, min(1.0, 2 * eps), 1.0, True),
+            (gamma0_row, 0.0, -min(1.0, eps), -1.0, False)):
+        row, cur_x, y = _coarsen_away(b, row, x, y0, y_fine_end,
+                                      h * spec.obstacle_factor, upward)
+        _coarsen_away(b, row, cur_x, y, y_end, h, upward)
+
+    return _finish(b, spec, f"macro mesh eps=1/{m}", _channel_pair_sides(geo.case),
+                   BoundaryTag.GAMMA0, np.column_stack([centers, np.full(m, r_hole)]),
+                   {"kind": "macro", "eps": eps, "case": geo.case,
+                    "n_cell": n_cell, "h": h})
 
 
 def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
@@ -531,43 +588,27 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
         row = b.add_row(x, y0)
         _uniform_fill(b, row, x, y0, y1, wy / ny, upward=True)
     else:
+        if abs(grade_to_y - y0) < GEOM_TOL:
+            start, end = y0, y1
+        elif abs(grade_to_y - y1) < GEOM_TOL:
+            start, end = y1, y0
+        else:
+            raise ValueError("grade_to_y must be one of the rectangle's y sides")
         s0 = h * spec.obstacle_factor
         nx = int(math.ceil(wx / s0))
         nx += nx % 2
         x = np.linspace(x0, x1, nx + 1)
         s0 = wx / nx
-        if abs(grade_to_y - y0) < GEOM_TOL:
-            fine_top = min(y1, y0 + 4 * s0)
-            row = b.add_row(x, y0)
-            row, _ = _uniform_fill(b, row, x, y0, fine_top, s0, upward=True)
-            _coarsen_away(b, row, x, fine_top, y1, h, upward=True)
-        elif abs(grade_to_y - y1) < GEOM_TOL:
-            fine_bot = max(y0, y1 - 4 * s0)
-            row = b.add_row(x, y1)
-            row, _ = _uniform_fill(b, row, x, y1, fine_bot, s0, upward=False)
-            _coarsen_away(b, row, x, fine_bot, y0, h, upward=False)
-        else:
-            raise ValueError("grade_to_y must be one of the rectangle's y sides")
-    verts, tris = b.finish()
-    _check_quality(verts, tris, spec.min_angle_deg, "rectangle mesh")
-
-    bed = _boundary_edge_set(tris)
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    btags = np.empty(len(bed), dtype=object)
-    for (axis, value), tag in zip(((0, x0), (0, x1), (1, y0), (1, y1)), tags):
-        btags[_on_line(mids, axis, value)] = tag
-    if any(t is None for t in btags):
-        raise MeshQualityFailure("untagged boundary edge on rectangle")
-    return Mesh(
-        vertices=verts,
-        triangles=tris.astype(np.int32),
-        boundary_edges=bed.astype(np.int32),
-        boundary_tags=btags,
-        interface_edges=np.empty((0, 2), dtype=np.int32),
-        interface_tags=np.empty(0, dtype=object),
-        holes=np.empty((0, 3)),
-        meta={"kind": "rectangle", "h": h},
-    )
+        # four rows at spacing s0 next to the graded side, then coarsening
+        upward = end > start
+        fine_end = min(end, start + 4 * s0) if upward else max(end, start - 4 * s0)
+        row = b.add_row(x, start)
+        row, _ = _uniform_fill(b, row, x, start, fine_end, s0, upward)
+        _coarsen_away(b, row, x, fine_end, end, h, upward)
+    sides = [(axis, value, tag, tag)
+             for (axis, value), tag in zip(((0, x0), (0, x1), (1, y0), (1, y1)), tags)]
+    return _finish(b, spec, "rectangle mesh", sides, BoundaryTag.GAMMA0,
+                   np.empty((0, 3)), {"kind": "rectangle", "h": h})
 
 
 def _cell_divisions(obstacle: ObstacleSpec, eps, h, spec: RefineSpec) -> int:
@@ -584,81 +625,6 @@ def _cell_divisions(obstacle: ObstacleSpec, eps, h, spec: RefineSpec) -> int:
     n = max(4.0, n_h, n_geom, n_circ)
     n = int(math.ceil(n - GEOM_TOL))
     return n + n % 2
-
-
-def _channel_pair_tags(verts, bed, case):
-    """Tags of the outer boundary edges ``bed`` of the channel pair.
-
-    The left and right sides split at x2 = 0 into inflow/outflow above and
-    wall below, the top is a wall, and the bottom is the lower outflow in the
-    collateral case and a wall in the aneurysm case.  Edges off the outer
-    box stay None.
-    """
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    tags = np.empty(len(bed), dtype=object)
-    upper = mids[:, 1] > 0.0
-    for x, tag_up in ((0.0, BoundaryTag.GAMMA_IN), (1.0, BoundaryTag.GAMMA_OUT1)):
-        side = _on_line(mids, 0, x)
-        tags[side & upper] = tag_up
-        tags[side & ~upper] = BoundaryTag.GAMMA2
-    tags[_on_line(mids, 1, 1.0)] = BoundaryTag.GAMMA1
-    tags[_on_line(mids, 1, -1.0)] = (
-        BoundaryTag.GAMMA_OUT2 if case == "collateral" else BoundaryTag.GAMMA2)
-    return tags
-
-
-def _macro_mesh(geo: MacroGeometry, h, spec: RefineSpec) -> Mesh:
-    eps, m = geo.eps, geo.m
-    n_cell = _cell_divisions(geo.obstacle, eps, h, spec)
-    n_c = _n_circle(geo.obstacle.radius, 1.0 / n_cell, spec.min_circle_segments)
-    s = eps / n_cell
-    nx = m * n_cell
-    x = np.linspace(0.0, 1.0, nx + 1)
-
-    b = _Builder()
-    gamma0_row = b.add_row(x, 0.0)
-
-    # obstacle layer [0, eps]
-    y_rows = np.linspace(0.0, eps, n_cell + 1)
-    centers = geo.hole_centers()
-    r_hole = geo.hole_radius()
-    disks = [((centers[i, 0], centers[i, 1], r_hole), i * n_cell, (i + 1) * n_cell)
-             for i in range(m)]
-    row = _block_band(b, x, y_rows, disks, n_c, gamma0_row)
-
-    # upper channel: spacing capped at h*factor within one eps of the layer
-    h_fine = h * spec.obstacle_factor
-    _graded_channel(b, row, x, eps, min(1.0, 2 * eps), 1.0, h_fine, h, upward=True)
-    # lower channel, grown downward from the interface row
-    _graded_channel(b, gamma0_row, x, 0.0, -min(1.0, eps), -1.0, h_fine, h,
-                    upward=False)
-
-    verts, tris = b.finish()
-    _check_quality(verts, tris, spec.min_angle_deg, f"macro mesh eps=1/{m}")
-
-    bed = _boundary_edge_set(tris)
-    tags = _channel_pair_tags(verts, bed, geo.case)
-    untagged = np.array([t is None for t in tags])
-    circ_keys = {tuple(sorted(e)) for e in np.concatenate(b.circle_edges).tolist()}
-    bed_keys = {tuple(sorted(e)) for e in bed[untagged]}
-    if circ_keys != bed_keys:
-        raise MeshQualityFailure("obstacle boundary edges do not close the circles")
-    tags[untagged] = BoundaryTag.GAMMA_EPS
-
-    ife = _interior_line_edges(verts, tris, 1, 0.0)
-    itags = np.full(len(ife), BoundaryTag.GAMMA0, dtype=object)
-    holes = np.column_stack([centers, np.full(m, r_hole)])
-    return Mesh(
-        vertices=verts,
-        triangles=tris.astype(np.int32),
-        boundary_edges=bed.astype(np.int32),
-        boundary_tags=tags,
-        interface_edges=ife.astype(np.int32),
-        interface_tags=itags,
-        holes=holes,
-        meta={"kind": "macro", "eps": eps, "case": geo.case,
-              "n_cell": n_cell, "h": h},
-    )
 
 
 def no_stent_mesh(case="aneurysm", h=0.1,
@@ -680,24 +646,9 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     _coarsen_away(b, row, x, 4 * s, 1.0, h, upward=True)
     row, _ = _uniform_fill(b, gamma0_row, x, 0.0, -4 * s, s, upward=False)
     _coarsen_away(b, row, x, -4 * s, -1.0, h, upward=False)
-    verts, tris = b.finish()
-    _check_quality(verts, tris, spec.min_angle_deg, "no-stent mesh")
-
-    bed = _boundary_edge_set(tris)
-    tags = _channel_pair_tags(verts, bed, case)
-    if any(t is None for t in tags):
-        raise MeshQualityFailure("untagged boundary edge on no-stent mesh")
-    ife = _interior_line_edges(verts, tris, 1, 0.0)
-    return Mesh(
-        vertices=verts,
-        triangles=tris.astype(np.int32),
-        boundary_edges=bed.astype(np.int32),
-        boundary_tags=tags,
-        interface_edges=ife.astype(np.int32),
-        interface_tags=np.full(len(ife), BoundaryTag.GAMMA0, dtype=object),
-        holes=np.empty((0, 3)),
-        meta={"kind": "no_stent", "case": case, "h": h},
-    )
+    return _finish(b, spec, "no-stent mesh", _channel_pair_sides(case),
+                   BoundaryTag.GAMMA0, np.empty((0, 3)),
+                   {"kind": "no_stent", "case": case, "h": h})
 
 
 def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
@@ -716,27 +667,22 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     if h is None or h <= 0:
         raise ValueError("h must be positive")
     spec = refine_spec or RefineSpec()
-    # a multiple of 4 columns halves twice on the way to the far field; an
-    # odd count after one halving would stop the coarsening there
-    n = max(8, int(round(1.0 / h)))
-    n += (-n) % 4
-    s = 1.0 / n
-    x = np.linspace(0.0, 1.0, n + 1)
     L = float(L)
-
+    n = max(8, int(round(1.0 / h)))
     if obstacle is not None:
         cx, cy = obstacle.center
         r = obstacle.radius
         margins = [cx - r, 1.0 - cx - r]
-        if abs(cy) <= r:           # disk crosses the interface line
-            pass
-        else:
+        if abs(cy) > r:            # a disk off the interface line keeps clear of it
             margins.append(abs(cy) - r)
-        n_geom = int(math.ceil(1.3 / min(margins)))
-        if n < n_geom:
-            n = n_geom + (-n_geom) % 4
-            s = 1.0 / n
-            x = np.linspace(0.0, 1.0, n + 1)
+        n = max(n, int(math.ceil(1.3 / min(margins))))
+    # a multiple of 4 columns halves twice on the way to the far field; an
+    # odd count after one halving would stop the coarsening there
+    n += (-n) % 4
+    s = 1.0 / n
+    x = np.linspace(0.0, 1.0, n + 1)
+
+    if obstacle is not None:
         if min(cx - r, 1.0 - cx - r) <= 2 * s:
             raise ObstacleTouchesCell("obstacle too close to the periodic sides")
         if not (-L + 2 < cy - r and cy + r < L - 2):
@@ -764,38 +710,14 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     row, _ = _uniform_fill(b, bottom_row, x, block_lo, fine_lo, s, upward=False)
     _coarsen_away(b, row, x, fine_lo, -L, 0.25, upward=False)
 
-    verts, tris = b.finish()
-    _check_quality(verts, tris, spec.min_angle_deg, "strip mesh")
-
-    bed = _boundary_edge_set(tris)
-    mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
-    tags = np.empty(len(bed), dtype=object)
-    tags[_on_line(mids, 0, 0.0)] = BoundaryTag.STRIP_LEFT
-    tags[_on_line(mids, 0, 1.0)] = BoundaryTag.STRIP_RIGHT
-    tags[_on_line(mids, 1, -L)] = BoundaryTag.STRIP_BOTTOM
-    tags[_on_line(mids, 1, L)] = BoundaryTag.STRIP_TOP
-    untagged = np.array([t is None for t in tags])
-    if obstacle is not None:
-        tags[untagged] = BoundaryTag.GAMMA_EPS
-    elif untagged.any():
-        raise MeshQualityFailure("untagged boundary edge on strip")
-
-    yl = np.sort(verts[_on_line(verts, 0, 0.0)][:, 1])
-    yr = np.sort(verts[_on_line(verts, 0, 1.0)][:, 1])
+    T = BoundaryTag
+    sides = [(0, 0.0, T.STRIP_LEFT, T.STRIP_LEFT), (0, 1.0, T.STRIP_RIGHT, T.STRIP_RIGHT),
+             (1, -L, T.STRIP_BOTTOM, T.STRIP_BOTTOM), (1, L, T.STRIP_TOP, T.STRIP_TOP)]
+    holes = (np.array([[cx, cy, r]]) if obstacle is not None else np.empty((0, 3)))
+    mesh = _finish(b, spec, "strip mesh", sides, T.SIGMA, holes,
+                   {"kind": "strip", "L": L, "h": h})
+    yl, yr = (np.sort(mesh.vertices[np.abs(mesh.vertices[:, 0] - xs) < 1e-12, 1])
+              for xs in (0.0, 1.0))
     if len(yl) != len(yr) or (len(yl) and np.max(np.abs(yl - yr)) > 1e-12):
         raise PeriodicMismatch("left/right strip traces differ")
-
-    ife = _interior_line_edges(verts, tris, 1, 0.0)
-    itags = np.full(len(ife), BoundaryTag.SIGMA, dtype=object)
-    holes = (np.array([[obstacle.center[0], obstacle.center[1], obstacle.radius]])
-             if obstacle is not None else np.empty((0, 3)))
-    return Mesh(
-        vertices=verts,
-        triangles=tris.astype(np.int32),
-        boundary_edges=bed.astype(np.int32),
-        boundary_tags=tags,
-        interface_edges=ife.astype(np.int32),
-        interface_tags=itags,
-        holes=holes,
-        meta={"kind": "strip", "L": L, "h": h},
-    )
+    return mesh

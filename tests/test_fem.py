@@ -27,7 +27,6 @@ from stentflow.fem import (
     TRI_QW,
     _TRI_C,
     _TRI_P1,
-    _build_edges,
     _geometry_tables,
     apply_constraints,
     assemble_stokes,
@@ -41,11 +40,10 @@ from stentflow.fem import (
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
-    _boundary_edge_set,
-    _interior_line_edges,
     build_macro_geometry,
     build_strip_mesh,
     cross2,
+    mesh_edges,
     no_stent_mesh,
     rectangle_mesh,
     triangulate,
@@ -637,17 +635,18 @@ def test_integer_edge_keys_match_rowwise_unique(which):
         mesh = triangulate(build_macro_geometry(0.125, "collateral",
                                                ObstacleSpec()), 0.1)
     tris = mesh.triangles.astype(np.int64)
-    edges, keys, tri_edges = _build_edges(tris, mesh.n_vertices)
     ref_edges, ref_tri_edges = _rowwise_edges(tris)
-    assert np.array_equal(edges, ref_edges)
-    assert np.array_equal(tri_edges, ref_tri_edges)
-    assert np.array_equal(keys, ref_edges[:, 0] * mesh.n_vertices + ref_edges[:, 1])
     for t in (tris, mesh.triangles):
-        got, ref = _boundary_edge_set(t), _rowwise_boundary_edges(t)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        got = _interior_line_edges(mesh.vertices, t, 1, 0.0)
+        edges, keys, tri_edges, bed, line = mesh_edges(mesh.vertices, t)
+        assert np.array_equal(edges, ref_edges)
+        # local edges come as 01, 12, 20; the FE space numbers them by the
+        # opposite vertex
+        assert np.array_equal(tri_edges[:, [1, 2, 0]], ref_tri_edges)
+        assert np.array_equal(keys, ref_edges[:, 0] * mesh.n_vertices + ref_edges[:, 1])
+        ref = _rowwise_boundary_edges(t)
+        assert bed.dtype == ref.dtype and np.array_equal(bed, ref)
         ref = _rowwise_interior_line_edges(mesh.vertices, t, 1, 0.0)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert line.dtype == ref.dtype and np.array_equal(line, ref)
         assert len(ref)
 
 

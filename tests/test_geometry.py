@@ -16,6 +16,7 @@ from stentflow.geometry import (
     rectangle_mesh,
     triangulate,
 )
+from stentflow.homogenized import first_order_meshes
 from stentflow.meshio import save_mesh
 
 
@@ -146,16 +147,43 @@ class TestMacroMesh:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.boundary_edges, b.boundary_edges)
 
-    @pytest.mark.parametrize("eps, digest", [
+    @pytest.mark.parametrize("which, digest", [
         (0.25, "46bef1339ca2c679241983b3da4bf57c5274a7b41b38b8728a134c3b589a79a3"),
         (0.0625, "24ceddfa9624ef57dee640f3b3c3799e98ef52a8b259cbf994cd675dd59a457c"),
+        ("no-stent collateral",
+         "15f4fe53670e901883d7df860094d37152bb4d9579e8d23e5ed9a0a44b3179bb"),
+        ("no-stent aneurysm",
+         "655f0becce86ed7f64b99ea5f434906af580d940034c4d67bc0f31e371d851de"),
+        ("first-order upper",
+         "48b3dacd528b5013948ffb56bfe9a89239a3cbd3e561da8b633aefd2902ecb99"),
+        ("first-order lower collateral",
+         "4daabe2a9ca0f52fa67e9f14b90cc208224d65de414d1894d23922e441708901"),
+        ("first-order lower aneurysm",
+         "8b9bb36c6feb9817dd710bfc7784b9c05953b7a1ed3832c87fe8e403f4305b10"),
+        ("unobstructed strip",
+         "33dc4d49d2abb327dd3d59d2d4fb25ca0be03c3b6d749e817df4cde1ece2629b"),
+        ("ungraded rectangle",
+         "729335e651a712a91241f12e9e3fde30e94fd4d9541db7dfde97f76f098cf6ad"),
     ])
-    def test_macro_file_unchanged(self, tmp_path, eps, digest):
-        # the mesh files of the study's first and last eps, as written when
-        # the obstacle blocks were assembled point by point in Python loops
+    def test_macro_file_unchanged(self, tmp_path, which, digest):
+        # the mesh files of the study's first and last eps (a float), as
+        # written when the obstacle blocks were assembled point by point in
+        # Python loops, and of the other domains, as written when each mesh
+        # builder finished its mesh with its own copy of the edge tagging
+        builders = {
+            "no-stent collateral": lambda: no_stent_mesh("collateral"),
+            "no-stent aneurysm": lambda: no_stent_mesh("aneurysm"),
+            "first-order upper": lambda: first_order_meshes()[0],
+            "first-order lower collateral": lambda: first_order_meshes()[1],
+            "first-order lower aneurysm":
+                lambda: first_order_meshes(case="aneurysm")[1],
+            "unobstructed strip": lambda: build_strip_mesh(None),
+            "ungraded rectangle": lambda: rectangle_mesh(0, 1, 0, 1, 0.1),
+        }
+        mesh = (triangulate(build_macro_geometry(which, "collateral", ObstacleSpec()), 0.1)
+                if isinstance(which, float) else builders[which]())
         path = tmp_path / "macro.mesh"
-        save_mesh(triangulate(build_macro_geometry(eps, "collateral", ObstacleSpec()),
-                              0.1), path)
+        save_mesh(mesh, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_identity_scaling_meshable(self):
