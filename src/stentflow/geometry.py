@@ -658,8 +658,9 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     The left/right boundary vertex sets are exact y-translates of each other
     (periodic identification); y2 = 0 is a mesh line carrying the SIGMA tag;
     the lattice spacing near the obstacle is 1/n, with n = 1/h (or what the
-    obstacle's margin needs, if more) rounded up to a multiple of 4, and
-    coarsens away.
+    obstacle's margin needs, if more) rounded up to the next multiple of 4
+    whose halvings end at 6 columns or fewer (28 -> 32, 44 -> 48, 52 -> 64),
+    and coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
     if L < 2:
@@ -676,9 +677,13 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
         if abs(cy) > r:            # a disk off the interface line keeps clear of it
             margins.append(abs(cy) - r)
         n = max(n, int(math.ceil(1.3 / min(margins))))
-    # a multiple of 4 columns halves twice on the way to the far field; an
-    # odd count after one halving would stop the coarsening there
+    # the far field coarsens by halving the column count while it is even,
+    # so round up to a multiple of 4 whose halvings end at 6 columns or
+    # fewer; an odd count on the way, as 44 -> 22 -> 11, would keep the far
+    # field fine and the strip bigger than the one at 48 columns
     n += (-n) % 4
+    while n // (n & -n) > 6:       # n // (n & -n) is the last, odd count
+        n += 4
     s = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
 

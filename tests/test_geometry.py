@@ -248,6 +248,14 @@ class TestStripMesh:
         for h in (1 / 16, 1 / 22):
             assert build_strip_mesh(ObstacleSpec(), L=10, h=h).n_triangles <= n24
 
+    def test_finer_request_gives_no_smaller_strip(self):
+        # at 28, 36, 44, ... columns the far-field halvings reached an odd
+        # count (44 -> 22 -> 11) and kept the far field fine: 44 columns gave
+        # 13,636 triangles, 48 gave 12,388
+        counts = [build_strip_mesh(ObstacleSpec(), L=10, h=1 / n).n_triangles
+                  for n in range(24, 97)]
+        assert counts == sorted(counts)
+
     def test_default_strip_file_unchanged(self, tmp_path):
         # the mesh file of the default strip, as written before the column
         # count was rounded to a multiple of 4
