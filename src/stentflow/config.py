@@ -145,6 +145,11 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= cfg["mesh.min_angle"] < 60:
         raise ConfigError(f"mesh.min_angle must lie in [0, 60), got {cfg['mesh.min_angle']!r}")
     try:
+        if cfg.eps != 0.0:      # eps = 0 is homog's zero-order-only model
+            _period_count(cfg.eps)
+    except NonIntegerReciprocal as exc:
+        raise ConfigError(f"eps: {exc}") from None
+    try:
         cfg.solver()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

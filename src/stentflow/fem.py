@@ -555,6 +555,16 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
 # ----------------------------------------------------------------------------
 
 
+def _barycentric(v0, gradlam, pts):
+    """Barycentric coordinates (n, k, 3) of the points ``pts`` (n, k, 2) in
+    the triangles with first vertices ``v0`` (n, 2) and barycentric
+    gradients ``gradlam`` (n, 3, 2)."""
+    d = pts - v0[:, None]
+    l1 = np.einsum("nkd,nd->nk", d, gradlam[:, 1])
+    l2 = np.einsum("nkd,nd->nk", d, gradlam[:, 2])
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
 class PointLocator:
     """Locates points in a triangulation via a centroid kd-tree.
 
@@ -570,12 +580,6 @@ class PointLocator:
         self.tree = cKDTree(p.mean(axis=1))
         _, _, self.gradlam = _geometry_tables(mesh)
         self.v0 = p[:, 0]
-
-    def _bary(self, t, pts):
-        d = pts - self.v0[t]
-        l1 = np.einsum("md,md->m", self.gradlam[t, 1], d)
-        l2 = np.einsum("md,md->m", self.gradlam[t, 2], d)
-        return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
     def locate(self, pts):
         """Return (triangle index, barycentric coords) for each point."""
@@ -594,7 +598,8 @@ class PointLocator:
                 if not len(left):
                     break
                 t = cand[left, j]
-                lm = self._bary(t, pts[remaining[left]])
+                lm = _barycentric(self.v0[t], self.gradlam[t],
+                                  pts[remaining[left], None])[:, 0]
                 ok = np.all(lm >= -tol, axis=1)
                 hit = remaining[left[ok]]
                 tri[hit] = t[ok]
@@ -602,8 +607,7 @@ class PointLocator:
                 left = left[~ok]
             remaining = remaining[left]
         for i in remaining:   # rare: exhaustive scan before giving up
-            lm = self._bary(np.arange(self.mesh.n_triangles), pts[i][None].repeat(
-                self.mesh.n_triangles, axis=0))
+            lm = _barycentric(self.v0, self.gradlam, pts[i][None, None])[:, 0]
             ok = np.nonzero(np.all(lm >= -tol, axis=1))[0]
             if len(ok):
                 tri[i] = ok[0]
@@ -716,10 +720,7 @@ def _field_at(space: FESpace, u, component, t, pts):
     """Values at the points ``pts`` (n, k, 2) of the triangles ``t`` (n,) of a
     pressure (length n_p) or one velocity component (length n_vel)."""
     p, _, gradlam = _geometry_tables(space.mesh, t)
-    d = pts - p[:, None, 0]
-    l1 = np.einsum("nkd,nd->nk", d, gradlam[:, 1])
-    l2 = np.einsum("nkd,nd->nk", d, gradlam[:, 2])
-    lam = np.stack([1 - l1 - l2, l1, l2], axis=-1)
+    lam = _barycentric(p[:, 0], gradlam, pts)
     if len(u) == space.n_p:
         return np.einsum("nki,ni->nk", lam, u[space.mesh.triangles[t]])
     coeff = u[component * space.n_vnode + _p2_nodes(space, t)]

@@ -116,10 +116,11 @@ class TestCli:
         assert twice.read_bytes() == mesh_file.read_bytes()
 
     def test_invalid_eps_exit_2(self, workdir, capsys):
-        # eps is checked before the output directory is made
+        # eps is checked before the output directory is made, also by the
+        # commands that do not mesh at eps
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.3"))
-        for command in ("mesh", "solve"):
+        for command in ("mesh", "solve", "homog", "cell", "converge"):
             assert main([command, "--config", str(cfg)]) == 2
             assert "1/eps = 3.33" in capsys.readouterr().err
             assert not (tmp / "out").exists()
