@@ -24,7 +24,7 @@ from .errors import (
     PointLocationFailure,
     UnassembledTag,
 )
-from .geometry import BoundaryTag, Mesh, cross2, mesh_edges
+from .geometry import BoundaryTag, Mesh, _mesh_edges, cross2
 
 # ----------------------------------------------------------------------------
 # quadrature (order-4 six-point triangle rule, 3-point Gauss on edges)
@@ -204,7 +204,7 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
-    space.edges, space.edge_keys, tri_edges, _, _ = mesh_edges(
+    space.edges, space.edge_keys, tri_edges, _, _ = _mesh_edges(
         mesh.vertices, mesh.triangles.astype(np.int64))
     space.tri_edges = tri_edges[:, [1, 2, 0]]     # local edge i opposite vertex i
     mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])

@@ -421,7 +421,7 @@ def _block_band(b, x, y_rows, disks, n_c, bottom_row):
 # ----------------------------------------------------------------------------
 
 
-def mesh_edges(verts, tris):
+def _mesh_edges(verts, tris):
     """One edge pass over a triangulation.
 
     The local edges 01, 12, 20 of every triangle get the integer key
@@ -434,7 +434,7 @@ def mesh_edges(verts, tris):
     e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     keys, inv, counts = np.unique(e.min(axis=1).astype(np.int64) * n + e.max(axis=1),
                                   return_inverse=True, return_counts=True)
-    edges = np.stack([keys // n, keys % n], axis=1).astype(tris.dtype)
+    edges = np.stack([keys // n, keys % n], axis=1).astype(tris.dtype, copy=False)
     on = np.abs(verts[:, 1]) < 1e-12
     line = edges[(counts == 2) & on[edges[:, 0]] & on[edges[:, 1]]]
     return edges, keys, inv.reshape(3, -1).T, e[counts[inv] == 1], line
@@ -462,7 +462,7 @@ def _finish(b, spec, context, sides, interface_tag, holes, meta) -> Mesh:
     """
     verts, tris = b.finish()
     _check_quality(verts, tris, spec.min_angle_deg, context)
-    _, _, _, bed, ife = mesh_edges(verts, tris)
+    _, _, _, bed, ife = _mesh_edges(verts, tris)
     mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
     tags = np.full(len(bed), BoundaryTag.GAMMA_EPS, dtype=object)
     on_side = np.zeros(len(bed), dtype=bool)
@@ -473,7 +473,7 @@ def _finish(b, spec, context, sides, interface_tag, holes, meta) -> Mesh:
     circles = {frozenset(e) for block in b.circle_edges for e in block.tolist()}
     if {frozenset(e) for e in bed[~on_side].tolist()} != circles:
         raise MeshQualityFailure(
-            f"{context}: the boundary edges off the outer sides are not the obstacle circles")
+            f"{context}: boundary edges off the outer sides are not the obstacle circles")
     return Mesh(
         vertices=verts,
         triangles=tris.astype(np.int32),

@@ -40,10 +40,10 @@ from stentflow.fem import (
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
+    _mesh_edges,
     build_macro_geometry,
     build_strip_mesh,
     cross2,
-    mesh_edges,
     no_stent_mesh,
     rectangle_mesh,
     triangulate,
@@ -637,7 +637,7 @@ def test_integer_edge_keys_match_rowwise_unique(which):
     tris = mesh.triangles.astype(np.int64)
     ref_edges, ref_tri_edges = _rowwise_edges(tris)
     for t in (tris, mesh.triangles):
-        edges, keys, tri_edges, bed, line = mesh_edges(mesh.vertices, t)
+        edges, keys, tri_edges, bed, line = _mesh_edges(mesh.vertices, t)
         assert np.array_equal(edges, ref_edges)
         # local edges come as 01, 12, 20; the FE space numbers them by the
         # opposite vertex
