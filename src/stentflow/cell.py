@@ -41,10 +41,10 @@ from .solvers import SolverConfig, StokesSolution, solve_stokes
 class CellSolution:
     """One boundary-layer solve plus its pressure normalization record.
 
-    ``grad_energy`` is the squared L2 norm of the velocity gradient, u . (A u)
-    with the assembled strip operator A.  ``quadrature`` holds a chi solution's
-    fields at the quadrature points once :func:`_chi_on_quadrature` has
-    evaluated them.
+    ``grad_energy`` is the squared L2 norm of the velocity gradient,
+    u . (diag(K, K) u) with the strip's scalar stiffness K.  ``quadrature``
+    holds a chi solution's fields at the quadrature points once
+    :func:`_chi_on_quadrature` has evaluated them.
     """
 
     which: str

@@ -318,8 +318,11 @@ class Sources:
 
 @dataclass
 class StokesSystem:
+    """The assembled saddle point.  The velocity block is diag(K, K): each
+    component carries the scalar P2 stiffness ``K``, stored once."""
+
     space: FESpace
-    A: sp.csr_matrix
+    K: sp.csr_matrix
     B: sp.csr_matrix
     Mp: sp.csr_matrix
     f: np.ndarray
@@ -365,24 +368,25 @@ def _stiffness(space: FESpace, area, gradlam) -> sp.csr_matrix:
     G = area[:, None] * np.einsum("mkd,mkd->mk", gradlam[:, a], gradlam[:, b])
     K = (G @ _T).reshape(-1, 6, 6)
     nodes = _p2_nodes(space)
-    return _scatter(0.5 * (K + K.transpose(0, 2, 1)), nodes, nodes,
-                    (space.n_vnode, space.n_vnode))
+    K = _scatter(0.5 * (K + K.transpose(0, 2, 1)), nodes, nodes,
+                 (space.n_vnode, space.n_vnode))
+    K.eliminate_zeros()
+    return K
 
 
 def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSystem:
     """Assemble the saddle-point system in the gradient (non-symmetric) form.
 
-    A holds the vector Laplacian (component-block diagonal), B the pressure
-    test of -div u, f and g the loads of :func:`assemble_loads`.  Every
-    boundary tag of the mesh must be covered by the space's bc_spec.
+    K holds the scalar stiffness (the vector Laplacian is diag(K, K)), B the
+    pressure test of -div u, f and g the loads of :func:`assemble_loads`.
+    Every boundary tag of the mesh must be covered by the space's bc_spec.
     """
     f, g = assemble_loads(space, sources)
     mesh = space.mesh
     tris = mesh.triangles.astype(np.int64)
     n_vert, n_vnode = mesh.n_vertices, space.n_vnode
     _, area, gradlam = _geometry_tables(mesh)
-    Ksp = _stiffness(space, area, gradlam)
-    A = sp.block_diag([Ksp, Ksp], format="csr")
+    K = _stiffness(space, area, gradlam)
 
     # B[m, a, (d, i)] = -area sum_b d(lam_b)/dx_d _S[b, ai]
     Bd = -(area[:, None, None] * gradlam).transpose(0, 2, 1) @ _S   # (M, 2, 18)
@@ -392,7 +396,7 @@ def assemble_stokes(space: FESpace, sources: Sources | None = None) -> StokesSys
                  (n_vert, 2 * n_vnode))
     # P1 pressure mass matrix (Schur preconditioner)
     Mp = _scatter(area[:, None] * _MP, tris, tris, (n_vert, n_vert))
-    return StokesSystem(space=space, A=A, B=B, Mp=Mp, f=f, g=g)
+    return StokesSystem(space=space, K=K, B=B, Mp=Mp, f=f, g=g)
 
 
 def assemble_loads(space: FESpace, sources: Sources | None = None):
@@ -479,7 +483,7 @@ class ReducedSystem:
     Tu: sp.csr_matrix
     Tp: sp.csr_matrix
     u_fix: np.ndarray
-    A_fix: sp.csr_matrix          # the assembled A and B at the fixed DOFs' columns,
+    A_fix: sp.csr_matrix          # diag(K, K) and B at the fixed DOFs' columns,
     B_fix: sp.csr_matrix          # kept for the Dirichlet correction of the loads
     factors: dict = field(default_factory=dict, repr=False)
 
@@ -534,18 +538,24 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
     The reduced velocity operator stays symmetric; the right-hand side gets
     the usual Dirichlet correction; pressure periodicity is folded the same
     way.  ``expand`` recovers full-length vectors with constrained DOFs set
-    to their imposed values.
+    to their imposed values.  No constraint couples the two velocity
+    components, so ``Tu`` is diag(S1, S2) and the reduced velocity block is
+    diag(S1^T K S1, S2^T K S2), reduced from the one scalar stiffness.
     """
     space = system.space
-    Tu = _prolongation(space.n_vel, space.fixed_dofs, space.vel_pairs)
+    K, n, fixed = system.K, space.n_vnode, space.fixed_dofs
+    Tu = _prolongation(space.n_vel, fixed, space.vel_pairs)
     Tp = _prolongation(space.n_p, np.empty(0, dtype=np.int64), space.p_pairs)
+    m1 = int(Tu[:n].indices.max(initial=-1)) + 1     # free columns of u1
+    split = np.searchsorted(fixed, n)                 # fixed DOFs of u1
     reduced = ReducedSystem(
         space=space,
-        A=(Tu.T @ system.A @ Tu).tocsr().tocsc(),
+        A=sp.block_diag([S.T @ K @ S for S in (Tu[:n, :m1], Tu[n:, m1:])], format="csc"),
         B=(Tp.T @ system.B @ Tu).tocsr(),
         Mp=(Tp.T @ system.Mp @ Tp).tocsr(),
         f=None, g=None, Tu=Tu, Tp=Tp, u_fix=None,
-        A_fix=system.A[:, space.fixed_dofs], B_fix=system.B[:, space.fixed_dofs],
+        A_fix=sp.block_diag([K[:, fixed[:split]], K[:, fixed[split:] - n]], format="csr"),
+        B_fix=system.B[:, fixed],
     )
     return reduced.with_loads(space, system.f, system.g)
 
@@ -808,8 +818,9 @@ def section_average(space: FESpace, u, y2, component=0):
 
 
 def energy_norm_sq(system: StokesSystem, u):
-    """Gradient energy u^T A u of a full-length velocity vector."""
-    return float(u @ (system.A @ u))
+    """Gradient energy u^T diag(K, K) u of a full-length velocity vector."""
+    n = system.space.n_vnode
+    return float(u[:n] @ (system.K @ u[:n]) + u[n:] @ (system.K @ u[n:]))
 
 
 def scalar_p2_stiffness(space: FESpace) -> sp.csr_matrix:

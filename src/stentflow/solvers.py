@@ -1,16 +1,18 @@
 """Saddle-point solvers and the scalar Poisson solver.
 
 The default Stokes path is conjugate gradients on the pressure Schur
-complement (Uzawa), preconditioned by the pressure mass matrix, with the
-velocity block solved by a sparse factorization.  A direct sparse
+complement (Uzawa), with the velocity block solved by a sparse factorization
+and the pressure mass matrix, the preconditioner, inverted by a fixed number
+of Chebyshev steps: one LU per Stokes operator.  A direct sparse
 factorization of the whole saddle point is the cross-validation fallback.
-Factorizations are kept with the reduced blocks, so every system put on the
-same blocks (``ReducedSystem.with_loads``) shares them.  Every matrix this
-module factors is symmetric, and :func:`factorize` is the one sparse LU.
+The velocity factorization is kept with the reduced blocks, so every system
+put on the same blocks (``ReducedSystem.with_loads``) shares it.  Every matrix
+this module factors is symmetric, and :func:`factorize` is the one sparse LU.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -39,7 +41,8 @@ class SolverConfig:
 
     ``method`` is ``uzawa_cg`` or ``direct``.  Uzawa iterations invert the
     velocity block by an exact sparse LU, made once per reduced operator, and
-    are preconditioned by the pressure mass matrix.
+    are preconditioned by the pressure mass matrix, inverted by Chebyshev
+    steps.
     """
 
     method: str = "uzawa_cg"
@@ -77,6 +80,17 @@ class StokesSolution:
 PANEL_SIZE = 1
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or a no-op where the C library has none."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+
+
 def factorize(M):
     """Sparse LU of the symmetric matrix ``M``.
 
@@ -85,26 +99,58 @@ def factorize(M):
     SuperLU's default column ordering with partial pivoting; SuperLU still
     takes an off-diagonal pivot where a diagonal entry is exactly zero, as in
     the saddle point.  ``splu`` is looked up on ``scipy.sparse.linalg`` at
-    call time, so a wrapper installed there sees every factorization.
+    call time, so a wrapper installed there sees every factorization.  The
+    heap that assembly and reduction freed goes back to the system first, so
+    it does not stay resident under the factor.
     """
+    _malloc_trim()(0)
     return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      panel_size=PANEL_SIZE, options={"SymmetricMode": True})
 
 
-def _factor(red: ReducedSystem, key):
-    """Sparse LU of the block ``key`` of ``red``, made once per set of blocks."""
-    if key not in red.factors:
-        red.factors[key] = factorize(getattr(red, key))
-    return red.factors[key]
+def _velocity_lu(red: ReducedSystem):
+    """Sparse LU of the velocity block of ``red``, made once per set of blocks."""
+    if "A" not in red.factors:
+        red.factors["A"] = factorize(red.A)
+    return red.factors["A"]
+
+
+# Mp^-1 is applied by CHEBYSHEV_STEPS steps of Chebyshev semi-iteration on
+# diag(Mp)^-1 Mp, whose eigenvalues lie in [1/2, 2] on P1 triangles (Wathen,
+# IMA J. Numer. Anal. 7, 1987).  From a zero start a fixed step count is a
+# fixed polynomial in Mp, so the preconditioner is linear and SPD, as conjugate
+# gradients needs (Wathen & Rees, ETNA 34, 2009); its error in the Mp-norm is
+# at most 2 * 3^-k.  k = 8 is the fewest steps that leave the Uzawa iteration
+# count of every benchmark solve as with the exact inverse (notes/decisions.md).
+CHEBYSHEV_STEPS = 8
+
+
+def _mass_inverse(M):
+    """Chebyshev approximation of M^-1 for a P1 mass matrix ``M``."""
+    dinv = 1.0 / M.diagonal()
+    theta, delta = 1.25, 0.75               # centre and half-width of [1/2, 2]
+
+    def apply(r):
+        rho = delta / theta
+        d = dinv * r / theta
+        x = d.copy()
+        for _ in range(CHEBYSHEV_STEPS - 1):
+            r = r - M @ d
+            rho, rho_old = 1.0 / (2.0 * theta / delta - rho), rho
+            d = (rho * rho_old) * d + (2.0 * rho / delta) * (dinv * r)
+            x += d
+        return x
+
+    return apply
 
 
 def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     A, B = red.A, red.B
     f, g = red.f, red.g
     n_p = B.shape[0]
-    Ainv = _factor(red, "A").solve
+    Ainv = _velocity_lu(red).solve
     # the pressure mass matrix is spectrally equivalent to the Schur complement
-    precond = _factor(red, "Mp").solve
+    precond = _mass_inverse(red.Mp)
     kernel = red.space.pressure_kernel
 
     def project(q):

@@ -104,6 +104,44 @@ CONSTRAINT_DIGESTS = {
     "strip-48-varkappa": "3da433116df444c531d0ca72e93a4ab3d9b191f0a618aeb3f51cffd0ec7db6af",
 }
 
+# sha256 of the reduced A, B and Mp (data, indices, indptr) and the reduced f
+# and g of every CONSTRAINT_DIGESTS pair, as the reduction of the assembled
+# diag(K, K) made them: the factorization's input, byte for byte
+REDUCED_DIGESTS = {
+    "macro-collateral-4": "366acce1b7815c3a080c3374b693323b0933132348d4c62f648acafec4f55d8b",
+    "macro-collateral-8": "5932d79541df2cca5a603ecc41db75673ac7aaf763f791126cde1aa3611f0440",
+    "macro-collateral-16": "f04b7ffde22fdded03e04d85bb2eb7d402251be3874f2868166fd9e735098649",
+    "macro-collateral-64": "44357a6221f30c28b4fdb0bece703b7dd8b6f18831e68aea365e920e89b53104",
+    "nostent-collateral": "42efbfbec5661614a0d75ff25bb7a491c04426f4a2438f2d24611b9272fcb600",
+    "first-collateral-upper": "e17962f158b001e274d67eea3459c45adc067a1c223598fb658ba5725a83808b",
+    "first-collateral-lower": "73028cd4ccc4c03d3c3b63ace09976f25b6745794f193a8d7fde8535f8bb74d4",
+    "macro-aneurysm-4": "49a0b336ff42ece847835cb4ae44ca45d0ccd19cae61df56dcc2828ac75d6d02",
+    "macro-aneurysm-8": "d9775e4a652831f3f1fe56770116d62461a456f0ef3b64e3006dcd5c9ea74718",
+    "macro-aneurysm-16": "33d19b42a1a6fc677d6e60ae79ecefdf8de4562735a4981d78799259463bba7d",
+    "macro-aneurysm-64": "610e76415c3b98b4a8f6cd5b4e9f85d1c638a9800513cfec2dad1e945d9842fd",
+    "nostent-aneurysm": "314f320ff168be3f2e08955cdc878411c03b174ef4eec0a1c17be87b2e556234",
+    "first-aneurysm-upper": "e4d1a6574d83868e459bf85d27115ec04ef728584326d14418cb18ffec0359bb",
+    "first-aneurysm-lower": "2ac5150c815fec0df926643f0528057594b0ce0d53af7716c16926ac969cf840",
+    "strip-16-operator": "10d78836e4f87284f3c49beb7e58cfde6ededb7738069d99d8f5d3dbd5b7cba1",
+    "strip-16-beta": "cdba0c46db28fc9cc63875849bb7f5ecf7ced7baab58d8c3f0ac9e5a98bec66d",
+    "strip-16-chi": "2afe4e0fb915e93ec12ab7f1f31e1e526553cf8f87c988bb4c2c3d84cfc7908a",
+    "strip-16-varkappa": "cbb15fb8c3b18ed58db61610c582e6458ea7f020a2f06386b598922a8a04163f",
+    "strip-48-operator": "3ccac439703ed1f80a880373c791f3d21245d797c80f274e416e48299c0e6f7c",
+    "strip-48-beta": "107445b496cfcdc5b90be832a922b1fbc48200809ecb6ad95a4474f910d01aa3",
+    "strip-48-chi": "6554fd9d4f9946991d169aabf0a3c5f54cb6ddcb5bf7a4598fbfa2bddd0ab28a",
+    "strip-48-varkappa": "5e33dbe5abc28a381bd93d911439ed24b98564a1fdc789f466a9499961e8080f",
+}
+
+
+def _digest(arrays):
+    """sha256 over the dtype, shape and bytes of each array."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
 
 def _constraint_case(name):
     """The (mesh, bc spec) pair of a CONSTRAINT_DIGESTS entry.
@@ -238,13 +276,8 @@ class TestSpace:
     def test_constraint_sets_unchanged(self, name):
         # the constraint sets as the per-DOF dictionary build made them
         space = build_space(*_constraint_case(name))
-        digest = hashlib.sha256()
-        for a in (space.fixed_dofs, space.fixed_vals, space.vel_pairs, space.p_pairs,
-                  np.array(space.pressure_kernel)):
-            a = np.ascontiguousarray(a)
-            digest.update(f"{a.dtype.str}{a.shape}".encode())
-            digest.update(a.tobytes())
-        assert digest.hexdigest() == CONSTRAINT_DIGESTS[name]
+        assert _digest((space.fixed_dofs, space.fixed_vals, space.vel_pairs, space.p_pairs,
+                        np.array(space.pressure_kernel))) == CONSTRAINT_DIGESTS[name]
 
     @pytest.mark.parametrize("width, match", [
         (2, "node counts differ"),      # inflow side of length 1, top of 2
@@ -263,8 +296,8 @@ class TestAssembly:
         mesh = flat_channel()
         space = build_space(mesh, all_dirichlet_bc())
         system = assemble_stokes(space)
-        const = np.ones(space.n_vel)
-        assert np.abs(system.A @ const).max() < 1e-12
+        const = np.ones(space.n_vnode)
+        assert np.abs(system.K @ const).max() < 1e-12
 
     def test_unassembled_tag(self):
         mesh = flat_channel()
@@ -307,8 +340,9 @@ class TestConstraints:
         space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
         system = assemble_stokes(space)
         red = apply_constraints(system)
-        assert red.A.shape == system.A.shape
-        assert abs((red.A - system.A)).max() < 1e-15
+        A = sp.block_diag([system.K, system.K])
+        assert red.A.shape == A.shape
+        assert abs((red.A - A)).max() < 1e-15
         assert np.array_equal(red.f, system.f)
 
     def test_all_velocity_fixed_degenerate(self):
@@ -343,8 +377,16 @@ class TestConstraints:
         col = {d: j for j, d in enumerate(keep)}
         for d in range(n):
             Td[d, col[target[d]]] = 1.0
-        A_ref = Td.T @ system.A.toarray() @ Td
+        A_ref = Td.T @ sp.block_diag([system.K, system.K]).toarray() @ Td
         assert np.abs(red.A.toarray() - A_ref).max() < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
+    def test_reduced_blocks_unchanged(self, name):
+        # reducing K per component gives the bytes that reducing diag(K, K) gave
+        red = apply_constraints(assemble_stokes(build_space(*_constraint_case(name))))
+        blocks = [getattr(M, a) for M in (red.A, red.B, red.Mp)
+                  for a in ("data", "indices", "indptr")]
+        assert _digest(blocks + [red.f, red.g]) == REDUCED_DIGESTS[name]
 
 
 class TestNorms:
@@ -497,7 +539,7 @@ def reference_section_average(space, u, y2, component=0):
 
 
 def reference_element_matrices(space):
-    """A, B, Mp summed quadrature point by quadrature point."""
+    """K, B, Mp summed quadrature point by quadrature point."""
     mesh = space.mesh
     tris = mesh.triangles.astype(np.int64)
     nodes = np.concatenate([tris, space.tri_edges + mesh.n_vertices], axis=1)
@@ -522,7 +564,7 @@ def reference_element_matrices(space):
     n, nv = space.n_vnode, mesh.n_vertices
     Ksp = coo(K, nodes, nodes, (n, n))
     B = sp.hstack([coo(Bx, tris, nodes, (nv, n)), coo(By, tris, nodes, (nv, n))])
-    return sp.block_diag([Ksp, Ksp]).tocsr(), B.tocsr(), coo(Mp, tris, tris, (nv, nv))
+    return Ksp, B.tocsr(), coo(Mp, tris, tris, (nv, nv))
 
 
 @pytest.fixture(scope="module")
@@ -593,12 +635,13 @@ class TestElementKernel:
                                                    ObstacleSpec()), 0.12)
         space = build_space(mesh, {t: BC.natural() for t in set(mesh.boundary_tags)})
         system = assemble_stokes(space)
-        for new, ref in zip((system.A, system.B, system.Mp),
+        for new, ref in zip((system.K, system.B, system.Mp),
                             reference_element_matrices(space)):
             assert abs(new - ref).max() <= 1e-14 * abs(ref).max()
-        assert abs(system.A - system.A.T).max() == 0.0
+        assert abs(system.K - system.K.T).max() == 0.0
         K = scalar_p2_stiffness(space)
-        assert abs(K - system.A[:space.n_vnode, :space.n_vnode]).max() == 0.0
+        assert abs(K - system.K).max() == 0.0
+        assert np.all(system.K.data != 0)          # exact zeros stay out of K
         # a vertex and the midpoint of the opposite edge share one triangle,
         # and their grad-grad entry vanishes exactly
         tris = mesh.triangles

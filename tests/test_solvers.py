@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import stentflow.analysis as analysis
@@ -17,6 +19,7 @@ import stentflow.homogenized as homogenized
 import stentflow.solvers as solvers
 from stentflow.analysis import macro_bc_spec, solve_direct
 from stentflow.cell import CellConstants, solve_all, solve_chi, strip_operator
+from stentflow.cli import main
 from stentflow.errors import NonConvergence
 from stentflow.fem import (
     BC,
@@ -36,6 +39,7 @@ from stentflow.geometry import (
     ObstacleSpec,
     build_macro_geometry,
     build_strip_mesh,
+    no_stent_mesh,
     rectangle_mesh,
     triangulate,
 )
@@ -221,7 +225,7 @@ class TestFactorize:
         for key, val in uzawa.as_dict().items():
             assert abs(getattr(direct, key) - val) <= 1e-7 * abs(val), key
 
-    def test_one_factorization_per_matrix(self, monkeypatch):
+    def test_one_factorization_per_matrix(self, monkeypatch, tmp_path):
         # the benchmark counts factorizations and their fill on spla.splu
         calls = []
         splu = spla.splu
@@ -233,11 +237,21 @@ class TestFactorize:
         monkeypatch.setattr(spla, "splu", counting_splu)
         solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 16),
                   with_varkappa=False)
-        assert len(calls) == 2
+        assert len(calls) == 1          # the velocity block; Mp is not factored
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
         solve_poisson(mesh, quadrature_source(mesh, sine_source),
                       np.unique(mesh.boundary_edges))
-        assert len(calls) == 3
+        assert len(calls) == 2
+        # the commands: one strip operator; one macro operator; the strip
+        # operator, the two first-order operators and, per eps, one macro
+        # operator and one Poisson matrix
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"eps = 0.25\nmesh.h = 0.12\nstrip.h = {1 / 16}\nstrip.L = 4\n"
+                       f"first_order.h = 0.1\noutput.dir = {tmp_path / 'out'}\n")
+        for command, count in (("cell", 1), ("solve", 1), ("converge", 9)):
+            calls.clear()
+            assert main([command, "--config", str(cfg)]) == 0
+            assert len(calls) == count, command
 
 
 class TestPoisson:
@@ -403,7 +417,7 @@ class TestReducedBlocks:
 
         def assemble(space, *args):
             system = assemble_stokes(space, *args)
-            assembled.append((weakref.ref(system), weakref.ref(system.A)))
+            assembled.append((weakref.ref(system), weakref.ref(system.K)))
             return system
 
         def checked_factorize(M):
@@ -414,19 +428,21 @@ class TestReducedBlocks:
         monkeypatch.setattr(solvers, "factorize", checked_factorize)
         run()
         assert assembled and seen
-        # every factorization (A, then Mp, per solve) runs after the full
-        # blocks of every system assembled so far are gone
+        # every factorization (one per solve) runs after the full blocks of
+        # every system assembled so far are gone
         assert all(all(dead) for dead in seen), seen
         assert "system" not in {f.name for f in dataclasses.fields(ReducedSystem)}
 
     @staticmethod
     def _check_reduced_A(red):
         # the reduced A is the canonical CSC matrix the factorization takes,
-        # equal to the CSR-then-CSC reduction of a separately assembled A
+        # equal to the CSR-then-CSC reduction of a separately assembled
+        # diag(K, K)
         assert red.A.tocsc() is red.A
         assert red.A.format == "csc" and red.A.has_canonical_format
         full = assemble_stokes(red.space)
-        ref = (red.Tu.T @ full.A @ red.Tu).tocsr().tocsc()
+        A = sp.block_diag([full.K, full.K], format="csr")
+        ref = (red.Tu.T @ A @ red.Tu).tocsr().tocsc()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(red.A, name), getattr(ref, name)), name
         return full
@@ -435,7 +451,9 @@ class TestReducedBlocks:
     def _check_loads(red, space, f, g, full):
         u_fix = np.zeros(space.n_vel)
         u_fix[space.fixed_dofs] = space.fixed_vals
-        assert np.array_equal(red.f, red.Tu.T @ (f - full.A @ u_fix))
+        n = space.n_vnode
+        Au_fix = np.concatenate([full.K @ u_fix[:n], full.K @ u_fix[n:]])
+        assert np.array_equal(red.f, red.Tu.T @ (f - Au_fix))
         assert np.array_equal(red.g, red.Tp.T @ (g - full.B @ u_fix))
 
     def test_strip_factor_input_and_corrector_loads(self, monkeypatch):
@@ -464,3 +482,64 @@ class TestReducedBlocks:
         system = assemble_stokes(space)
         red = apply_constraints(system)
         self._check_loads(red, space, system.f, system.g, self._check_reduced_A(red))
+
+
+@pytest.fixture(scope="module")
+def suite_mass_matrices():
+    """The reduced pressure mass matrix of each kind of solve the suite runs:
+    the periodic strip, the macro problems at eps = 1/4, the first-order
+    pair and the no-stent channel."""
+    seen = {}
+    mass_inverse = solvers._mass_inverse
+
+    def recording(M):
+        seen.setdefault(label, []).append(M)
+        return mass_inverse(M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_mass_inverse", recording)
+        label = "strip"
+        solve_chi(build_strip_mesh(ObstacleSpec(), L=4.0, h=1 / 16))
+        for case in ("collateral", "aneurysm"):
+            label = f"macro-{case}"
+            solve_direct(triangulate(build_macro_geometry(0.25, case, ObstacleSpec()), 0.12),
+                         FlowData(case=case))
+            label = f"nostent-{case}"
+            solve_direct(no_stent_mesh(case, 0.1), FlowData(case=case))
+        label = "first-order"
+        _first_order_solve()
+    return [(f"{key}-{i}", M) for key, Ms in seen.items() for i, M in enumerate(Ms)]
+
+
+class TestMassPreconditioner:
+    """Chebyshev steps on diag(Mp)^-1 Mp stand in for Mp^-1 in Uzawa CG."""
+
+    def test_scaled_spectrum_within_wathen_bounds(self, suite_mass_matrices):
+        assert len(suite_mass_matrices) == 7
+        for name, M in suite_mass_matrices:
+            d = M.diagonal()
+            if M.shape[0] <= 1000:
+                lam = la.eigh(M.toarray(), np.diag(d), eigvals_only=True)
+            else:
+                s = sp.diags(1.0 / np.sqrt(d))
+                lam = spla.eigsh(s @ M @ s, k=2, which="BE", tol=1e-12,
+                                 return_eigenvectors=False)
+            assert 0.5 - 1e-10 <= lam.min() and lam.max() <= 2.0 + 1e-10, name
+
+    def test_error_in_mass_norm_within_chebyshev_bound(self, suite_mass_matrices):
+        rng = np.random.default_rng(3)
+        bound = 2.0 * 3.0 ** -solvers.CHEBYSHEV_STEPS
+        for name, M in suite_mass_matrices:
+            precond = solvers._mass_inverse(M)
+            r, q = rng.normal(size=(2, M.shape[0]))
+            x = spla.spsolve(M.tocsc(), r)
+            e = precond(r) - x
+            assert np.sqrt(e @ (M @ e)) <= bound * np.sqrt(x @ (M @ x)), name
+            # a fixed polynomial in M: symmetric, as conjugate gradients needs
+            assert abs(q @ precond(r) - r @ precond(q)) <= 1e-12 * abs(q @ x), name
+
+    def test_default_strip_iterations_as_with_exact_inverse(self):
+        sols, _ = solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48))
+        iters = [sols[k].solution.diagnostics["iterations"]
+                 for k in ("beta", "upsilon", "chi", "varkappa")]
+        assert iters == [9, 9, 11, 15]
