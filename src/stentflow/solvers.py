@@ -86,9 +86,11 @@ def _malloc_trim():
     import ctypes
 
     try:
-        return ctypes.CDLL(None).malloc_trim
+        trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):
         return lambda pad: 0
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def factorize(M):

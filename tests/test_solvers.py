@@ -212,6 +212,24 @@ class TestFactorize:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
+    def test_heap_trimmed_before_each_factorization(self, monkeypatch):
+        events = []
+        splu = spla.splu
+        monkeypatch.setattr(solvers, "_malloc_trim", lambda: lambda pad: events.append("trim"))
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: events.append("splu") or splu(*a, **k))
+        factorize(sp.identity(3, format="csc"))
+        assert events == ["trim", "splu"]
+
+    def test_heap_trim_is_a_no_op_without_the_symbol(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        solvers._malloc_trim.cache_clear()
+        try:
+            assert solvers._malloc_trim()(0) == 0
+        finally:
+            solvers._malloc_trim.cache_clear()
+
     def test_solution_matches_spsolve(self, coarse_strip):
         A = strip_operator(coarse_strip).A
         b = np.sin(np.arange(A.shape[0]))
