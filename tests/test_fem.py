@@ -22,9 +22,11 @@ from stentflow.fem import (
     EDGE_QW,
     FESpace,
     PointLocator,
+    PressureField,
     Sources,
     TRI_QP,
     TRI_QW,
+    VelocityField,
     _TRI_C,
     _TRI_P1,
     _geometry_tables,
@@ -32,10 +34,12 @@ from stentflow.fem import (
     assemble_stokes,
     band_integral,
     build_space,
+    eval_on_quadrature,
     l2_norm_diff,
     p2_basis,
     scalar_p2_stiffness,
     section_average,
+    velocity_gradient_at,
 )
 from stentflow.geometry import (
     BoundaryTag as T,
@@ -623,6 +627,60 @@ class TestClippedBandKernel:
         one = np.ones(space.n_p)
         vals = section_average(space, one, np.array([-1.0, 0.0, 1.0]))
         assert np.abs(vals - 1.0).max() <= 1e-13
+
+
+def _quadratic(xy):
+    """A quadratic velocity field (n, 2) and its gradient (n, 2, 2)."""
+    x, y = xy[..., 0], xy[..., 1]
+    u = np.stack([0.3 * x * x - 0.7 * x * y + 0.2 * y * y + x - 0.5 * y + 0.1,
+                  -0.4 * x * x + 0.6 * x * y - 0.3 * y * y - 0.2 * x + y], axis=-1)
+    grad = np.stack([np.stack([0.6 * x - 0.7 * y + 1, -0.7 * x + 0.4 * y - 0.5], -1),
+                     np.stack([-0.8 * x + 0.6 * y - 0.2, 0.6 * x - 0.6 * y + 1], -1)],
+                    axis=-2)
+    return u, grad
+
+
+class TestEvaluationKernel:
+    """The shared (quadrature) and located branches of field evaluation."""
+
+    def test_quadratic_gradients_exact(self, strip_fields):
+        # P2 interpolates a quadratic velocity and P1 a linear pressure
+        # exactly, at quadrature points and at located points alike
+        space = strip_fields[0]
+        u = _quadratic(space.node_xy)[0].T.ravel()
+        p = 2.0 - 0.3 * space.mesh.vertices[:, 0] + 0.7 * space.mesh.vertices[:, 1]
+        fields = eval_on_quadrature(space, u=u, p=p, grad=True)
+        rng = np.random.default_rng(2)
+        tri = rng.integers(space.mesh.n_triangles, size=2000)
+        lam = rng.dirichlet(np.ones(3), size=len(tri))
+        pts = np.einsum("nk,nkd->nd", lam, space.mesh.vertices[space.mesh.triangles[tri]])
+        shared = (fields["u"], fields["gradu"], fields["p"])
+        located = (VelocityField(space, u).at(tri, lam),
+                   velocity_gradient_at(space, u, tri, lam),
+                   PressureField(space, p).at(tri, lam))
+        for xy, values in ((fields["pts"], shared), (pts, located)):
+            exact = _quadratic(xy) + (2.0 - 0.3 * xy[..., 0] + 0.7 * xy[..., 1],)
+            for val, ref in zip(values, exact):
+                assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_located_matches_shared_at_quadrature_points(self, strip_fields):
+        space, u, p = strip_fields
+        fields = eval_on_quadrature(space, u=u, p=p, grad=True)
+        n, q = fields["w"].shape
+        tri, lam = np.repeat(np.arange(n), q), np.tile(TRI_QP, (n, 1))
+        vel = VelocityField(space, u).at(tri, lam).reshape(n, q, 2)
+        prs = PressureField(space, p).at(tri, lam).reshape(n, q)
+        grad = velocity_gradient_at(space, u, tri, lam).reshape(n, q, 2, 2)
+        for located, shared in ((vel, fields["u"]), (prs, fields["p"]),
+                                (grad, fields["gradu"])):
+            assert located.shape == shared.shape
+            assert np.abs(located - shared).max() <= 1e-13 * np.abs(shared).max()
+        # the same values through point location, on a sample of the points
+        pts = fields["pts"][::97].reshape(-1, 2)
+        assert np.abs(PressureField(space, p)(pts) - fields["p"][::97].ravel()).max() \
+            <= 1e-13 * np.abs(fields["p"]).max()
+        assert np.abs(VelocityField(space, u)(pts) - fields["u"][::97].reshape(-1, 2)
+                      ).max() <= 1e-13 * np.abs(fields["u"]).max()
 
 
 class TestElementKernel:
