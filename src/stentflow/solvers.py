@@ -26,6 +26,7 @@ from .fem import (
     ReducedSystem,
     StokesSystem,
     _geometry_tables,
+    _scatter,
     TRI_QP,
     TRI_QW,
 )
@@ -146,9 +147,24 @@ def _mass_inverse(M):
     return apply
 
 
+def _load_norms(red: ReducedSystem):
+    """The scales of the momentum and divergence residuals: ||f|| (at least
+    1e-300) and max(||g||, 1)."""
+    return (max(float(np.linalg.norm(red.f)), 1e-300),
+            max(float(np.linalg.norm(red.g)), 1.0))
+
+
+def _diagnostics(red: ReducedSystem, u, p, method, iterations) -> dict:
+    """Method, iteration count and the scaled residuals of (u, p) on ``red``."""
+    fnorm, gnorm = _load_norms(red)
+    mom = float(np.linalg.norm(red.A @ u + red.B.T @ p - red.f)) / fnorm
+    div = float(np.linalg.norm(red.B @ u - red.g)) / gnorm
+    return {"method": method, "iterations": iterations,
+            "momentum_residual": mom, "divergence_residual": div}
+
+
 def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
-    A, B = red.A, red.B
-    f, g = red.f, red.g
+    B, f, g = red.B, red.f, red.g
     n_p = B.shape[0]
     Ainv = _velocity_lu(red).solve
     # the pressure mass matrix is spectrally equivalent to the Schur complement
@@ -166,8 +182,7 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     z = project(precond(r))
     d = z.copy()
     rz = float(r @ z)
-    fnorm = max(float(np.linalg.norm(f)), 1e-300)
-    gnorm = max(float(np.linalg.norm(g)), 1.0)
+    _, gnorm = _load_norms(red)
     iters = 0
     converged = False
     for iters in range(1, config.max_outer + 1):
@@ -192,15 +207,10 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
         rz = rz_new
     # tighten the momentum equation with one final velocity solve
     u = Ainv(f - B.T @ p)
-    mom = float(np.linalg.norm(A @ u + B.T @ p - f)) / fnorm
-    div = float(np.linalg.norm(B @ u - g)) / gnorm
-    return u, p, {
-        "method": "uzawa_cg",
-        "iterations": iters,
-        "momentum_residual": mom,
-        "divergence_residual": div,
-        "converged": bool(converged and div <= 10 * config.outer_tol),
-    }
+    diag = _diagnostics(red, u, p, "uzawa_cg", iters)
+    diag["converged"] = bool(converged and diag["divergence_residual"]
+                             <= 10 * config.outer_tol)
+    return u, p, diag
 
 
 def _direct(red: ReducedSystem, config: SolverConfig):
@@ -220,17 +230,7 @@ def _direct(red: ReducedSystem, config: SolverConfig):
         rhs[pin] = 0.0
     x = factorize(K).solve(rhs)
     u, p = x[:n_u], x[n_u:]
-    fnorm = max(float(np.linalg.norm(red.f)), 1e-300)
-    gnorm = max(float(np.linalg.norm(red.g)), 1.0)
-    mom = float(np.linalg.norm(A @ u + B.T @ p - red.f)) / fnorm
-    div = float(np.linalg.norm(B @ u - red.g)) / gnorm
-    return u, p, {
-        "method": "direct",
-        "iterations": 1,
-        "momentum_residual": mom,
-        "divergence_residual": div,
-        "converged": True,
-    }
+    return u, p, {**_diagnostics(red, u, p, "direct", 1), "converged": True}
 
 
 def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
@@ -279,10 +279,8 @@ def solve_poisson(mesh: Mesh, rhs, dirichlet_nodes):
     tris = mesh.triangles.astype(np.int64)
     _, area, gradlam = _geometry_tables(mesh)
     K_el = area[:, None, None] * np.einsum("mid,mjd->mij", gradlam, gradlam)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
     n = mesh.n_vertices
-    K = sp.coo_matrix((K_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = _scatter(K_el, tris, tris, (n, n))
     shape = (mesh.n_triangles, len(TRI_QW))
     fv = np.zeros(shape) if rhs is None else np.asarray(rhs)
     if fv.ndim not in (2, 3) or fv.shape[-2:] != shape:
