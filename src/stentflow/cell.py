@@ -16,7 +16,7 @@ normalized to zero mean over the upper band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .fem import (
     band_integral,
     build_space,
     eval_on_quadrature,
+    l2_norm_diff,
     section_average as _section_average,
 )
 from .geometry import BoundaryTag as T, Mesh
@@ -79,21 +80,8 @@ class CellConstants:
     mu_jump: float | None = None
 
     def as_dict(self):
-        d = {
-            "beta1_plus": self.beta1_plus,
-            "beta1_minus": self.beta1_minus,
-            "ups1_plus": self.ups1_plus,
-            "ups1_minus": self.ups1_minus,
-            "eta_jump": self.eta_jump,
-            "chi_grad_energy": self.chi_grad_energy,
-            "beta_grad_energy": self.beta_grad_energy,
-            "ups_grad_energy": self.ups_grad_energy,
-            "obstacle_area": self.obstacle_area,
-        }
-        if self.varkappa1_jump is not None:
-            d["varkappa1_jump"] = self.varkappa1_jump
-            d["mu_jump"] = self.mu_jump
-        return d
+        """The constants that are set, in field order."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _strip_bc(top_bottom_value, obstacle_value):
@@ -238,14 +226,17 @@ def section_average(cell: CellSolution, component, y2):
     return _section_average(space, cell.solution.u, y2, component=component)
 
 
-def _band_mean_u(cell: CellSolution, band, component=0):
-    return band_integral(cell.solution.space, cell.solution.u, band[0], band[1],
-                         component=component, average=True)
-
-
-def _band_mean_p(cell: CellSolution, band):
-    return band_integral(cell.solution.space, cell.solution.p, band[0], band[1],
+def _band_mean(cell: CellSolution, name, band):
+    """Mean over ``band`` of the pressure (``name`` "p") or the horizontal
+    velocity ("u") of a cell solution."""
+    return band_integral(cell.solution.space, getattr(cell.solution, name), *band,
                          average=True)
+
+
+def _far_field_jump(cell: CellSolution, name):
+    """Top minus bottom far-field band mean of the field ``name`` ("u", "p")."""
+    return (_band_mean(cell, name, _top_band(cell.mesh))
+            - _band_mean(cell, name, _bottom_band(cell.mesh)))
 
 
 def extract_constants(beta: CellSolution, upsilon: CellSolution,
@@ -264,21 +255,19 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
     top, bot = _top_band(mesh), _bottom_band(mesh)
     r = mesh.holes[0, 2]
     consts = dict(
-        beta1_plus=_band_mean_u(beta, top),
-        beta1_minus=_band_mean_u(beta, bot),
-        ups1_plus=_band_mean_u(upsilon, top),
-        ups1_minus=_band_mean_u(upsilon, bot),
-        eta_jump=_band_mean_p(chi, top) - _band_mean_p(chi, bot),
+        beta1_plus=_band_mean(beta, "u", top),
+        beta1_minus=_band_mean(beta, "u", bot),
+        ups1_plus=_band_mean(upsilon, "u", top),
+        ups1_minus=_band_mean(upsilon, "u", bot),
+        eta_jump=_far_field_jump(chi, "p"),
         chi_grad_energy=chi.grad_energy,
         beta_grad_energy=beta.grad_energy,
         ups_grad_energy=upsilon.grad_energy,
         obstacle_area=float(np.pi * r * r),
     )
     if varkappa is not None:
-        consts["varkappa1_jump"] = (_band_mean_u(varkappa, top)
-                                    - _band_mean_u(varkappa, bot))
-        consts["mu_jump"] = (_band_mean_p(varkappa, top)
-                             - _band_mean_p(varkappa, bot))
+        consts["varkappa1_jump"] = _far_field_jump(varkappa, "u")
+        consts["mu_jump"] = _far_field_jump(varkappa, "p")
     return CellConstants(**consts)
 
 
@@ -287,12 +276,10 @@ def _chi_on_quadrature(chi: CellSolution):
     gradients included, plus ``eta_dev``, the pressure minus its far-field
     value on that side.  Evaluated on the first call and kept on ``chi``."""
     if chi.quadrature is None:
-        space, mesh = chi.solution.space, chi.mesh
-        eta_plus = band_integral(space, chi.solution.p, *_top_band(mesh), average=True)
-        eta_minus = band_integral(space, chi.solution.p, *_bottom_band(mesh),
-                                  average=True)
-        fields = eval_on_quadrature(space, u=chi.solution.u, p=chi.solution.p,
-                                    grad=True)
+        eta_plus = _band_mean(chi, "p", _top_band(chi.mesh))
+        eta_minus = _band_mean(chi, "p", _bottom_band(chi.mesh))
+        fields = eval_on_quadrature(chi.solution.space, u=chi.solution.u,
+                                    p=chi.solution.p, grad=True)
         fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
                                                    eta_plus, eta_minus)
         chi.quadrature = fields
@@ -325,8 +312,6 @@ def identity_report(beta, upsilon, chi, varkappa=None,
     decides pass/fail thresholds.  Section averages are read at y2 = +-1,
     +-2.5 and +-5.
     """
-    from .fem import l2_norm_diff
-
     c = constants or extract_constants(beta, upsilon, chi, varkappa)
     rep = {}
     sections = np.array([-5.0, -2.5, -1.0, 1.0, 2.5, 5.0])

@@ -78,8 +78,8 @@ def cmd_mesh(cfg: RunConfig, args) -> int:
 
 
 def cmd_cell(cfg: RunConfig, args) -> int:
-    from .cell import identity_report, solve_all, solve_chi, write_constants
-    from .fem import band_integral
+    from .cell import (_far_field_jump, identity_report, solve_all, solve_chi,
+                       write_constants)
 
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
@@ -88,11 +88,7 @@ def cmd_cell(cfg: RunConfig, args) -> int:
                              refine_spec=cfg.refine_spec())
     if obstacle is None:
         # unobstructed strip: only the through-flow problem is well posed
-        chi = solve_chi(strip, cfg.solver())
-        space = chi.solution.space
-        L = cfg["strip.L"]
-        jump = (band_integral(space, chi.solution.p, L - 2, L - 1, average=True)
-                - band_integral(space, chi.solution.p, -L + 1, -L + 2, average=True))
+        jump = _far_field_jump(solve_chi(strip, cfg.solver()), "p")
         path = os.path.join(out, "constants.txt")
         with open(path, "w") as fh:
             fh.write(f"# {prov}\neta_jump={float(jump)!r}\n")
