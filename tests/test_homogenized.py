@@ -10,8 +10,10 @@ import pytest
 
 from stentflow.cell import CellConstants
 from stentflow.errors import CompatibilityFailure
+from stentflow.fem import EDGE_QP, EDGE_QW
 from stentflow.homogenized import (
     FlowData,
+    _trace_flux,
     averaged_approximation,
     first_order_meshes,
     flowrate_first_order,
@@ -151,6 +153,18 @@ class TestFirstOrder:
         mu_, ml_ = first_order_meshes(0.1, case="aneurysm")
         with pytest.raises(CompatibilityFailure):
             solve_first_order(mu_, ml_, z, TABLE)
+
+    def test_trace_flux_matches_segment_loop(self):
+        # the vectorized 3-point rule against one Gauss sum per segment
+        def trace(x):
+            return np.stack([np.zeros_like(x), np.sin(3 * x) + x * x], axis=-1)
+
+        xs = np.linspace(0.0, 1.0, 65)
+        ref = sum((b - a) * float(EDGE_QW @ trace(a + EDGE_QP * (b - a))[:, 1])
+                  for a, b in zip(xs[:-1], xs[1:]))
+        assert abs(_trace_flux(trace) - ref) <= 1e-15 * abs(ref)
+        assert _trace_flux(trace) == pytest.approx((1 - np.cos(3)) / 3 + 1 / 3,
+                                                   rel=1e-10)
 
     def test_corner_pressure_grows_under_refinement(self):
         # the multi-valued corner data forces a pressure singularity
