@@ -642,7 +642,8 @@ def _evaluate(space: FESpace, coeffs, tri, lam, gradlam):
     (n, 3, 2), the velocity gradients (n, k, 2, 2), [..., i, j] = du_i/dx_j.
     Shared points take the velocity through 2-D products with the k-point
     table, five times faster than an einsum on a 12k-triangle strip; an
-    einsum serves located points and P1 values, where it is as fast.
+    einsum serves located points and P1 values, where it is as fast.  Both
+    forms end a gradient with one product per triangle and component.
     """
     tri = slice(None) if tri is None else tri
     if len(coeffs) == space.n_p:
@@ -653,19 +654,18 @@ def _evaluate(space: FESpace, coeffs, tri, lam, gradlam):
         basis = p2_basis(lam) if gradlam is None else _p2_grad_coeff(lam)
     else:
         raise ValueError("coefficient vector length matches neither space")
-    if gradlam is None and lam.ndim == 2 and len(elem) == 2:
-        return (elem @ basis.T).transpose(1, 2, 0)
     if gradlam is None:
+        if lam.ndim == 2 and len(elem) == 2:
+            return (elem @ basis.T).transpose(1, 2, 0)
         basis = np.broadcast_to(basis, elem.shape[1:2] + basis.shape[-2:])
         return np.einsum("nkb,cnb->nkc", basis, elem)
+    # du_c/dx_d = sum_j (sum_i elem[c, n, i] C[k, i, j]) dlam_j/dx_d
     if lam.ndim == 2:
-        # du_c/dx_d = sum_j (sum_i elem[c, n, i] C[k, i, j]) dlam_j/dx_d
-        n, k = elem.shape[1], len(lam)
-        cl = elem @ basis.transpose(1, 0, 2).reshape(6, -1)              # (2, n, k*3)
-        gu = cl.transpose(1, 0, 2).reshape(n, 2 * k, 3) @ gradlam        # (n, 2k, 2)
-        return gu.reshape(n, 2, k, 2).transpose(0, 2, 1, 3)
-    dphi = np.einsum("nkij,njd->nkid", basis, gradlam)
-    return np.einsum("nkid,cni->nkcd", dphi, elem)
+        cl = elem @ basis.transpose(1, 0, 2).reshape(6, -1)               # (2, n, 3k)
+        cl = cl.reshape(2, -1, len(lam), 3)
+    else:
+        cl = np.einsum("cni,nkij->cnkj", elem, basis)                     # (2, n, k, 3)
+    return (cl @ gradlam).transpose(1, 2, 0, 3)
 
 
 class VelocityField:
