@@ -24,7 +24,7 @@ from .errors import (
     PointLocationFailure,
     UnassembledTag,
 )
-from .geometry import BoundaryTag, Mesh, _mesh_edges, cross2
+from .geometry import BoundaryTag, Mesh, cross2
 
 # ----------------------------------------------------------------------------
 # quadrature (order-4 six-point triangle rule, 3-point Gauss on edges)
@@ -133,6 +133,13 @@ class BC:
         return cls("normal", value)
 
     @classmethod
+    def odd_mirror(cls):
+        """Mirror line of a field whose line-parallel velocity component and
+        pressure are odd across it: both are fixed to zero, the pressure at
+        the line's vertices; the normal component stays natural."""
+        return cls("odd_mirror")
+
+    @classmethod
     def periodic(cls, partner: BoundaryTag):
         return cls("periodic", None, partner)
 
@@ -153,13 +160,14 @@ class FESpace:
     mesh: Mesh
     bc_spec: dict
     edges: np.ndarray = field(init=False)
-    tri_edges: np.ndarray = field(init=False)
+    tri_edges: np.ndarray = field(init=False)   # local edge i opposite vertex i
     edge_keys: np.ndarray = field(init=False)   # sorted a * n_vertices + b, a < b
     node_xy: np.ndarray = field(init=False)
     fixed_dofs: np.ndarray = field(init=False)
     fixed_vals: np.ndarray = field(init=False)
     vel_pairs: np.ndarray = field(init=False)   # (k, 2) slave, master (node ids)
     p_pairs: np.ndarray = field(init=False)
+    p_fixed: np.ndarray = field(init=False)     # pressure DOFs fixed to zero
     pressure_kernel: bool = field(init=False)
 
     @property
@@ -200,23 +208,23 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     """Create the Taylor-Hood space and populate its constraint sets.
 
     ``bc_spec`` maps each boundary tag of the mesh to a :class:`BC`.  On
-    axis-aligned sides ``pressure`` fixes the boundary-parallel component and
-    ``normal`` the perpendicular one.  Full Dirichlet wins at corners where
+    axis-aligned sides ``pressure`` and ``odd_mirror`` fix the
+    boundary-parallel component and ``normal`` the perpendicular one.  Full Dirichlet wins at corners where
     it meets a component constraint; two component constraints may coexist
-    unless they disagree on the same component.
+    unless they disagree on the same component.  The edge tables are the
+    mesh's own.
     """
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
-    space.edges, space.edge_keys, tri_edges, _, _ = _mesh_edges(
-        mesh.vertices, mesh.triangles.astype(np.int64))
-    space.tri_edges = tri_edges[:, [1, 2, 0]]     # local edge i opposite vertex i
+    space.edges, space.edge_keys, space.tri_edges = mesh.edge_table
     mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])
     space.node_xy = np.concatenate([mesh.vertices, mids], axis=0)
     return space.with_bc(bc_spec)
 
 
 def _impose_constraints(space: FESpace):
-    """Fill the fixed DOFs, periodic pairs and pressure kernel of ``space``.
+    """Fill the fixed DOFs, periodic pairs, fixed pressures and pressure
+    kernel of ``space``.
 
     Each constrained node of each boundary edge gives one (dof, priority,
     value) row.  Full Dirichlet (2) wins over component constraints (1);
@@ -228,6 +236,7 @@ def _impose_constraints(space: FESpace):
     """
     mesh, spec, n = space.mesh, space.bc_spec, space.n_vnode
     rows = [np.empty((0, 4))]                 # dof, priority, value, order
+    p_fixed = [np.empty(0, dtype=np.int64)]
     for tag, bc in spec.items():
         if bc.kind in ("natural", "periodic"):
             continue
@@ -241,8 +250,10 @@ def _impose_constraints(space: FESpace):
             val = np.broadcast_to(np.asarray(val, dtype=float), xy.shape)
             row = (nodes[..., None] + n * np.arange(2), 3 if tag is BoundaryTag.GAMMA0 else 2,
                    val.reshape(nodes.shape + (2,)), order[..., None])
-        elif bc.kind == "pressure":           # boundary-parallel component
+        elif bc.kind in ("pressure", "odd_mirror"):   # boundary-parallel component
             row = (nodes + n * ~horizontal, 1, 0.0, order)
+            if bc.kind == "odd_mirror":
+                p_fixed.append(nodes[:, :2].ravel())
         elif bc.kind == "normal":             # boundary-normal component
             row = (nodes + n * horizontal, 1, float(bc.value), order)
         else:
@@ -296,7 +307,9 @@ def _impose_constraints(space: FESpace):
     space.fixed_dofs = np.flatnonzero(is_fixed)
     space.fixed_vals = fixed_val[space.fixed_dofs]
     space.vel_pairs, space.p_pairs = vel_pairs, p_pairs
-    space.pressure_kernel = not any(bc.kind == "pressure" for bc in spec.values())
+    space.p_fixed = np.unique(np.concatenate(p_fixed))
+    space.pressure_kernel = not (len(space.p_fixed)
+                                 or any(bc.kind == "pressure" for bc in spec.values()))
 
 
 # ----------------------------------------------------------------------------
@@ -471,9 +484,9 @@ class ReducedSystem:
     """Constrained saddle-point system plus recovery operators.
 
     The reduced blocks depend only on the constrained pattern of ``space``
-    (fixed velocity DOFs, periodic pairs, pressure kernel), not on the
-    imposed values; :meth:`with_loads` puts another problem with the same
-    pattern on the same blocks.  ``factors`` holds the factorizations the
+    (fixed velocity DOFs, periodic pairs, fixed pressures, pressure kernel),
+    not on the imposed values; :meth:`with_loads` puts another problem with
+    the same pattern on the same blocks.  ``factors`` holds the factorizations the
     solvers make of the blocks, shared by every system derived that way.
     """
 
@@ -499,7 +512,8 @@ class ReducedSystem:
         Raises :class:`ConstraintMismatch` unless ``space`` lives on this
         system's mesh with this system's constrained pattern.
         """
-        differs = [k for k in ("fixed_dofs", "vel_pairs", "p_pairs", "pressure_kernel")
+        differs = [k for k in ("fixed_dofs", "vel_pairs", "p_pairs", "p_fixed",
+                               "pressure_kernel")
                    if not np.array_equal(getattr(space, k), getattr(self.space, k))]
         if space.mesh is not self.space.mesh:
             differs.insert(0, "mesh")
@@ -540,15 +554,16 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
 
     The reduced velocity operator stays symmetric; the right-hand side gets
     the usual Dirichlet correction; pressure periodicity is folded the same
-    way.  ``expand`` recovers full-length vectors with constrained DOFs set
-    to their imposed values.  No constraint couples the two velocity
+    way, and fixed pressures are dropped.  ``expand`` recovers full-length
+    vectors with constrained DOFs set to their imposed values (fixed
+    pressures to zero).  No constraint couples the two velocity
     components, so ``Tu`` is diag(S1, S2) and the reduced velocity block is
     diag(S1^T K S1, S2^T K S2), reduced from the one scalar stiffness.
     """
     space = system.space
     K, n, fixed = system.K, space.n_vnode, space.fixed_dofs
     Tu = _prolongation(space.n_vel, fixed, space.vel_pairs)
-    Tp = _prolongation(space.n_p, np.empty(0, dtype=np.int64), space.p_pairs)
+    Tp = _prolongation(space.n_p, space.p_fixed, space.p_pairs)
     m1 = int(Tu[:n].indices.max(initial=-1)) + 1     # free columns of u1
     split = np.searchsorted(fixed, n)                 # fixed DOFs of u1
     reduced = ReducedSystem(

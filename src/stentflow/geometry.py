@@ -150,7 +150,11 @@ class Mesh:
     of the triangle they came from (domain to the left).  ``interface_edges``
     lists interior edges lying on the fictitious interface x2 = 0 of either
     domain family.  ``holes`` records (cx, cy, r) for every obstacle disk
-    removed from the domain.
+    removed from the domain.  ``edge_table`` holds the unique edges (E, 2)
+    in lexicographic order, their integer keys (as :func:`_mesh_edges` gives
+    them) and the edge opposite each vertex of every triangle (M, 3), the
+    FE space's numbering of the local edges; a mesh built without it sorts
+    its edges once, on construction.
     """
 
     vertices: np.ndarray
@@ -161,6 +165,13 @@ class Mesh:
     interface_tags: np.ndarray
     holes: np.ndarray
     meta: dict = field(default_factory=dict)
+    edge_table: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.edge_table is None:
+            edges, keys, tri_edges, _, _ = _mesh_edges(self.vertices,
+                                                       self.triangles.astype(np.int64))
+            self.edge_table = (edges, keys, tri_edges[:, [1, 2, 0]])
 
     @property
     def n_vertices(self) -> int:
@@ -432,12 +443,23 @@ def _mesh_edges(verts, tris):
     """
     n = len(verts)
     e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys, inv, counts = np.unique(e.min(axis=1).astype(np.int64) * n + e.max(axis=1),
-                                  return_inverse=True, return_counts=True)
+    keys, inv = np.unique(e.min(axis=1).astype(np.int64) * n + e.max(axis=1),
+                          return_inverse=True)
     edges = np.stack([keys // n, keys % n], axis=1).astype(tris.dtype, copy=False)
+    tri_edges = inv.reshape(3, -1).T
+    return (edges, keys, tri_edges, *_edge_sets(verts, tris, edges, tri_edges))
+
+
+def _edge_sets(verts, tris, edges, tri_edges):
+    """The boundary edges (those of one triangle), oriented as in their
+    triangle, and the interior edges on the line x2 = 0, from the unique
+    edges and the edge of each local edge 01, 12, 20 (``tri_edges``)."""
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    inv = tri_edges.T.ravel()
+    counts = np.bincount(inv, minlength=len(edges))
     on = np.abs(verts[:, 1]) < 1e-12
     line = edges[(counts == 2) & on[edges[:, 0]] & on[edges[:, 1]]]
-    return edges, keys, inv.reshape(3, -1).T, e[counts[inv] == 1], line
+    return e[counts[inv] == 1], line
 
 
 def _check_quality(verts, tris, min_angle_deg, context):
@@ -462,7 +484,7 @@ def _finish(b, spec, context, sides, interface_tag, holes, meta) -> Mesh:
     """
     verts, tris = b.finish()
     _check_quality(verts, tris, spec.min_angle_deg, context)
-    _, _, _, bed, ife = _mesh_edges(verts, tris)
+    edges, keys, tri_edges, bed, ife = _mesh_edges(verts, tris)
     mids = 0.5 * (verts[bed[:, 0]] + verts[bed[:, 1]])
     tags = np.full(len(bed), BoundaryTag.GAMMA_EPS, dtype=object)
     on_side = np.zeros(len(bed), dtype=bool)
@@ -483,6 +505,7 @@ def _finish(b, spec, context, sides, interface_tag, holes, meta) -> Mesh:
         interface_tags=np.full(len(ife), interface_tag, dtype=object),
         holes=holes,
         meta=meta,
+        edge_table=(edges, keys, tri_edges[:, [1, 2, 0]]),
     )
 
 
@@ -726,3 +749,85 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     if len(yl) != len(yr) or (len(yl) and np.max(np.abs(yl - yr)) > 1e-12):
         raise PeriodicMismatch("left/right strip traces differ")
     return mesh
+
+
+@dataclass
+class MirrorHalf:
+    """The left half x1 <= 1/2 of a strip mesh that mirrors onto itself.
+
+    ``mesh`` is made of the full mesh's triangles ``triangles`` (ids, in
+    their order) and keeps its tags; the line x1 = 1/2 becomes its
+    STRIP_RIGHT side.  Vertices and edges are numbered together, vertices
+    first and edges after them in edge-table order.  ``source`` gives, for
+    every vertex and edge of the full mesh, the one of the half that
+    carries it: itself where it lies in x1 <= 1/2, its mirror image beyond,
+    where ``mirrored`` is set.
+    """
+
+    mesh: Mesh
+    triangles: np.ndarray
+    source: np.ndarray
+    mirrored: np.ndarray
+
+
+def mirror_half(mesh: Mesh) -> MirrorHalf | None:
+    """The left half of a strip mesh symmetric about x1 = 1/2, or None.
+
+    The mesh is symmetric when x1 -> 1 - x1 maps its vertices onto its
+    vertices and its triangles onto its triangles, and no triangle crosses
+    x1 = 1/2.  The half's edge table is the full one restricted, with no
+    second sort.
+    """
+    verts, n = mesh.vertices, mesh.n_vertices
+    dist, mirror = cKDTree(verts).query(np.column_stack([1.0 - verts[:, 0], verts[:, 1]]),
+                                        p=np.inf)
+    if np.any(dist > GEOM_TOL) or np.any(mirror[mirror] != np.arange(n)):
+        return None
+    tris = mesh.triangles.astype(np.int64)
+    x = verts[:, 0][tris]
+    left = np.all(x <= 0.5 + GEOM_TOL, axis=1)
+    if np.any(left == np.all(x >= 0.5 - GEOM_TOL, axis=1)):
+        return None                       # a triangle crosses x1 = 1/2
+
+    def sorted_rows(t):
+        t = np.sort(t, axis=1)
+        return t[np.lexsort(t.T[::-1])]
+
+    if not np.array_equal(sorted_rows(tris), sorted_rows(mirror[tris])):
+        return None
+
+    edges, keys, tri_edges = mesh.edge_table
+
+    def edge_index(e):
+        """Edge-table index of the vertex pairs ``e``, either orientation."""
+        e = e.astype(np.int64)
+        return np.searchsorted(keys, e.min(axis=1) * n + e.max(axis=1))
+
+    t_keep = np.flatnonzero(left)
+    v_keep, e_keep = np.unique(tris[t_keep]), np.unique(tri_edges[t_keep])
+    # the renumbering keeps the order, so the restricted keys stay sorted
+    new = np.full(n + len(edges), -1, dtype=np.int64)
+    new[v_keep] = np.arange(len(v_keep))
+    new[n + e_keep] = len(v_keep) + np.arange(len(e_keep))
+    h_verts, h_tris, h_edges = verts[v_keep], new[tris[t_keep]], new[edges[e_keep]]
+    h_tri_edges = new[n + tri_edges[t_keep]] - len(v_keep)
+    bed, line = _edge_sets(h_verts, h_tris, h_edges, h_tri_edges[:, [2, 0, 1]])
+    # boundary edges keep the full mesh's tags; those on x1 = 1/2 are new
+    tag_of = np.full(len(edges), BoundaryTag.STRIP_RIGHT, dtype=object)
+    tag_of[edge_index(mesh.boundary_edges)] = mesh.boundary_tags
+    half = Mesh(
+        vertices=h_verts,
+        triangles=h_tris.astype(np.int32),
+        boundary_edges=bed.astype(np.int32),
+        boundary_tags=tag_of[edge_index(v_keep[bed])],
+        interface_edges=line.astype(np.int32),
+        interface_tags=np.full(len(line), BoundaryTag.SIGMA, dtype=object),
+        holes=mesh.holes,
+        meta={**mesh.meta, "kind": "half strip"},
+        edge_table=(h_edges, h_edges[:, 0] * len(v_keep) + h_edges[:, 1], h_tri_edges),
+    )
+    # the vertices and edges beyond x1 = 1/2 take their mirror images' ids
+    image = np.concatenate([mirror, n + edge_index(mirror[edges])])
+    mirrored = new < 0
+    return MirrorHalf(mesh=half, triangles=t_keep,
+                      source=np.where(mirrored, new[image], new), mirrored=mirrored)

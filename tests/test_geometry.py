@@ -5,13 +5,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import stentflow.geometry as geometry
 from stentflow.errors import NonIntegerReciprocal, ObstacleTouchesCell
+from stentflow.fem import BC, build_space
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
     RefineSpec,
+    _mesh_edges,
     build_macro_geometry,
     build_strip_mesh,
+    mirror_half,
     no_stent_mesh,
     rectangle_mesh,
     triangulate,
@@ -269,6 +273,72 @@ class TestStripMesh:
         b = build_strip_mesh(ObstacleSpec(), L=6, h=1 / 24)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.triangles, b.triangles)
+
+
+class TestMirrorHalf:
+    @pytest.mark.parametrize("obstacle, n", [(ObstacleSpec(), 48), (ObstacleSpec(), 12),
+                                             (ObstacleSpec(), 16), (ObstacleSpec(), 20),
+                                             (ObstacleSpec(), 24), (ObstacleSpec(), 32),
+                                             (None, 4)])
+    def test_symmetric_strip_halves(self, request, obstacle, n):
+        L = 10.0 if obstacle else 4.0
+        full = (request.getfixturevalue("default_strip") if n == 48
+                else build_strip_mesh(obstacle, L=L, h=1 / n))
+        half = mirror_half(full)
+        assert half is not None
+        mesh = half.mesh
+        assert mesh.signed_areas().sum() == pytest.approx(0.5 * full.signed_areas().sum(),
+                                                          rel=1e-13)
+        # the restricted edge table is the one a fresh edge pass gives
+        edges, keys, tri_edges, bed, line = _mesh_edges(mesh.vertices,
+                                                        mesh.triangles.astype(np.int64))
+        for got, ref in zip(mesh.edge_table, (edges, keys, tri_edges[:, [1, 2, 0]])):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert np.array_equal(mesh.boundary_edges, bed)
+        assert np.array_equal(mesh.interface_edges, line) and len(line)
+        # the mirror line x1 = 1/2, less the disk's chord, is the new right side
+        right = mesh.boundary_edges[mesh.boundary_tags == T.STRIP_RIGHT]
+        assert np.all(np.abs(mesh.vertices[right, 0] - 0.5) < 1e-12)
+        chord = 2 * ObstacleSpec().radius if obstacle else 0.0
+        assert np.ptp(mesh.vertices[right, 1], axis=1).sum() == pytest.approx(
+            2 * L - chord, abs=1e-12)
+        # every other boundary edge keeps the tag it has in the full mesh
+        nv = full.n_vertices
+        own = np.flatnonzero(~half.mirrored[:nv])
+        full_id = np.empty(mesh.n_vertices, dtype=np.int64)
+        full_id[half.source[own]] = own
+        tag_of = {frozenset(e): t for e, t in zip(full.boundary_edges.tolist(),
+                                                  full.boundary_tags)}
+        for e, t in zip(full_id[mesh.boundary_edges].tolist(), mesh.boundary_tags):
+            assert tag_of.get(frozenset(e), T.STRIP_RIGHT) == t
+        # each vertex and edge midpoint sits at its source, or at its mirror image
+        xy_full, xy_half = (build_space(m, {}).node_xy for m in (full, mesh))
+        src = xy_half[half.source]
+        src[half.mirrored, 0] = 1.0 - src[half.mirrored, 0]
+        assert np.abs(src - xy_full).max() < 1e-12
+        assert np.array_equal(half.triangles, np.flatnonzero(
+            full.vertices[full.triangles, 0].max(axis=1) < 0.5 + 1e-12))
+
+    @pytest.mark.parametrize("obstacle, h", [(ObstacleSpec(), 1 / 40),
+                                             (ObstacleSpec(center=(0.4, 0.3)), 1 / 24)],
+                             ids=["h=1/40", "off-centre"])
+    def test_asymmetric_strips_have_no_half(self, obstacle, h):
+        # at h = 1/40 the far field ends at 5 columns, and its middle
+        # triangles cross x1 = 1/2
+        assert mirror_half(build_strip_mesh(obstacle, L=10, h=h)) is None
+
+
+def test_one_edge_pass_per_mesh(monkeypatch):
+    # the mesher's edge pass also gives the FE space and the half strip their
+    # edge tables
+    calls = []
+    edge_pass = geometry._mesh_edges
+    monkeypatch.setattr(geometry, "_mesh_edges",
+                        lambda *a: calls.append(a) or edge_pass(*a))
+    mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    build_space(mesh, {})
+    build_space(mirror_half(mesh).mesh, {})
+    assert len(calls) == 1
 
 
 def test_no_stent_mesh_tags():
