@@ -12,10 +12,18 @@ approximation at the interface:
 
 Far-field constants are band means near the truncation ends; pressures are
 normalized to zero mean over the upper band.
+
+On a strip mesh that mirrors onto itself under x1 -> 1 - x1 each corrector
+is odd or even under the mirror, and the left half determines it: beta,
+upsilon and the body-force part of varkappa are odd (u1 even, u2 and p odd),
+chi is even (u1 odd, u2 and p even).  Unless a periodic operator is given,
+the correctors are then solved on the half strip and copied back to the full
+one with these signs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -34,7 +42,7 @@ from .fem import (
     l2_norm_diff,
     section_average as _section_average,
 )
-from .geometry import BoundaryTag as T, Mesh
+from .geometry import BoundaryTag as T, Mesh, MirrorHalf, mirror_half
 from .solvers import SolverConfig, StokesSolution, solve_stokes
 
 
@@ -106,6 +114,18 @@ def _strip_bc(top_bottom_value, obstacle_value):
     return bc
 
 
+# the sign a corrector of each parity takes on (u1, u2, p) at a mirror image
+_SIGNS = {"odd": (1.0, -1.0, -1.0), "even": (-1.0, 1.0, 1.0)}
+
+
+def _half_bc(bc, parity):
+    """``bc`` with the mirror lines x1 = 0 and x1 = 1/2 of the half strip in
+    place of the periodic sides: the odd line fixes u2 and pins p, the even
+    line fixes u1."""
+    line = BC.odd_mirror() if parity == "odd" else BC.normal(0.0)
+    return {**bc, T.STRIP_LEFT: line, T.STRIP_RIGHT: line}
+
+
 def _strip_L(mesh: Mesh) -> float:
     return float(mesh.meta.get("L", mesh.vertices[:, 1].max()))
 
@@ -135,48 +155,125 @@ def _normalize_pressure(space, sol: StokesSolution, mesh) -> dict:
 
 
 def strip_operator(strip_mesh: Mesh) -> ReducedSystem:
-    """The constrained Stokes operator that every strip corrector shares.
+    """The periodic Stokes operator that every strip corrector can share.
 
     The correctors differ only in their loads and in the values they fix:
     all of them fix the vertical velocity at y2 = +-L and the velocity on
     the obstacle, with periodic sides.  The result (a reduced system with no
     loads) keeps the factorizations the solver makes, so it should live no
-    longer than the solves using it.
+    longer than the solves using it.  Correctors given this operator are
+    solved on the full periodic strip, whatever its symmetry.
     """
     obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
     space = build_space(strip_mesh, _strip_bc(0.0, obstacle))
     return apply_constraints(assemble_stokes(space))
 
 
-def _solve(which, mesh, bc, sources, config, operator) -> CellSolution:
-    if operator is None:
-        operator = strip_operator(mesh)
-    elif operator.space.mesh is not mesh:
-        raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
+def _solve_reduced(operator: ReducedSystem, bc, sources, config):
+    """The solution on ``operator`` with the data of ``bc`` and ``sources``,
+    and its gradient energy."""
     space = operator.space.with_bc(bc)
     red = operator.with_loads(space, *assemble_loads(space, sources))
     sol = solve_stokes(red, config)
-    norm = _normalize_pressure(space, sol, mesh)
     # u.(A u) = u_r.(A_r u_r) + (2 u - u_fix).(A_fix vals) for u = Tu u_r + u_fix;
     # numpy's pairwise sums, unlike a BLAS dot, do not depend on the thread count
     Tu = red.Tu.tocsc()
     u_r = sol.u[Tu.indices[Tu.indptr[:-1]]]     # every DOF of a column holds u_r
     energy = float(np.sum(u_r * (red.A @ u_r))
                    + np.sum((2.0 * sol.u - red.u_fix) * (red.A_fix @ space.fixed_vals)))
+    return sol, energy
+
+
+class _HalfStrip:
+    """The correctors of a mirror-symmetric strip, solved on its left half.
+
+    The operators of ``parities`` ("odd", "even") are reduced from one
+    assembly of the half strip (the blocks do not depend on the boundary
+    conditions, and no operator carries a load); each is factored on first
+    use.  A half solution is copied back to the full strip with its
+    parity's signs; the full gradient energy is twice the half one.
+    """
+
+    def __init__(self, mesh: Mesh, half: MirrorHalf, parities):
+        self.mesh, self.half, self.full = mesh, half, None
+        bc = _strip_bc(0.0, (0.0, 0.0) if len(mesh.holes) else None)
+        spaces = [build_space(half.mesh, _half_bc(bc, parities[0]))]
+        spaces += [spaces[0].with_bc(_half_bc(bc, parity)) for parity in parities[1:]]
+        system = assemble_stokes(spaces[0])
+        self.operators = {parity: apply_constraints(dataclasses.replace(system, space=space))
+                          for parity, space in zip(parities, spaces)}
+
+    def full_space(self, bc):
+        """The full strip's space under ``bc``; every such space shares the
+        node tables of the first."""
+        if self.full is None:
+            self.full = build_space(self.mesh, bc)
+            return self.full
+        return self.full.with_bc(bc)
+
+    def solve(self, bc, sources, config, parity):
+        """(full-strip u, p, solver diagnostics, gradient energy) of the
+        corrector with the periodic data ``bc`` and ``sources``."""
+        if sources is not None and sources.volume is not None:
+            sources = Sources(volume=sources.volume[self.half.triangles], line=sources.line)
+        sol, energy = _solve_reduced(self.operators[parity], _half_bc(bc, parity),
+                                     sources, config)
+        src, flip = self.half.source, self.half.mirrored
+        n, nv = sol.space.n_vnode, self.mesh.n_vertices
+
+        def copy(values, sign, k=None):
+            """Half node values on the first k full nodes, times ``sign``
+            beyond x1 = 1/2 (0 + -0 is +0, as a periodic copy gives)."""
+            v = values[src[:k]]
+            return np.where(flip[:k], 0.0 + sign * v, v)
+
+        s1, s2, sp = _SIGNS[parity]
+        u = np.concatenate([copy(sol.u[:n], s1), copy(sol.u[n:], s2)])
+        return u, copy(sol.p, sp, nv), sol.diagnostics, 2.0 * energy
+
+
+def _operators(mesh: Mesh, parities):
+    """What correctors of ``parities`` on ``mesh`` are solved on when no
+    operator is given: its left half if the mesh mirrors onto itself, else
+    its periodic :func:`strip_operator`."""
+    half = mirror_half(mesh)
+    return strip_operator(mesh) if half is None else _HalfStrip(mesh, half, parities)
+
+
+def _cell(which, mesh, sol: StokesSolution, energy) -> CellSolution:
+    norm = _normalize_pressure(sol.space, sol, mesh)
     return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
                         grad_energy=energy)
+
+
+def _solve(which, mesh, bc, sources, config, operator, parity) -> CellSolution:
+    """One corrector of ``parity`` ("odd" or "even") with the periodic data
+    ``bc`` and ``sources``."""
+    if operator is None:
+        operator = _operators(mesh, (parity,))
+    if isinstance(operator, _HalfStrip):
+        u, p, diagnostics, energy = operator.solve(bc, sources, config, parity)
+        sol = StokesSolution(space=operator.full_space(bc), u=u, p=p,
+                             diagnostics=diagnostics)
+    elif operator.space.mesh is not mesh:
+        raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
+    else:
+        sol, energy = _solve_reduced(operator, bc, sources, config)
+    return _cell(which, mesh, sol, energy)
 
 
 def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None,
                operator: ReducedSystem | None = None) -> CellSolution:
     """No-slip corrector: velocity equals -y2*e1 on the obstacle boundary.
 
-    ``operator`` is the strip's :func:`strip_operator`, built here if omitted;
+    ``operator`` is the strip's :func:`strip_operator`, which solves on the
+    full periodic strip.  Without it the corrector is solved on the half
+    strip if the mesh mirrors onto itself, else on an operator built here;
     the same holds for the other correctors.
     """
     _require_obstacle(strip_mesh, "beta")
     bc = _strip_bc(0.0, lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
-    return _solve("beta", strip_mesh, bc, None, config, operator)
+    return _solve("beta", strip_mesh, bc, None, config, operator, "odd")
 
 
 def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None,
@@ -185,14 +282,14 @@ def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None,
     _require_obstacle(strip_mesh, "upsilon")
     bc = _strip_bc(0.0, (0.0, 0.0))
     return _solve("upsilon", strip_mesh, bc, Sources(line=(T.SIGMA, 1.0)), config,
-                  operator)
+                  operator, "odd")
 
 
 def solve_chi(strip_mesh: Mesh, config: SolverConfig | None = None,
               operator: ReducedSystem | None = None) -> CellSolution:
     """Through-flow corrector: vertical velocity -1 at the truncation ends."""
     bc = _strip_bc(-1.0, (0.0, 0.0) if len(strip_mesh.holes) else None)
-    return _solve("chi", strip_mesh, bc, None, config, operator)
+    return _solve("chi", strip_mesh, bc, None, config, operator, "even")
 
 
 def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
@@ -202,6 +299,8 @@ def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
 
     The body force is -2 * (d(chi)/dy1 - (eta - far-field eta) e1), evaluated
     from the discrete chi solution at the quadrature points of its own mesh.
+    On the half strip varkappa = w - chi: its end datum +1 is -chi's -1, and
+    w, which takes the body force with zero end data, is odd.
     """
     if chi.mesh is not strip_mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
@@ -209,9 +308,18 @@ def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
     body_force = -2.0 * fields["gradu"][:, :, :, 0]
     body_force[:, :, 0] += 2.0 * fields["eta_dev"]
 
-    bc = _strip_bc(1.0, (0.0, 0.0) if len(strip_mesh.holes) else None)
-    return _solve("varkappa", strip_mesh, bc, Sources(volume=body_force), config,
-                  operator)
+    obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
+    bc, sources = _strip_bc(1.0, obstacle), Sources(volume=body_force)
+    if operator is None:
+        operator = _operators(strip_mesh, ("odd",))
+    if not isinstance(operator, _HalfStrip):
+        return _solve("varkappa", strip_mesh, bc, sources, config, operator, None)
+    u, p, diagnostics, energy = operator.solve(_strip_bc(0.0, obstacle), sources,
+                                               config, "odd")
+    sol = StokesSolution(space=operator.full_space(bc), u=u - chi.solution.u,
+                         p=p - chi.solution.p, diagnostics=diagnostics)
+    # w and chi are orthogonal in energy, being of opposite parities
+    return _cell("varkappa", strip_mesh, sol, energy + chi.grad_energy)
 
 
 def section_average(cell: CellSolution, component, y2):
@@ -366,11 +474,12 @@ def solve_all(strip_mesh: Mesh, config: SolverConfig | None = None,
               with_varkappa=True):
     """Run the cell solves (optionally the second-order one) and extract.
 
-    All correctors share one :func:`strip_operator`, so the strip operator is
-    assembled, reduced and factored once per call.  Returns (solutions dict,
-    constants).
+    All correctors share their operators: on a mirror-symmetric strip the
+    half strip's odd and even operators, else one :func:`strip_operator`.
+    Each is assembled, reduced and factored once per call.  Returns
+    (solutions dict, constants).
     """
-    op = strip_operator(strip_mesh)
+    op = _operators(strip_mesh, ("odd", "even"))
     sols = {
         "beta": solve_beta(strip_mesh, config, op),
         "upsilon": solve_upsilon(strip_mesh, config, op),

@@ -23,13 +23,12 @@ from stentflow.analysis import (
     mean_pressure_lower,
     solve_direct,
 )
-from stentflow.cell import identity_report, solve_all
+from stentflow.cell import identity_report
 from stentflow.fem import BC, VelocityField, assemble_stokes, build_space
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
     build_macro_geometry,
-    build_strip_mesh,
     no_stent_mesh,
     rectangle_mesh,
     triangulate,
@@ -55,10 +54,10 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def cells():
-    strip = build_strip_mesh(ObstacleSpec(), L=STRIP_L, h=STRIP_H)
-    sols, constants = solve_all(strip, with_varkappa=True)
-    return sols, constants
+def cells(default_strip, default_strip_cells):
+    # solve_all, with varkappa, on the strip ObstacleSpec(), L = STRIP_L, h = STRIP_H
+    assert (default_strip.meta["L"], default_strip.meta["h"]) == (STRIP_L, STRIP_H)
+    return default_strip_cells
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stentflow.cell import (
+    _far_field_jump,
     extract_constants,
     identity_report,
     section_average,
@@ -22,6 +23,7 @@ from stentflow.cell import (
     read_constants,
 )
 from stentflow.errors import ConstraintMismatch, MeshMismatch
+from stentflow.solvers import SolverConfig
 from stentflow.fem import BC, assemble_loads, band_integral, gradient_energy
 from stentflow.geometry import BoundaryTag as T, ObstacleSpec, build_strip_mesh
 
@@ -158,11 +160,13 @@ def test_constants_stable_under_h_halving():
     assert abs(c_coarse.ups1_plus - c_fine.ups1_plus) < 5e-3
 
 
-def test_constants_converge_at_second_order_in_h():
+def test_constants_converge_at_second_order_in_h(default_strip_cells):
     # observed order log2((c(h) - c(h/2)) / (c(h/2) - c(h/4))) of the far-field
-    # constants over strip.h = 1/24, 1/48, 1/96 (measured 2.16 to 2.18)
+    # constants over strip.h = 1/24, 1/48, 1/96 (measured 2.16 to 2.18); the
+    # h = 1/48 constants are the default strip's
     c = [solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=h), with_varkappa=False)[1]
-         for h in (1 / 24, 1 / 48, 1 / 96)]
+         for h in (1 / 24, 1 / 96)]
+    c.insert(1, default_strip_cells[1])
     for key in ("eta_jump", "beta1_plus", "beta1_minus", "ups1_minus"):
         v = [getattr(ci, key) for ci in c]
         order = np.log2((v[0] - v[1]) / (v[1] - v[2]))
@@ -234,3 +238,100 @@ def test_mismatched_pattern_rejected(strip):
         op.with_loads(space, *assemble_loads(space))
     with pytest.raises(MeshMismatch):
         solve_chi(other, operator=op)
+
+
+# ----------------------------------------------------------------------------
+# the half strip: correctors of a mirror-symmetric strip solved on its left half
+# ----------------------------------------------------------------------------
+
+
+def _counting_splu(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(a) or splu(*a, **k))
+    return calls
+
+
+def _periodic(mesh, config=None):
+    op = strip_operator(mesh)
+    sols = {"beta": solve_beta(mesh, config, op), "upsilon": solve_upsilon(mesh, config, op),
+            "chi": solve_chi(mesh, config, op)}
+    sols["varkappa"] = solve_varkappa(mesh, sols["chi"], config, op)
+    return sols, extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
+                                   sols["varkappa"])
+
+
+@pytest.mark.parametrize("config", [SolverConfig(method="direct"),
+                                    SolverConfig(outer_tol=1e-13)],
+                         ids=["direct", "uzawa"])
+def test_half_strip_matches_periodic_path(monkeypatch, config):
+    # the half-strip problems are the periodic one restricted to fields of
+    # one parity, so the two paths differ by rounding once the solver error
+    # is below it (at the default outer_tol, varkappa1_jump differs by 4e-10)
+    mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    calls = _counting_splu(monkeypatch)
+    sols, half = solve_all(mesh, config, with_varkappa=True)
+    # Uzawa factors the odd and the even velocity block, the direct solver
+    # each half-strip saddle point
+    assert len(calls) == (2 if config.method == "uzawa_cg" else 4)
+    ref_sols, ref = _periodic(mesh, config)
+    for key, val in ref.as_dict().items():
+        assert abs(getattr(half, key) - val) <= 1e-10 * abs(val), key
+    for which, cell in ref_sols.items():
+        assert abs(sols[which].grad_energy - cell.grad_energy) <= 1e-10 * cell.grad_energy
+    # residuals are relative, or of unit-size fields: compared absolutely
+    rep = identity_report(sols["beta"], sols["upsilon"], sols["chi"], sols["varkappa"], half)
+    ref_rep = identity_report(*ref_sols.values(), ref)
+    assert rep.keys() == ref_rep.keys()
+    for key, val in ref_rep.items():
+        assert abs(rep[key] - val) <= 1e-10, key
+
+    # the copied-back fields: periodic pairs equal, the obstacle data exact,
+    # the recorded energies the stiffness forms of the full fields
+    circle = np.unique(mesh.edges_with_tag(T.GAMMA_EPS))
+    for which, cell in sols.items():
+        sol = cell.solution
+        assert sol.space.mesh is mesh and len(sol.space.vel_pairs)
+        assert all(sol.u[s] == sol.u[m] for s, m in sol.space.vel_pairs)
+        assert np.array_equal(sol.p[sol.space.p_pairs[:, 0]], sol.p[sol.space.p_pairs[:, 1]])
+        obstacle = -sol.space.node_xy[circle, 1] if which == "beta" else 0.0
+        assert np.abs(sol.u[circle] - obstacle).max() < 1e-13
+        assert np.abs(sol.u[sol.space.n_vnode + circle]).max() < 1e-13
+        ref_energy = gradient_energy(sol.space, sol.u)
+        assert cell.grad_energy == pytest.approx(ref_energy, rel=1e-14), which
+
+
+@pytest.mark.parametrize("obstacle, h", [(ObstacleSpec(), 1 / 40),
+                                         (ObstacleSpec(center=(0.4, 0.3)), 1 / 16)],
+                         ids=["h=1/40", "off-centre"])
+def test_asymmetric_strips_take_periodic_path(monkeypatch, obstacle, h):
+    calls = _counting_splu(monkeypatch)
+    solve_all(build_strip_mesh(obstacle, L=4, h=h), with_varkappa=False)
+    assert len(calls) == 1
+
+
+def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, tmp_path):
+    # even chi and odd varkappa part with Dirichlet ends, as cell --no-obstacle
+    # solves chi
+    from stentflow.cli import main
+
+    mesh = build_strip_mesh(None, L=4, h=1 / 16)
+    calls = _counting_splu(monkeypatch)
+    chi = solve_chi(mesh)
+    vk = solve_varkappa(mesh, chi)
+    assert len(calls) == 2
+    op = strip_operator(mesh)
+    ref_chi = solve_chi(mesh, operator=op)
+    ref_vk = solve_varkappa(mesh, ref_chi, operator=op)
+    for cell, ref in ((chi, ref_chi), (vk, ref_vk)):
+        for name in ("u", "p"):
+            a, b = getattr(cell.solution, name), getattr(ref.solution, name)
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1.0), name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strip.h = {1 / 16}\nstrip.L = 4\noutput.dir = {tmp_path}\n")
+    calls.clear()
+    assert main(["cell", "--config", str(cfg), "--no-obstacle"]) == 0
+    assert len(calls) == 1
+    jump = float((tmp_path / "constants.txt").read_text().split("eta_jump=")[1])
+    assert abs(jump - _far_field_jump(ref_chi, "p")) <= 1e-10

@@ -255,9 +255,9 @@ class TestSpace:
             build_space(mesh, bc)
 
     def test_no_dof_both_fixed_and_slave(self, monkeypatch):
-        # every space the cell and macro solves build, the unobstructed
-        # strip's shared operator included: fixed DOFs strictly increasing,
-        # none of them a periodic slave or master
+        # every space the cell and macro solves build, the half-strip
+        # operators of the unobstructed strip included: fixed DOFs strictly
+        # increasing, none of them a periodic slave or master
         spaces = []
         with_bc = FESpace.with_bc
         monkeypatch.setattr(FESpace, "with_bc",
@@ -270,11 +270,13 @@ class TestSpace:
             solve_direct(triangulate(build_macro_geometry(0.25, case, ObstacleSpec()), 0.12),
                          flow)
             solve_first_order(*first_order_meshes(0.1, case=case), zero_order(flow), TABLE)
-        assert len(spaces) == 15
+        # per strip corrector a half-strip space and the periodic space its
+        # solution is copied to, plus one space per half-strip operator
+        assert len(spaces) == 22
         for space in spaces:
             assert np.all(np.diff(space.fixed_dofs) > 0)
             assert not np.isin(space.fixed_dofs, space.vel_pairs).any()
-        assert sum(len(space.vel_pairs) > 0 for space in spaces) == 9
+        assert sum(len(space.vel_pairs) > 0 for space in spaces) == 6
 
     @pytest.mark.parametrize("name", sorted(CONSTRAINT_DIGESTS))
     def test_constraint_sets_unchanged(self, name):

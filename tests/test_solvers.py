@@ -168,9 +168,19 @@ def coarse_strip():
 
 
 @pytest.fixture(scope="module")
-def default_strip_A():
-    # the default strip's reduced A, as the cell command factors it
-    return strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)).A
+def default_strip_A(default_strip):
+    # the default strip's periodic reduced A
+    return strip_operator(default_strip).A
+
+
+def periodic_cells(strip):
+    """The four correctors of ``strip``, solved on one periodic operator."""
+    op = strip_operator(strip)
+    sols = {"beta": cell.solve_beta(strip, operator=op),
+            "upsilon": cell.solve_upsilon(strip, operator=op),
+            "chi": solve_chi(strip, operator=op)}
+    sols["varkappa"] = cell.solve_varkappa(strip, sols["chi"], operator=op)
+    return sols
 
 
 class TestFactorize:
@@ -255,18 +265,20 @@ class TestFactorize:
         monkeypatch.setattr(spla, "splu", counting_splu)
         solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 16),
                   with_varkappa=False)
-        assert len(calls) == 1          # the velocity block; Mp is not factored
+        # the velocity blocks of the half strip's odd and even operators; Mp
+        # is not factored
+        assert len(calls) == 2
         mesh = rectangle_mesh(0, 1, 0, 1, 0.2, tags=WALL_TAGS)
         solve_poisson(mesh, quadrature_source(mesh, sine_source),
                       np.unique(mesh.boundary_edges))
-        assert len(calls) == 2
-        # the commands: one strip operator; one macro operator; the strip
-        # operator, the two first-order operators and, per eps, one macro
-        # operator and one Poisson matrix
+        assert len(calls) == 3
+        # the commands: the two half-strip operators; one macro operator; the
+        # two half-strip operators, the two first-order operators and, per
+        # eps, one macro operator and one Poisson matrix
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"eps = 0.25\nmesh.h = 0.12\nstrip.h = {1 / 16}\nstrip.L = 4\n"
                        f"first_order.h = 0.1\noutput.dir = {tmp_path / 'out'}\n")
-        for command, count in (("cell", 1), ("solve", 1), ("converge", 9)):
+        for command, count in (("cell", 2), ("solve", 1), ("converge", 10)):
             calls.clear()
             assert main([command, "--config", str(cfg)]) == 0
             assert len(calls) == count, command
@@ -474,8 +486,8 @@ class TestReducedBlocks:
         assert np.array_equal(red.f, red.Tu.T @ (f - Au_fix))
         assert np.array_equal(red.g, red.Tp.T @ (g - full.B @ u_fix))
 
-    def test_strip_factor_input_and_corrector_loads(self, monkeypatch):
-        strip = build_strip_mesh(ObstacleSpec(), L=10.0, h=1 / 48)
+    @staticmethod
+    def _record_loads(monkeypatch):
         loads = []
         with_loads = ReducedSystem.with_loads
 
@@ -485,7 +497,11 @@ class TestReducedBlocks:
             return red
 
         monkeypatch.setattr(ReducedSystem, "with_loads", recording)
-        solve_all(strip, with_varkappa=True)
+        return loads
+
+    def test_strip_factor_input_and_corrector_loads(self, monkeypatch, default_strip):
+        loads = self._record_loads(monkeypatch)
+        periodic_cells(default_strip)
         # the operator's own (unloaded) reduction, then beta, upsilon, chi
         # and varkappa on its blocks
         assert len(loads) == 5
@@ -493,6 +509,19 @@ class TestReducedBlocks:
         for red, space, f, g in loads:
             assert red.A is loads[0][0].A
             self._check_loads(red, space, f, g, full)
+
+    def test_half_strip_factor_input_and_corrector_loads(self, monkeypatch, default_strip):
+        loads = self._record_loads(monkeypatch)
+        solve_all(default_strip, with_varkappa=True)
+        # the odd and the even operator's own reductions, then beta and
+        # upsilon on the odd blocks, chi on the even ones and the odd part
+        # of varkappa on the odd ones
+        assert len(loads) == 6
+        odd, even = loads[0][0], loads[1][0]
+        full = {id(op.A): self._check_reduced_A(op) for op in (odd, even)}
+        for i, (red, space, f, g) in enumerate(loads):
+            assert red.A is (even if i in (1, 4) else odd).A
+            self._check_loads(red, space, f, g, full[id(red.A)])
 
     def test_macro_factor_input_and_loads(self):
         mesh = triangulate(build_macro_geometry(0.125, "collateral", ObstacleSpec()), 0.1)
@@ -556,8 +585,14 @@ class TestMassPreconditioner:
             # a fixed polynomial in M: symmetric, as conjugate gradients needs
             assert abs(q @ precond(r) - r @ precond(q)) <= 1e-12 * abs(q @ x), name
 
-    def test_default_strip_iterations_as_with_exact_inverse(self):
-        sols, _ = solve_all(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48))
-        iters = [sols[k].solution.diagnostics["iterations"]
-                 for k in ("beta", "upsilon", "chi", "varkappa")]
-        assert iters == [9, 9, 11, 15]
+    def test_default_strip_iterations_as_with_exact_inverse(self, default_strip,
+                                                            default_strip_cells):
+        # on the periodic strip and on the half strip (whose last solve is
+        # the odd part of varkappa), both as with the exact Mp inverse; with
+        # 6 steps the periodic counts read [9, 10, 11, 15], and the half
+        # strip's change from 5 steps down
+        for cells, expected in ((periodic_cells(default_strip), [9, 9, 11, 15]),
+                                (default_strip_cells[0], [9, 9, 11, 11])):
+            iters = [cells[k].solution.diagnostics["iterations"]
+                     for k in ("beta", "upsilon", "chi", "varkappa")]
+            assert iters == expected
