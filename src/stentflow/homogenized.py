@@ -11,6 +11,7 @@ law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -135,6 +136,12 @@ class FirstOrderSolution:
     trace_plus: object
     trace_minus: object
 
+    @functools.cached_property
+    def locators(self):
+        """Point locators of the upper and lower corrector meshes, built on
+        first use and shared by every evaluation of these solves."""
+        return PointLocator(self.mesh_upper), PointLocator(self.mesh_lower)
+
 
 def first_order_meshes(h=0.05, refine_spec: RefineSpec | None = None,
                        case="collateral"):
@@ -234,8 +241,7 @@ class AveragedApproximation:
     eps: float
 
     def __post_init__(self):
-        self._loc_u = PointLocator(self.first.mesh_upper)
-        self._loc_l = PointLocator(self.first.mesh_lower)
+        self._loc_u, self._loc_l = self.first.locators
         su, sl = self.first.upper.space, self.first.lower.space
         self._vel_u = VelocityField(su, self.first.upper.u, self._loc_u)
         self._vel_l = VelocityField(sl, self.first.lower.u, self._loc_l)
@@ -312,7 +318,7 @@ def implicit_interface_report(zero: ZeroOrder, first: FirstOrderSolution,
     su, sl = first.upper.space, first.lower.space
     pts0 = np.stack([x, np.zeros_like(x)], axis=1)
 
-    loc_up, loc_lo = PointLocator(su.mesh), PointLocator(sl.mesh)
+    loc_up, loc_lo = first.locators
     at_up, at_lo = loc_up.locate(pts0), loc_lo.locate(pts0)
     tr_up = VelocityField(su, first.upper.u, loc_up).at(*at_up)
     tr_lo = VelocityField(sl, first.lower.u, loc_lo).at(*at_lo)

@@ -308,3 +308,22 @@ class TestStudyWork:
         expected = sum(6 * r.meta["n_triangles"] + 64 * round(1 / r.eps) + 804
                        for r in reports)
         assert sum(located) == expected
+
+    def test_corrector_meshes_located_on_by_one_locator_each(self, monkeypatch):
+        # the study builds one locator per first-order corrector mesh and one
+        # per direct mesh (its velocity profiles): 2 + 3 for three eps
+        import stentflow.fem as fem
+
+        built = []
+        init = fem.PointLocator.__init__
+
+        def counting_init(self, mesh):
+            built.append(mesh)
+            init(self, mesh)
+
+        monkeypatch.setattr(fem.PointLocator, "__init__", counting_init)
+        _, _, first, _ = coarse_study()
+        assert len(built) == 5
+        assert len({id(mesh) for mesh in built}) == 5
+        assert [id(m) for m in built if m.meta["kind"] == "rectangle"] == [
+            id(first.mesh_upper), id(first.mesh_lower)]
