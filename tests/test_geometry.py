@@ -7,7 +7,7 @@ import pytest
 
 import stentflow.geometry as geometry
 from stentflow.errors import NonIntegerReciprocal, ObstacleTouchesCell
-from stentflow.fem import BC, build_space
+from stentflow.fem import build_space
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
