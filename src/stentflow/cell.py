@@ -16,9 +16,9 @@ normalized to zero mean over the upper band.
 On a strip mesh that mirrors onto itself under x1 -> 1 - x1 each corrector
 is odd or even under the mirror, and the left half determines it: beta,
 upsilon and the body-force part of varkappa are odd (u1 even, u2 and p odd),
-chi is even (u1 odd, u2 and p even).  Unless a periodic operator is given,
-the correctors are then solved on the half strip and copied back to the full
-one with these signs.
+chi is even (u1 odd, u2 and p even).  The correctors are then solved on the
+half strip and copied back to the full one with these signs; on any other
+strip mesh they are solved on the full periodic strip.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fem import (
     l2_norm_diff,
     section_average as _section_average,
 )
-from .geometry import BoundaryTag as T, Mesh, MirrorHalf, mirror_half
+from .geometry import BoundaryTag as T, Mesh, mirror_half
 from .solvers import SolverConfig, StokesSolution, solve_stokes
 
 
@@ -154,21 +154,6 @@ def _normalize_pressure(space, sol: StokesSolution, mesh) -> dict:
     return {"band": (y0, y1), "shift": float(shift)}
 
 
-def strip_operator(strip_mesh: Mesh) -> ReducedSystem:
-    """The periodic Stokes operator that every strip corrector can share.
-
-    The correctors differ only in their loads and in the values they fix:
-    all of them fix the vertical velocity at y2 = +-L and the velocity on
-    the obstacle, with periodic sides.  The result (a reduced system with no
-    loads) keeps the factorizations the solver makes, so it should live no
-    longer than the solves using it.  Correctors given this operator are
-    solved on the full periodic strip, whatever its symmetry.
-    """
-    obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
-    space = build_space(strip_mesh, _strip_bc(0.0, obstacle))
-    return apply_constraints(assemble_stokes(space))
-
-
 def _solve_reduced(operator: ReducedSystem, bc, sources, config):
     """The solution on ``operator`` with the data of ``bc`` and ``sources``,
     and its gradient energy."""
@@ -184,36 +169,40 @@ def _solve_reduced(operator: ReducedSystem, bc, sources, config):
     return sol, energy
 
 
-class _HalfStrip:
-    """The correctors of a mirror-symmetric strip, solved on its left half.
+class _StripOperators:
+    """The Stokes operators the strip correctors of ``parities`` ("odd",
+    "even") on ``mesh`` are solved on.
 
-    The operators of ``parities`` ("odd", "even") are reduced from one
-    assembly of the half strip (the blocks do not depend on the boundary
-    conditions, and no operator carries a load); each is factored on first
-    use.  A half solution is copied back to the full strip with its
-    parity's signs; the full gradient energy is twice the half one.
+    The correctors differ only in their loads and in the values they fix,
+    so they share operators.  If the mesh mirrors onto itself
+    (:func:`mirror_half`), there is one per parity on its left half, each
+    reduced from one assembly of the half strip (the blocks do not depend on
+    the boundary conditions, and no operator carries a load); a half
+    solution is copied back to the full strip with its parity's signs, and
+    the full gradient energy is twice the half one.  Otherwise one periodic
+    full-strip operator serves every parity.  An operator keeps the
+    factorizations the solver makes, so this should live no longer than the
+    solves using it.
     """
 
-    def __init__(self, mesh: Mesh, half: MirrorHalf, parities):
-        self.mesh, self.half, self.full = mesh, half, None
+    def __init__(self, mesh: Mesh, parities):
+        self.mesh, self.half, self.full = mesh, mirror_half(mesh), None
         bc = _strip_bc(0.0, (0.0, 0.0) if len(mesh.holes) else None)
-        spaces = [build_space(half.mesh, _half_bc(bc, parities[0]))]
+        if self.half is None:
+            operator = apply_constraints(assemble_stokes(build_space(mesh, bc)))
+            self.operators = dict.fromkeys(parities, operator)
+            return
+        spaces = [build_space(self.half.mesh, _half_bc(bc, parities[0]))]
         spaces += [spaces[0].with_bc(_half_bc(bc, parity)) for parity in parities[1:]]
         system = assemble_stokes(spaces[0])
         self.operators = {parity: apply_constraints(dataclasses.replace(system, space=space))
                           for parity, space in zip(parities, spaces)}
 
-    def full_space(self, bc):
-        """The full strip's space under ``bc``; every such space shares the
-        node tables of the first."""
-        if self.full is None:
-            self.full = build_space(self.mesh, bc)
-            return self.full
-        return self.full.with_bc(bc)
-
     def solve(self, bc, sources, config, parity):
-        """(full-strip u, p, solver diagnostics, gradient energy) of the
-        corrector with the periodic data ``bc`` and ``sources``."""
+        """The full-strip solution of the corrector of ``parity`` with the
+        periodic data ``bc`` and ``sources``, and its gradient energy."""
+        if self.half is None:
+            return _solve_reduced(self.operators[parity], bc, sources, config)
         if sources is not None and sources.volume is not None:
             sources = Sources(volume=sources.volume[self.half.triangles], line=sources.line)
         sol, energy = _solve_reduced(self.operators[parity], _half_bc(bc, parity),
@@ -227,99 +216,86 @@ class _HalfStrip:
             v = values[src[:k]]
             return np.where(flip[:k], 0.0 + sign * v, v)
 
+        # every full-strip space shares the node tables of the first
+        self.full = (build_space(self.mesh, bc) if self.full is None
+                     else self.full.with_bc(bc))
         s1, s2, sp = _SIGNS[parity]
         u = np.concatenate([copy(sol.u[:n], s1), copy(sol.u[n:], s2)])
-        return u, copy(sol.p, sp, nv), sol.diagnostics, 2.0 * energy
+        return (StokesSolution(space=self.full, u=u, p=copy(sol.p, sp, nv),
+                               diagnostics=sol.diagnostics), 2.0 * energy)
 
 
-def _operators(mesh: Mesh, parities):
-    """What correctors of ``parities`` on ``mesh`` are solved on when no
-    operator is given: its left half if the mesh mirrors onto itself, else
-    its periodic :func:`strip_operator`."""
-    half = mirror_half(mesh)
-    return strip_operator(mesh) if half is None else _HalfStrip(mesh, half, parities)
-
-
-def _cell(which, mesh, sol: StokesSolution, energy) -> CellSolution:
+def _cell(which, sol: StokesSolution, energy) -> CellSolution:
+    mesh = sol.space.mesh
     norm = _normalize_pressure(sol.space, sol, mesh)
     return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
                         grad_energy=energy)
 
 
-def _solve(which, mesh, bc, sources, config, operator, parity) -> CellSolution:
-    """One corrector of ``parity`` ("odd" or "even") with the periodic data
-    ``bc`` and ``sources``."""
-    if operator is None:
-        operator = _operators(mesh, (parity,))
-    if isinstance(operator, _HalfStrip):
-        u, p, diagnostics, energy = operator.solve(bc, sources, config, parity)
-        sol = StokesSolution(space=operator.full_space(bc), u=u, p=p,
-                             diagnostics=diagnostics)
-    elif operator.space.mesh is not mesh:
-        raise MeshMismatch(f"the {which} operator belongs to another strip mesh")
-    else:
-        sol, energy = _solve_reduced(operator, bc, sources, config)
-    return _cell(which, mesh, sol, energy)
+def _beta(strip: _StripOperators, config) -> CellSolution:
+    _require_obstacle(strip.mesh, "beta")
+    bc = _strip_bc(0.0, lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
+    return _cell("beta", *strip.solve(bc, None, config, "odd"))
 
 
-def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None,
-               operator: ReducedSystem | None = None) -> CellSolution:
+def _upsilon(strip: _StripOperators, config) -> CellSolution:
+    _require_obstacle(strip.mesh, "upsilon")
+    sources = Sources(line=(T.SIGMA, 1.0))
+    return _cell("upsilon", *strip.solve(_strip_bc(0.0, (0.0, 0.0)), sources, config, "odd"))
+
+
+def _chi(strip: _StripOperators, config) -> CellSolution:
+    bc = _strip_bc(-1.0, (0.0, 0.0) if len(strip.mesh.holes) else None)
+    return _cell("chi", *strip.solve(bc, None, config, "even"))
+
+
+def _varkappa(strip: _StripOperators, chi: CellSolution, config) -> CellSolution:
+    if chi.mesh is not strip.mesh:
+        raise MeshMismatch("varkappa must be solved on the chi mesh")
+    fields = _chi_on_quadrature(chi)
+    body_force = -2.0 * fields["gradu"][:, :, :, 0]
+    body_force[:, :, 0] += 2.0 * fields["eta_dev"]
+    obstacle = (0.0, 0.0) if len(strip.mesh.holes) else None
+    sources = Sources(volume=body_force)
+    if strip.half is None:
+        return _cell("varkappa", *strip.solve(_strip_bc(1.0, obstacle), sources, config, "odd"))
+    # varkappa = w - chi; w and chi are orthogonal in energy, being of
+    # opposite parities
+    w, energy = strip.solve(_strip_bc(0.0, obstacle), sources, config, "odd")
+    sol = dataclasses.replace(w, u=w.u - chi.solution.u, p=w.p - chi.solution.p)
+    return _cell("varkappa", sol, energy + chi.grad_energy)
+
+
+def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
     """No-slip corrector: velocity equals -y2*e1 on the obstacle boundary.
 
-    ``operator`` is the strip's :func:`strip_operator`, which solves on the
-    full periodic strip.  Without it the corrector is solved on the half
-    strip if the mesh mirrors onto itself, else on an operator built here;
-    the same holds for the other correctors.
+    Solved on the half strip if the mesh mirrors onto itself, else on the
+    full periodic strip; the same holds for the other correctors.
     """
-    _require_obstacle(strip_mesh, "beta")
-    bc = _strip_bc(0.0, lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
-    return _solve("beta", strip_mesh, bc, None, config, operator, "odd")
+    return _beta(_StripOperators(strip_mesh, ("odd",)), config)
 
 
-def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None,
-                  operator: ReducedSystem | None = None) -> CellSolution:
+def solve_upsilon(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
     """Shear-jump corrector: unit horizontal line load on the interface line."""
-    _require_obstacle(strip_mesh, "upsilon")
-    bc = _strip_bc(0.0, (0.0, 0.0))
-    return _solve("upsilon", strip_mesh, bc, Sources(line=(T.SIGMA, 1.0)), config,
-                  operator, "odd")
+    return _upsilon(_StripOperators(strip_mesh, ("odd",)), config)
 
 
-def solve_chi(strip_mesh: Mesh, config: SolverConfig | None = None,
-              operator: ReducedSystem | None = None) -> CellSolution:
+def solve_chi(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
     """Through-flow corrector: vertical velocity -1 at the truncation ends."""
-    bc = _strip_bc(-1.0, (0.0, 0.0) if len(strip_mesh.holes) else None)
-    return _solve("chi", strip_mesh, bc, None, config, operator, "even")
+    return _chi(_StripOperators(strip_mesh, ("even",)), config)
 
 
 def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
-                   config: SolverConfig | None = None,
-                   operator: ReducedSystem | None = None) -> CellSolution:
+                   config: SolverConfig | None = None) -> CellSolution:
     """Second-order corrector sourced by the through-flow fields.
 
     The body force is -2 * (d(chi)/dy1 - (eta - far-field eta) e1), evaluated
     from the discrete chi solution at the quadrature points of its own mesh.
     On the half strip varkappa = w - chi: its end datum +1 is -chi's -1, and
-    w, which takes the body force with zero end data, is odd.
+    w, which takes the body force with zero end data, is odd.  There the
+    solution's space is w's, whose ends are fixed to 0.
     """
-    if chi.mesh is not strip_mesh:
-        raise MeshMismatch("varkappa must be solved on the chi mesh")
-    fields = _chi_on_quadrature(chi)
-    body_force = -2.0 * fields["gradu"][:, :, :, 0]
-    body_force[:, :, 0] += 2.0 * fields["eta_dev"]
-
-    obstacle = (0.0, 0.0) if len(strip_mesh.holes) else None
-    bc, sources = _strip_bc(1.0, obstacle), Sources(volume=body_force)
-    if operator is None:
-        operator = _operators(strip_mesh, ("odd",))
-    if not isinstance(operator, _HalfStrip):
-        return _solve("varkappa", strip_mesh, bc, sources, config, operator, None)
-    u, p, diagnostics, energy = operator.solve(_strip_bc(0.0, obstacle), sources,
-                                               config, "odd")
-    sol = StokesSolution(space=operator.full_space(bc), u=u - chi.solution.u,
-                         p=p - chi.solution.p, diagnostics=diagnostics)
-    # w and chi are orthogonal in energy, being of opposite parities
-    return _cell("varkappa", strip_mesh, sol, energy + chi.grad_energy)
+    return _varkappa(_StripOperators(strip_mesh, ("odd",)), chi, config)
 
 
 def section_average(cell: CellSolution, component, y2):
@@ -474,19 +450,15 @@ def solve_all(strip_mesh: Mesh, config: SolverConfig | None = None,
               with_varkappa=True):
     """Run the cell solves (optionally the second-order one) and extract.
 
-    All correctors share their operators: on a mirror-symmetric strip the
-    half strip's odd and even operators, else one :func:`strip_operator`.
-    Each is assembled, reduced and factored once per call.  Returns
-    (solutions dict, constants).
+    All correctors share one :class:`_StripOperators`, each operator
+    assembled, reduced and factored once per call.  Returns (solutions
+    dict, constants).
     """
-    op = _operators(strip_mesh, ("odd", "even"))
-    sols = {
-        "beta": solve_beta(strip_mesh, config, op),
-        "upsilon": solve_upsilon(strip_mesh, config, op),
-        "chi": solve_chi(strip_mesh, config, op),
-    }
+    strip = _StripOperators(strip_mesh, ("odd", "even"))
+    sols = {"beta": _beta(strip, config), "upsilon": _upsilon(strip, config),
+            "chi": _chi(strip, config)}
     if with_varkappa:
-        sols["varkappa"] = solve_varkappa(strip_mesh, sols["chi"], config, op)
+        sols["varkappa"] = _varkappa(strip, sols["chi"], config)
     constants = extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
                                   sols.get("varkappa"))
     return sols, constants

@@ -18,14 +18,13 @@ from stentflow.cell import (
     solve_chi,
     solve_upsilon,
     solve_varkappa,
-    strip_operator,
     write_constants,
     read_constants,
 )
 from stentflow.errors import ConstraintMismatch, MeshMismatch
 from stentflow.solvers import SolverConfig
 from stentflow.fem import BC, assemble_loads, band_integral, gradient_energy
-from stentflow.geometry import BoundaryTag as T, ObstacleSpec, build_strip_mesh
+from stentflow.geometry import BoundaryTag as T, ObstacleSpec, build_strip_mesh, mirror_half
 
 H = 1 / 24
 L = 10.0
@@ -202,27 +201,30 @@ def test_truncation_length_insensitive():
 
 
 def test_shared_operator_matches_independent_solves(strip, solutions):
-    # solve_all factors one strip operator for all four correctors; each
-    # corrector solved alone factors its own
+    # solve_all shares its strip operators between the four correctors; each
+    # corrector solved alone factors its own.  The centred strip takes the
+    # half-strip path, the off-centre one the periodic path.
     from stentflow.cli import TOL_TABLE
 
-    sols, shared = solutions
-    beta, upsilon, chi = solve_beta(strip), solve_upsilon(strip), solve_chi(strip)
-    varkappa = solve_varkappa(strip, chi)
-    alone = extract_constants(beta, upsilon, chi, varkappa)
-    for key, val in alone.as_dict().items():
-        assert abs(getattr(shared, key) - val) <= 1e-12 * abs(val), key
-    rep_shared = identity_report(sols["beta"], sols["upsilon"], sols["chi"],
-                                 sols["varkappa"], shared)
-    rep_alone = identity_report(beta, upsilon, chi, varkappa, alone)
-    assert rep_shared.keys() == rep_alone.keys()
-    for key in rep_alone:
-        assert ((rep_shared[key] <= TOL_TABLE[key])
-                == (rep_alone[key] <= TOL_TABLE[key])), key
+    off_centre = build_strip_mesh(ObstacleSpec(center=(0.4, 0.3)), L=L, h=H)
+    assert mirror_half(off_centre) is None
+    for mesh, (sols, shared) in ((strip, solutions), (off_centre, solve_all(off_centre))):
+        beta, upsilon, chi = solve_beta(mesh), solve_upsilon(mesh), solve_chi(mesh)
+        varkappa = solve_varkappa(mesh, chi)
+        alone = extract_constants(beta, upsilon, chi, varkappa)
+        for key, val in alone.as_dict().items():
+            assert abs(getattr(shared, key) - val) <= 1e-12 * abs(val), key
+        rep_shared = identity_report(sols["beta"], sols["upsilon"], sols["chi"],
+                                     sols["varkappa"], shared)
+        rep_alone = identity_report(beta, upsilon, chi, varkappa, alone)
+        assert rep_shared.keys() == rep_alone.keys()
+        for key in rep_alone:
+            assert ((rep_shared[key] <= TOL_TABLE[key])
+                    == (rep_alone[key] <= TOL_TABLE[key])), key
 
 
-def test_mismatched_pattern_rejected(strip):
-    op = strip_operator(strip)
+def test_mismatched_pattern_rejected(strip, periodic_operator):
+    op = periodic_operator(strip)
     # natural top and bottom: the vertical velocity there is no longer fixed
     bc = {T.STRIP_TOP: BC.natural(), T.STRIP_BOTTOM: BC.natural(),
           T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
@@ -233,11 +235,9 @@ def test_mismatched_pattern_rejected(strip):
         op.with_loads(space, *assemble_loads(space))
     # the same pattern on another mesh
     other = build_strip_mesh(ObstacleSpec(), L=L, h=H)
-    space = strip_operator(other).space
+    space = periodic_operator(other).space
     with pytest.raises(ConstraintMismatch, match="mesh"):
         op.with_loads(space, *assemble_loads(space))
-    with pytest.raises(MeshMismatch):
-        solve_chi(other, operator=op)
 
 
 # ----------------------------------------------------------------------------
@@ -253,19 +253,10 @@ def _counting_splu(monkeypatch):
     return calls
 
 
-def _periodic(mesh, config=None):
-    op = strip_operator(mesh)
-    sols = {"beta": solve_beta(mesh, config, op), "upsilon": solve_upsilon(mesh, config, op),
-            "chi": solve_chi(mesh, config, op)}
-    sols["varkappa"] = solve_varkappa(mesh, sols["chi"], config, op)
-    return sols, extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
-                                   sols["varkappa"])
-
-
 @pytest.mark.parametrize("config", [SolverConfig(method="direct"),
                                     SolverConfig(outer_tol=1e-13)],
                          ids=["direct", "uzawa"])
-def test_half_strip_matches_periodic_path(monkeypatch, config):
+def test_half_strip_matches_periodic_path(monkeypatch, periodic_path, config):
     # the half-strip problems are the periodic one restricted to fields of
     # one parity, so the two paths differ by rounding once the solver error
     # is below it (at the default outer_tol, varkappa1_jump differs by 4e-10)
@@ -275,7 +266,8 @@ def test_half_strip_matches_periodic_path(monkeypatch, config):
     # Uzawa factors the odd and the even velocity block, the direct solver
     # each half-strip saddle point
     assert len(calls) == (2 if config.method == "uzawa_cg" else 4)
-    ref_sols, ref = _periodic(mesh, config)
+    with periodic_path():
+        ref_sols, ref = solve_all(mesh, config)
     for key, val in ref.as_dict().items():
         assert abs(getattr(half, key) - val) <= 1e-10 * abs(val), key
     for which, cell in ref_sols.items():
@@ -311,7 +303,7 @@ def test_asymmetric_strips_take_periodic_path(monkeypatch, obstacle, h):
     assert len(calls) == 1
 
 
-def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, tmp_path):
+def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_path, tmp_path):
     # even chi and odd varkappa part with Dirichlet ends, as cell --no-obstacle
     # solves chi
     from stentflow.cli import main
@@ -321,9 +313,9 @@ def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, tmp_path):
     chi = solve_chi(mesh)
     vk = solve_varkappa(mesh, chi)
     assert len(calls) == 2
-    op = strip_operator(mesh)
-    ref_chi = solve_chi(mesh, operator=op)
-    ref_vk = solve_varkappa(mesh, ref_chi, operator=op)
+    with periodic_path():
+        ref_chi = solve_chi(mesh)
+        ref_vk = solve_varkappa(mesh, ref_chi)
     for cell, ref in ((chi, ref_chi), (vk, ref_vk)):
         for name in ("u", "p"):
             a, b = getattr(cell.solution, name), getattr(ref.solution, name)

@@ -18,7 +18,7 @@ import stentflow.cell as cell
 import stentflow.homogenized as homogenized
 import stentflow.solvers as solvers
 from stentflow.analysis import macro_bc_spec, solve_direct
-from stentflow.cell import CellConstants, solve_all, solve_chi, strip_operator
+from stentflow.cell import CellConstants, solve_all, solve_chi
 from stentflow.cli import main
 from stentflow.errors import NonConvergence
 from stentflow.fem import (
@@ -168,19 +168,9 @@ def coarse_strip():
 
 
 @pytest.fixture(scope="module")
-def default_strip_A(default_strip):
+def default_strip_A(default_strip, periodic_operator):
     # the default strip's periodic reduced A
-    return strip_operator(default_strip).A
-
-
-def periodic_cells(strip):
-    """The four correctors of ``strip``, solved on one periodic operator."""
-    op = strip_operator(strip)
-    sols = {"beta": cell.solve_beta(strip, operator=op),
-            "upsilon": cell.solve_upsilon(strip, operator=op),
-            "chi": solve_chi(strip, operator=op)}
-    sols["varkappa"] = cell.solve_varkappa(strip, sols["chi"], operator=op)
-    return sols
+    return periodic_operator(default_strip).A
 
 
 class TestFactorize:
@@ -208,10 +198,12 @@ class TestFactorize:
 
     def test_factorize_heap_clean_under_malloc_check(self):
         # glibc checks every allocation and aborts on a corrupted heap
-        code = ("from stentflow.cell import strip_operator\n"
+        code = ("import stentflow.cell as cell\n"
                 "from stentflow.geometry import ObstacleSpec, build_strip_mesh\n"
                 "from stentflow.solvers import factorize\n"
-                "A = strip_operator(build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)).A\n"
+                "cell.mirror_half = lambda mesh: None   # the periodic strip's A\n"
+                "strip = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)\n"
+                "A = cell._StripOperators(strip, ('odd',)).operators['odd'].A\n"
                 "for _ in range(10):\n"
                 "    factorize(A)\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -240,8 +232,8 @@ class TestFactorize:
         finally:
             solvers._malloc_trim.cache_clear()
 
-    def test_solution_matches_spsolve(self, coarse_strip):
-        A = strip_operator(coarse_strip).A
+    def test_solution_matches_spsolve(self, coarse_strip, periodic_operator):
+        A = periodic_operator(coarse_strip).A
         b = np.sin(np.arange(A.shape[0]))
         x, ref = factorize(A).solve(b), spla.spsolve(A.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -499,9 +491,11 @@ class TestReducedBlocks:
         monkeypatch.setattr(ReducedSystem, "with_loads", recording)
         return loads
 
-    def test_strip_factor_input_and_corrector_loads(self, monkeypatch, default_strip):
+    def test_strip_factor_input_and_corrector_loads(self, monkeypatch, periodic_path,
+                                                    default_strip):
         loads = self._record_loads(monkeypatch)
-        periodic_cells(default_strip)
+        with periodic_path():
+            solve_all(default_strip, with_varkappa=True)
         # the operator's own (unloaded) reduction, then beta, upsilon, chi
         # and varkappa on its blocks
         assert len(loads) == 5
@@ -585,13 +579,15 @@ class TestMassPreconditioner:
             # a fixed polynomial in M: symmetric, as conjugate gradients needs
             assert abs(q @ precond(r) - r @ precond(q)) <= 1e-12 * abs(q @ x), name
 
-    def test_default_strip_iterations_as_with_exact_inverse(self, default_strip,
+    def test_default_strip_iterations_as_with_exact_inverse(self, periodic_path, default_strip,
                                                             default_strip_cells):
         # on the periodic strip and on the half strip (whose last solve is
         # the odd part of varkappa), both as with the exact Mp inverse; with
         # 6 steps the periodic counts read [9, 10, 11, 15], and the half
         # strip's change from 5 steps down
-        for cells, expected in ((periodic_cells(default_strip), [9, 9, 11, 15]),
+        with periodic_path():
+            periodic_cells, _ = solve_all(default_strip, with_varkappa=True)
+        for cells, expected in ((periodic_cells, [9, 9, 11, 15]),
                                 (default_strip_cells[0], [9, 9, 11, 11])):
             iters = [cells[k].solution.diagnostics["iterations"]
                      for k in ("beta", "upsilon", "chi", "varkappa")]
