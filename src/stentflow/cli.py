@@ -210,8 +210,6 @@ def cmd_homog(cfg: RunConfig, args) -> int:
 def cmd_converge(cfg: RunConfig, args) -> int:
     from .analysis import StudyConfig, check_slope_bands, convergence_study
 
-    out = _ensure_outdir(cfg)
-    prov = cfg.provenance()
     eps_list = cfg.eps_list
     study = StudyConfig(
         flow=cfg.flow(), obstacle=cfg.obstacle(), h_macro=cfg["mesh.h"],
@@ -223,6 +221,8 @@ def cmd_converge(cfg: RunConfig, args) -> int:
               f"strip h={study.strip_h} L={study.strip_L}, "
               f"first-order h={study.h_first_order}")
         return 0
+    out = _ensure_outdir(cfg)
+    prov = cfg.provenance()
 
     def progress(rep):
         if rep.error:

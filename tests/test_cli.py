@@ -239,6 +239,7 @@ class TestCli:
         tmp, cfg = workdir
         assert main(["converge", "--config", str(cfg), "--dry-run"]) == 0
         assert "plan:" in capsys.readouterr().out
+        assert not (tmp / "out").exists()
 
     def test_converge_needs_three_eps(self, workdir):
         tmp, cfg = workdir
