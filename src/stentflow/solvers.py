@@ -124,7 +124,9 @@ def _velocity_lu(red: ReducedSystem):
 # fixed polynomial in Mp, so the preconditioner is linear and SPD, as conjugate
 # gradients needs (Wathen & Rees, ETNA 34, 2009); its error in the Mp-norm is
 # at most 2 * 3^-k.  k = 8 is the fewest steps that leave the Uzawa iteration
-# count of every benchmark solve as with the exact inverse (notes/decisions.md).
+# count of upsilon on the full periodic strip (the path of asymmetric strips) as
+# with the exact inverse; the half-strip and macro solves hold theirs from 6
+# steps on (notes/decisions.md).
 CHEBYSHEV_STEPS = 8
 
 
