@@ -354,7 +354,8 @@ def convergence_study(eps_list, study: StudyConfig | None = None,
 
         strip = build_strip_mesh(study.obstacle, L=study.strip_L,
                                  h=study.strip_h, refine_spec=study.refine)
-        _, constants = solve_all(strip, study.solver, with_varkappa=False)
+        constants = solve_all(strip, study.solver, with_varkappa=False)[1]
+        del strip               # the strip and its solutions are not held per eps
     zero = zero_order(study.flow)
     mesh_up, mesh_lo = first_order_meshes(study.h_first_order, study.refine,
                                           case=study.flow.case)

@@ -182,7 +182,8 @@ class _StripOperators:
     the full gradient energy is twice the half one.  Otherwise one periodic
     full-strip operator serves every parity.  An operator keeps the
     factorizations the solver makes, so this should live no longer than the
-    solves using it.
+    solves using it; :func:`solve_all` drops the even operator once chi is
+    solved, so that no two factorizations are alive at once.
     """
 
     def __init__(self, mesh: Mesh, parities):
@@ -200,11 +201,11 @@ class _StripOperators:
 
     def solve(self, bc, sources, config, parity):
         """The full-strip solution of the corrector of ``parity`` with the
-        periodic data ``bc`` and ``sources``, and its gradient energy."""
+        periodic data ``bc`` and ``sources``, and its gradient energy.  A
+        volume source is given on the triangles solved on: those of the half
+        strip (``half.triangles``), if there is one."""
         if self.half is None:
             return _solve_reduced(self.operators[parity], bc, sources, config)
-        if sources is not None and sources.volume is not None:
-            sources = Sources(volume=sources.volume[self.half.triangles], line=sources.line)
         sol, energy = _solve_reduced(self.operators[parity], _half_bc(bc, parity),
                                      sources, config)
         src, flip = self.half.source, self.half.mirrored
@@ -252,7 +253,7 @@ def _chi(strip: _StripOperators, config) -> CellSolution:
 def _varkappa(strip: _StripOperators, chi: CellSolution, config) -> CellSolution:
     if chi.mesh is not strip.mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
-    fields = _chi_on_quadrature(chi)
+    fields = _chi_on_quadrature(chi, None if strip.half is None else strip.half.triangles)
     body_force = -2.0 * fields["gradu"][:, :, :, 0]
     body_force[:, :, 0] += 2.0 * fields["eta_dev"]
     obstacle = (0.0, 0.0) if len(strip.mesh.holes) else None
@@ -355,19 +356,23 @@ def extract_constants(beta: CellSolution, upsilon: CellSolution,
     return CellConstants(**consts)
 
 
-def _chi_on_quadrature(chi: CellSolution):
-    """chi's fields at the volume quadrature points (see eval_on_quadrature),
-    gradients included, plus ``eta_dev``, the pressure minus its far-field
-    value on that side.  Evaluated on the first call and kept on ``chi``."""
-    if chi.quadrature is None:
-        eta_plus = _band_mean(chi, "p", _top_band(chi.mesh))
-        eta_minus = _band_mean(chi, "p", _bottom_band(chi.mesh))
-        fields = eval_on_quadrature(chi.solution.space, u=chi.solution.u,
-                                    p=chi.solution.p, grad=True)
-        fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
-                                                   eta_plus, eta_minus)
+def _chi_on_quadrature(chi: CellSolution, triangles=None):
+    """chi's fields at the volume quadrature points (see eval_on_quadrature)
+    of ``triangles`` (ids on its mesh), gradients included, plus ``eta_dev``,
+    the pressure minus its far-field value on that side.  The fields on all
+    triangles (``triangles`` None) are evaluated on the first call and kept
+    on ``chi``."""
+    if triangles is None and chi.quadrature is not None:
+        return chi.quadrature
+    eta_plus = _band_mean(chi, "p", _top_band(chi.mesh))
+    eta_minus = _band_mean(chi, "p", _bottom_band(chi.mesh))
+    fields = eval_on_quadrature(chi.solution.space, u=chi.solution.u,
+                                p=chi.solution.p, grad=True, tri_sel=triangles)
+    fields["eta_dev"] = fields["p"] - np.where(fields["pts"][:, :, 1] > 0.0,
+                                               eta_plus, eta_minus)
+    if triangles is None:
         chi.quadrature = fields
-    return chi.quadrature
+    return fields
 
 
 def chi_cross_integral(chi: CellSolution) -> float:
@@ -451,14 +456,17 @@ def solve_all(strip_mesh: Mesh, config: SolverConfig | None = None,
     """Run the cell solves (optionally the second-order one) and extract.
 
     All correctors share one :class:`_StripOperators`, each operator
-    assembled, reduced and factored once per call.  Returns (solutions
-    dict, constants).
+    assembled, reduced and factored once per call.  chi, the one even
+    corrector, is solved first, and the even operator is dropped with its
+    factor before the odd one is factored.  Returns (solutions dict,
+    constants).
     """
     strip = _StripOperators(strip_mesh, ("odd", "even"))
-    sols = {"beta": _beta(strip, config), "upsilon": _upsilon(strip, config),
-            "chi": _chi(strip, config)}
+    chi = _chi(strip, config)
+    del strip.operators["even"]
+    sols = {"beta": _beta(strip, config), "upsilon": _upsilon(strip, config), "chi": chi}
     if with_varkappa:
-        sols["varkappa"] = _varkappa(strip, sols["chi"], config)
+        sols["varkappa"] = _varkappa(strip, chi, config)
     constants = extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
                                   sols.get("varkappa"))
     return sols, constants

@@ -327,3 +327,33 @@ def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_path
     assert len(calls) == 1
     jump = float((tmp_path / "constants.txt").read_text().split("eta_jump=")[1])
     assert abs(jump - _far_field_jump(ref_chi, "p")) <= 1e-10
+
+
+def test_one_strip_factorization_alive_at_a_time(monkeypatch):
+    # solve_all drops the even operator, with its factor, before the odd one
+    # is factored; SuperLU objects take no weak references, so the reduced
+    # systems holding the factors are probed
+    import weakref
+
+    from stentflow import solvers
+    from stentflow.fem import ReducedSystem
+
+    systems, alive_with_factor = [], []
+    with_loads, factorize = ReducedSystem.with_loads, solvers.factorize
+
+    def recording(self, space, f, g):
+        red = with_loads(self, space, f, g)
+        systems.append(weakref.ref(red))
+        return red
+
+    def counting(M):
+        alive_with_factor.append(sum(red() is not None and "A" in red().factors
+                                     for red in systems))
+        return factorize(M)
+
+    monkeypatch.setattr(ReducedSystem, "with_loads", recording)
+    monkeypatch.setattr(solvers, "factorize", counting)
+    mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    assert mirror_half(mesh) is not None
+    solve_all(mesh, with_varkappa=True)
+    assert alive_with_factor == [0, 0]

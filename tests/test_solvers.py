@@ -507,14 +507,14 @@ class TestReducedBlocks:
     def test_half_strip_factor_input_and_corrector_loads(self, monkeypatch, default_strip):
         loads = self._record_loads(monkeypatch)
         solve_all(default_strip, with_varkappa=True)
-        # the odd and the even operator's own reductions, then beta and
-        # upsilon on the odd blocks, chi on the even ones and the odd part
-        # of varkappa on the odd ones
+        # the odd and the even operator's own reductions, then chi on the
+        # even blocks, and beta, upsilon and the odd part of varkappa on the
+        # odd ones
         assert len(loads) == 6
         odd, even = loads[0][0], loads[1][0]
         full = {id(op.A): self._check_reduced_A(op) for op in (odd, even)}
         for i, (red, space, f, g) in enumerate(loads):
-            assert red.A is (even if i in (1, 4) else odd).A
+            assert red.A is (even if i in (1, 2) else odd).A
             self._check_loads(red, space, f, g, full[id(red.A)])
 
     def test_macro_factor_input_and_loads(self):
