@@ -160,12 +160,16 @@ def _solve_reduced(operator: ReducedSystem, bc, sources, config):
     space = operator.space.with_bc(bc)
     red = operator.with_loads(space, *assemble_loads(space, sources))
     sol = solve_stokes(red, config)
-    # u.(A u) = u_r.(A_r u_r) + (2 u - u_fix).(A_fix vals) for u = Tu u_r + u_fix;
-    # numpy's pairwise sums, unlike a BLAS dot, do not depend on the thread count
-    Tu = red.Tu.tocsc()
-    u_r = sol.u[Tu.indices[Tu.indptr[:-1]]]     # every DOF of a column holds u_r
-    energy = float(np.sum(u_r * (red.A @ u_r))
-                   + np.sum((2.0 * sol.u - red.u_fix) * (red.A_fix @ space.fixed_vals)))
+    # u.(A u) = u_r.(A_r u_r) + (2 u - u_fix).(A_fix vals) for u = T u_r + u_fix;
+    # numpy's pairwise sums, unlike a BLAS dot, do not depend on the thread count.
+    # T^T sums the DOFs of a column, which all hold u_r, so with the periodic
+    # slaves' copies zeroed it gives u_r
+    u = sol.u.copy()
+    u[space.vel_pairs[:, 0]] = 0.0
+    u_r = red.restrict(u)
+    u = 2.0 * sol.u
+    u[space.fixed_dofs] -= space.fixed_vals                   # 2 u - u_fix
+    energy = float(np.sum(u_r * (red.A @ u_r)) + np.sum(u * (red.A_fix @ space.fixed_vals)))
     return sol, energy
 
 

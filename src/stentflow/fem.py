@@ -162,10 +162,9 @@ class FESpace:
     edges: np.ndarray = field(init=False)
     tri_edges: np.ndarray = field(init=False)   # local edge i opposite vertex i
     edge_keys: np.ndarray = field(init=False)   # sorted a * n_vertices + b, a < b
-    node_xy: np.ndarray = field(init=False)
     fixed_dofs: np.ndarray = field(init=False)
     fixed_vals: np.ndarray = field(init=False)
-    vel_pairs: np.ndarray = field(init=False)   # (k, 2) slave, master (node ids)
+    vel_pairs: np.ndarray = field(init=False)   # (k, 2) slave, master (velocity DOFs)
     p_pairs: np.ndarray = field(init=False)
     p_fixed: np.ndarray = field(init=False)     # pressure DOFs fixed to zero
     pressure_kernel: bool = field(init=False)
@@ -181,6 +180,12 @@ class FESpace:
     @property
     def n_p(self):
         return self.mesh.n_vertices
+
+    @property
+    def node_xy(self):
+        """Coordinates (n_vnode, 2) of every velocity node, computed on
+        access: the space keeps no coordinate table."""
+        return _node_xy(self, np.arange(self.n_vnode))
 
     def mid_nodes(self, a, b):
         """Midpoint node ids of the mesh edges (a[k], b[k]), either orientation."""
@@ -217,9 +222,17 @@ def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
     space = FESpace.__new__(FESpace)
     space.mesh = mesh
     space.edges, space.edge_keys, space.tri_edges = mesh.edge_table
-    mids = 0.5 * (mesh.vertices[space.edges[:, 0]] + mesh.vertices[space.edges[:, 1]])
-    space.node_xy = np.concatenate([mesh.vertices, mids], axis=0)
     return space.with_bc(bc_spec)
+
+
+def _node_xy(space: FESpace, nodes):
+    """Coordinates (n, 2) of the velocity nodes ``nodes``: a vertex, or the
+    midpoint of an edge."""
+    v, nv = space.mesh.vertices, space.mesh.n_vertices
+    nodes = np.asarray(nodes, dtype=np.int64)
+    e = space.edges[np.maximum(nodes - nv, 0)]
+    mid = 0.5 * (v[e[:, 0]] + v[e[:, 1]])
+    return np.where((nodes < nv)[:, None], v[np.minimum(nodes, nv - 1)], mid)
 
 
 def _impose_constraints(space: FESpace):
@@ -245,7 +258,7 @@ def _impose_constraints(space: FESpace):
         order = 3 * edge[:, None] + np.arange(3)
         horizontal = np.abs(nrm[:, :1]) <= np.abs(nrm[:, 1:])
         if bc.kind == "dirichlet":
-            xy = space.node_xy[nodes.ravel()]
+            xy = _node_xy(space, nodes.ravel())
             val = bc.value(xy) if callable(bc.value) else bc.value
             val = np.broadcast_to(np.asarray(val, dtype=float), xy.shape)
             row = (nodes[..., None] + n * np.arange(2), 3 if tag is BoundaryTag.GAMMA0 else 2,
@@ -287,9 +300,9 @@ def _impose_constraints(space: FESpace):
         if len(sides[0]) != len(sides[1]):
             raise ConflictingConstraints(
                 f"periodic tags {tag}/{bc.partner}: node counts differ")
-        xy = space.node_xy[sides[0]]
-        axis = 1 if np.ptp(xy[:, 1]) > np.ptp(xy[:, 0]) else 0
-        coord = [space.node_xy[s, axis] for s in sides]
+        xy = [_node_xy(space, s) for s in sides]
+        axis = 1 if np.ptp(xy[0][:, 1]) > np.ptp(xy[0][:, 0]) else 0
+        coord = [c[:, axis] for c in xy]
         if np.max(np.abs(np.sort(coord[0]) - np.sort(coord[1]))) > 1e-12:
             raise ConflictingConstraints(
                 f"periodic tags {tag}/{bc.partner}: traces do not match")
@@ -481,13 +494,19 @@ def _edge_tables(space: FESpace, edges):
 
 @dataclass
 class ReducedSystem:
-    """Constrained saddle-point system plus recovery operators.
+    """Constrained saddle-point system plus the column maps that recover
+    full-length vectors.
 
     The reduced blocks depend only on the constrained pattern of ``space``
     (fixed velocity DOFs, periodic pairs, fixed pressures, pressure kernel),
     not on the imposed values; :meth:`with_loads` puts another problem with
     the same pattern on the same blocks.  ``factors`` holds the factorizations the
     solvers make of the blocks, shared by every system derived that way.
+
+    ``u_col`` and ``p_col`` give the reduced column of each velocity and
+    pressure DOF: -1 where the DOF is fixed, and a periodic slave takes its
+    master's column.  They stand for the prolongations T_u and T_p (one unit
+    entry per row with a column), which are never stored.
     """
 
     space: FESpace                # the problem whose loads and fixed values these are
@@ -496,15 +515,28 @@ class ReducedSystem:
     Mp: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
-    Tu: sp.csr_matrix
-    Tp: sp.csr_matrix
-    u_fix: np.ndarray
+    u_col: np.ndarray             # int32, length n_vel
+    p_col: np.ndarray             # int32, length n_p
     A_fix: sp.csr_matrix          # diag(K, K) and B at the fixed DOFs' columns,
     B_fix: sp.csr_matrix          # kept for the Dirichlet correction of the loads
     factors: dict = field(default_factory=dict, repr=False)
 
     def expand(self, u_r, p_r):
-        return self.Tu @ u_r + self.u_fix, self.Tp @ p_r
+        """Full-length velocity T_u u_r + u_fix, with the space's fixed
+        values at its fixed DOFs, and pressure T_p p_r (fixed pressures 0)."""
+        u = _gather(self.u_col, u_r)
+        u[self.space.fixed_dofs] = self.space.fixed_vals
+        # + 0.0 turns -0 into +0, as the sums in T_u u_r + u_fix do
+        return u + 0.0, _gather(self.p_col, p_r) + 0.0
+
+    def restrict(self, v):
+        """T^T v for a full-length velocity (length n_vel) or pressure
+        (length n_p) vector: each reduced column gets the sum, in DOF order,
+        of the entries of the DOFs mapped to it; fixed DOFs drop out."""
+        col, m = ((self.u_col, self.A.shape[0]) if len(v) == len(self.u_col)
+                  else (self.p_col, self.B.shape[0]))
+        on = col >= 0
+        return np.bincount(col[on], weights=v[on], minlength=m)
 
     def with_loads(self, space: FESpace, f, g) -> "ReducedSystem":
         """The loads (f, g) and fixed values of ``space`` on these blocks.
@@ -520,18 +552,26 @@ class ReducedSystem:
         if differs:
             raise ConstraintMismatch(
                 f"constrained pattern differs from the operator's: {', '.join(differs)}")
-        u_fix = np.zeros(space.n_vel)
-        u_fix[space.fixed_dofs] = space.fixed_vals
         # replace() hands the blocks and the factors dict on by reference
         return dataclasses.replace(
-            self, space=space, u_fix=u_fix,
-            f=self.Tu.T @ (f - self.A_fix @ space.fixed_vals),
-            g=self.Tp.T @ (g - self.B_fix @ space.fixed_vals),
+            self, space=space,
+            f=self.restrict(f - self.A_fix @ space.fixed_vals),
+            g=self.restrict(g - self.B_fix @ space.fixed_vals),
         )
 
 
-def _prolongation(n, fixed, pairs):
-    """Maps reduced DOFs to full: identity on free DOFs, copy to slaves."""
+def _gather(col, v):
+    """T v for the column map ``col``: v at each DOF's column, 0 where it
+    has none."""
+    out = np.zeros(len(col))
+    on = col >= 0
+    out[on] = v[col[on]]
+    return out
+
+
+def _column_map(n, fixed, pairs):
+    """Reduced column of each of n DOFs: free DOFs are numbered in order,
+    slaves take their master's column, fixed DOFs get -1."""
     target = np.arange(n, dtype=np.int64)
     is_slave = np.zeros(n, dtype=bool)
     if len(pairs):
@@ -540,13 +580,18 @@ def _prolongation(n, fixed, pairs):
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[fixed] = True
     free = ~(is_fixed | is_slave)
-    col_of = -np.ones(n, dtype=np.int64)
+    col_of = -np.ones(n, dtype=np.int32)
     col_of[free] = np.arange(free.sum())
-    # a DOF copies its target's column unless the target is fixed (or is
-    # itself a slave, which has no column)
-    rows = np.flatnonzero(~is_fixed[target] & (col_of[target] >= 0))
-    cols = col_of[target[rows]]
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, free.sum()))
+    # a DOF takes its target's column, which a fixed target (or one that is
+    # itself a slave) does not have
+    return col_of[target]
+
+
+def _selector(col):
+    """The prolongation T of a column map as a CSR matrix."""
+    rows = np.flatnonzero(col >= 0)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, col[rows].astype(np.int64))),
+                         shape=(len(col), int(col.max(initial=-1)) + 1))
 
 
 def apply_constraints(system: StokesSystem) -> ReducedSystem:
@@ -557,21 +602,24 @@ def apply_constraints(system: StokesSystem) -> ReducedSystem:
     way, and fixed pressures are dropped.  ``expand`` recovers full-length
     vectors with constrained DOFs set to their imposed values (fixed
     pressures to zero).  No constraint couples the two velocity
-    components, so ``Tu`` is diag(S1, S2) and the reduced velocity block is
-    diag(S1^T K S1, S2^T K S2), reduced from the one scalar stiffness.
+    components, so T_u is diag(S1, S2) and the reduced velocity block is
+    diag(S1^T K S1, S2^T K S2), reduced from the one scalar stiffness.  The
+    prolongation matrices are built from the column maps for these
+    products and are not kept.
     """
     space = system.space
     K, n, fixed = system.K, space.n_vnode, space.fixed_dofs
-    Tu = _prolongation(space.n_vel, fixed, space.vel_pairs)
-    Tp = _prolongation(space.n_p, space.p_fixed, space.p_pairs)
-    m1 = int(Tu[:n].indices.max(initial=-1)) + 1     # free columns of u1
+    u_col = _column_map(space.n_vel, fixed, space.vel_pairs)
+    p_col = _column_map(space.n_p, space.p_fixed, space.p_pairs)
+    Tu, Tp = _selector(u_col), _selector(p_col)
+    m1 = int(u_col[:n].max(initial=-1)) + 1           # free columns of u1
     split = np.searchsorted(fixed, n)                 # fixed DOFs of u1
     reduced = ReducedSystem(
         space=space,
         A=sp.block_diag([S.T @ K @ S for S in (Tu[:n, :m1], Tu[n:, m1:])], format="csc"),
         B=(Tp.T @ system.B @ Tu).tocsr(),
         Mp=(Tp.T @ system.Mp @ Tp).tocsr(),
-        f=None, g=None, Tu=Tu, Tp=Tp, u_fix=None,
+        f=None, g=None, u_col=u_col, p_col=p_col,
         A_fix=sp.block_diag([K[:, fixed[:split]], K[:, fixed[split:] - n]], format="csr"),
         B_fix=system.B[:, fixed],
     )
@@ -717,19 +765,27 @@ def l2_norm_diff(space: FESpace, u, field_b, tri_sel=None):
     for a plain norm.  ``tri_sel`` selects triangles as in
     :func:`eval_on_quadrature`.
     """
-    fields = eval_on_quadrature(space, tri_sel=tri_sel)
     diff = _evaluate(space, u, tri_sel, TRI_QP, None)
-    if field_b is not None:
+    if field_b is None:
+        w = _quadrature_weights(space, tri_sel)
+    else:
+        fields = eval_on_quadrature(space, tri_sel=tri_sel)
         ref = np.asarray(field_b(fields["pts"].reshape(-1, 2)))
-        diff = diff - ref.reshape(diff.shape)
-    return float(np.sqrt(np.sum(fields["w"][:, :, None] * diff**2)))
+        diff, w = diff - ref.reshape(diff.shape), fields["w"]
+    return float(np.sqrt(np.sum(w[:, :, None] * diff**2)))
 
 
 def integrate_field(space: FESpace, u, tri_sel=None, component=0):
     """Integral of a pressure, or of one velocity component, over a set of
     triangles (``tri_sel`` as in :func:`eval_on_quadrature`)."""
     vals = _evaluate(space, u, tri_sel, TRI_QP, None)[:, :, component]
-    return float(np.sum(eval_on_quadrature(space, tri_sel=tri_sel)["w"] * vals))
+    return float(np.sum(_quadrature_weights(space, tri_sel) * vals))
+
+
+def _quadrature_weights(space: FESpace, tri_sel):
+    """Volume quadrature weights (M, q) of the triangles ``tri_sel``."""
+    _, area, _ = _geometry_tables(space.mesh, slice(None) if tri_sel is None else tri_sel)
+    return TRI_QW[None, :] * area[:, None]
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """FEM core: quadrature, assembly, constraints, norms, line integrals."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -48,6 +49,7 @@ from stentflow.geometry import (
     build_macro_geometry,
     build_strip_mesh,
     cross2,
+    mirror_half,
     no_stent_mesh,
     rectangle_mesh,
     triangulate,
@@ -200,6 +202,23 @@ class TestQuadrature:
 
 
 class TestSpace:
+    @pytest.mark.parametrize("which", ["macro-8", "strip", "half-strip", "graded"])
+    def test_node_xy_is_vertices_then_midpoints(self, which, default_strip, graded_mesh):
+        mesh = {
+            "macro-8": lambda: triangulate(
+                build_macro_geometry(1 / 8, "collateral", ObstacleSpec()), 0.1),
+            "strip": lambda: default_strip,
+            "half-strip": lambda: mirror_half(default_strip).mesh,
+            "graded": lambda: graded_mesh,
+        }[which]()
+        space = build_space(mesh, {})
+        v, e = mesh.vertices, space.edges
+        ref = np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
+        # computed on access, bit for bit the table the space used to store
+        assert "node_xy" not in vars(space)
+        assert space.node_xy.dtype == ref.dtype and space.node_xy.shape == ref.shape
+        assert space.node_xy.tobytes() == ref.tobytes()
+
     def test_dof_counts(self):
         mesh = flat_channel()
         space = build_space(mesh, all_dirichlet_bc())
@@ -385,6 +404,24 @@ class TestConstraints:
             Td[d, col[target[d]]] = 1.0
         A_ref = Td.T @ sp.block_diag([system.K, system.K]).toarray() @ Td
         assert np.abs(red.A.toarray() - A_ref).max() < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
+    def test_column_maps_match_prolongations(self, name, prolongations):
+        # expand and restrict give T u_r + u_fix and T^T v bit for bit,
+        # periodic slaves included, for the matrices T they stand for
+        space = build_space(*_constraint_case(name))
+        red = apply_constraints(assemble_stokes(space))
+        assert not {"Tu", "Tp", "u_fix"} & {f.name for f in dataclasses.fields(red)}
+        assert len(space.vel_pairs) or not name.startswith("strip")
+        Tu, Tp, u_fix = prolongations(space)
+        rng = np.random.default_rng(5)
+        u_r, p_r = rng.normal(size=Tu.shape[1]), rng.normal(size=Tp.shape[1])
+        u_r[::5] = p_r[::5] = -0.0          # the products turn -0 into +0
+        v, q = rng.normal(size=space.n_vel), rng.normal(size=space.n_p)
+        u, p = red.expand(u_r, p_r)
+        for got, ref in ((u, Tu @ u_r + u_fix), (p, Tp @ p_r),
+                         (red.restrict(v), Tu.T @ v), (red.restrict(q), Tp.T @ q)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
     def test_reduced_blocks_unchanged(self, name):
