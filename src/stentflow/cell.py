@@ -13,12 +13,12 @@ approximation at the interface:
 Far-field constants are band means near the truncation ends; pressures are
 normalized to zero mean over the upper band.
 
-On a strip mesh that mirrors onto itself under x1 -> 1 - x1 each corrector
-is odd or even under the mirror, and the left half determines it: beta,
-upsilon and the body-force part of varkappa are odd (u1 even, u2 and p odd),
-chi is even (u1 odd, u2 and p even).  The correctors are then solved on the
-half strip and copied back to the full one with these signs; on any other
-strip mesh they are solved on the full periodic strip.
+The strip mesher puts the disk at x1 = 1/2, so the mesh mirrors onto itself
+under x1 -> 1 - x1, each corrector is odd or even under the mirror, and the
+left half determines it: beta, upsilon and the body-force part of varkappa
+are odd (u1 even, u2 and p odd), chi is even (u1 odd, u2 and p even).  The
+correctors are solved on the half strip and copied back to the full one
+with these signs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import MeshMismatch
+from .errors import MeshMismatch, PeriodicMismatch
 from .fem import (
     BC,
     ReducedSystem,
@@ -178,13 +178,12 @@ class _StripOperators:
     "even") on ``mesh`` are solved on.
 
     The correctors differ only in their loads and in the values they fix,
-    so they share operators.  If the mesh mirrors onto itself
-    (:func:`mirror_half`), there is one per parity on its left half, each
-    reduced from one assembly of the half strip (the blocks do not depend on
-    the boundary conditions, and no operator carries a load); a half
-    solution is copied back to the full strip with its parity's signs, and
-    the full gradient energy is twice the half one.  Otherwise one periodic
-    full-strip operator serves every parity.  An operator keeps the
+    so they share operators: one per parity on the mesh's left half
+    (:func:`mirror_half`), each reduced from one assembly of the half strip
+    (the blocks do not depend on the boundary conditions, and no operator
+    carries a load).  A half solution is copied back to the full strip with
+    its parity's signs, and the full gradient energy is twice the half one;
+    a mesh without a half raises PeriodicMismatch.  An operator keeps the
     factorizations the solver makes, so this should live no longer than the
     solves using it; :func:`solve_all` drops the even operator once chi is
     solved, so that no two factorizations are alive at once.
@@ -192,11 +191,9 @@ class _StripOperators:
 
     def __init__(self, mesh: Mesh, parities):
         self.mesh, self.half, self.full = mesh, mirror_half(mesh), None
-        bc = _strip_bc(0.0, (0.0, 0.0) if len(mesh.holes) else None)
         if self.half is None:
-            operator = apply_constraints(assemble_stokes(build_space(mesh, bc)))
-            self.operators = dict.fromkeys(parities, operator)
-            return
+            raise PeriodicMismatch("the strip mesh does not mirror onto itself about x1 = 1/2")
+        bc = _strip_bc(0.0, (0.0, 0.0) if len(mesh.holes) else None)
         spaces = [build_space(self.half.mesh, _half_bc(bc, parities[0]))]
         spaces += [spaces[0].with_bc(_half_bc(bc, parity)) for parity in parities[1:]]
         system = assemble_stokes(spaces[0])
@@ -206,10 +203,8 @@ class _StripOperators:
     def solve(self, bc, sources, config, parity):
         """The full-strip solution of the corrector of ``parity`` with the
         periodic data ``bc`` and ``sources``, and its gradient energy.  A
-        volume source is given on the triangles solved on: those of the half
-        strip (``half.triangles``), if there is one."""
-        if self.half is None:
-            return _solve_reduced(self.operators[parity], bc, sources, config)
+        volume source is given on the triangles solved on, those of the half
+        strip (``half.triangles``)."""
         sol, energy = _solve_reduced(self.operators[parity], _half_bc(bc, parity),
                                      sources, config)
         src, flip = self.half.source, self.half.mirrored
@@ -257,16 +252,13 @@ def _chi(strip: _StripOperators, config) -> CellSolution:
 def _varkappa(strip: _StripOperators, chi: CellSolution, config) -> CellSolution:
     if chi.mesh is not strip.mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
-    fields = _chi_on_quadrature(chi, None if strip.half is None else strip.half.triangles)
+    fields = _chi_on_quadrature(chi, strip.half.triangles)
     body_force = -2.0 * fields["gradu"][:, :, :, 0]
     body_force[:, :, 0] += 2.0 * fields["eta_dev"]
     obstacle = (0.0, 0.0) if len(strip.mesh.holes) else None
-    sources = Sources(volume=body_force)
-    if strip.half is None:
-        return _cell("varkappa", *strip.solve(_strip_bc(1.0, obstacle), sources, config, "odd"))
     # varkappa = w - chi; w and chi are orthogonal in energy, being of
     # opposite parities
-    w, energy = strip.solve(_strip_bc(0.0, obstacle), sources, config, "odd")
+    w, energy = strip.solve(_strip_bc(0.0, obstacle), Sources(volume=body_force), config, "odd")
     sol = dataclasses.replace(w, u=w.u - chi.solution.u, p=w.p - chi.solution.p)
     return _cell("varkappa", sol, energy + chi.grad_energy)
 
@@ -274,8 +266,8 @@ def _varkappa(strip: _StripOperators, chi: CellSolution, config) -> CellSolution
 def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
     """No-slip corrector: velocity equals -y2*e1 on the obstacle boundary.
 
-    Solved on the half strip if the mesh mirrors onto itself, else on the
-    full periodic strip; the same holds for the other correctors.
+    Solved on the mesh's half strip (:func:`mirror_half`), as are the other
+    correctors; a mesh that has none raises :class:`PeriodicMismatch`.
     """
     return _beta(_StripOperators(strip_mesh, ("odd",)), config)
 
@@ -296,8 +288,8 @@ def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
 
     The body force is -2 * (d(chi)/dy1 - (eta - far-field eta) e1), evaluated
     from the discrete chi solution at the quadrature points of its own mesh.
-    On the half strip varkappa = w - chi: its end datum +1 is -chi's -1, and
-    w, which takes the body force with zero end data, is odd.  There the
+    It is solved as varkappa = w - chi: its end datum +1 is -chi's -1, and
+    w, which takes the body force with zero end data, is odd.  The
     solution's space is w's, whose ends are fixed to 0.
     """
     return _varkappa(_StripOperators(strip_mesh, ("odd",)), chi, config)

@@ -18,7 +18,7 @@ class MeshQualityFailure(StentflowError):
 
 
 class PeriodicMismatch(StentflowError):
-    """Left/right strip boundary traces do not match."""
+    """Strip traces do not match, or a strip mesh has no mirror half."""
 
 
 class ConflictingConstraints(StentflowError):

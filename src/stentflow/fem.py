@@ -571,19 +571,25 @@ def _gather(col, v):
 
 def _column_map(n, fixed, pairs):
     """Reduced column of each of n DOFs: free DOFs are numbered in order,
-    slaves take their master's column, fixed DOFs get -1."""
+    slaves take their final master's column (a master may itself be a
+    slave, as at a doubly periodic corner), fixed DOFs get -1."""
+    slave = pairs[:, 0]
     target = np.arange(n, dtype=np.int64)
-    is_slave = np.zeros(n, dtype=bool)
-    if len(pairs):
-        target[pairs[:, 0]] = pairs[:, 1]
-        is_slave[pairs[:, 0]] = True
-    is_fixed = np.zeros(n, dtype=bool)
-    is_fixed[fixed] = True
-    free = ~(is_fixed | is_slave)
+    target[slave] = pairs[:, 1]
+    for _ in range(64):                   # pointer doubling along the chains
+        final = target[target[slave]]
+        if np.array_equal(final, target[slave]):
+            break
+        target[slave] = final
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    # a cycle, a slave of two masters or a fixed master leaves no free one
+    master = target[pairs[:, 1]]
+    if np.any(target[slave] != master) or not np.all(free[master]):
+        raise ConflictingConstraints("periodic pairs without one free master")
+    free[slave] = False
     col_of = -np.ones(n, dtype=np.int32)
     col_of[free] = np.arange(free.sum())
-    # a DOF takes its target's column, which a fixed target (or one that is
-    # itself a slave) does not have
     return col_of[target]
 
 

@@ -678,12 +678,14 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
                      refine_spec: RefineSpec | None = None) -> Mesh:
     """Mesh the truncated periodic strip ]0,1[ x ]-L,L[ minus the obstacle.
 
+    The disk is meshed at x1 = 1/2 whatever its cx, which only translates
+    the periodic problem, so the mesh mirrors onto itself (:func:`mirror_half`).
     The left/right boundary vertex sets are exact y-translates of each other
     (periodic identification); y2 = 0 is a mesh line carrying the SIGMA tag;
     the lattice spacing near the obstacle is 1/n, with n = 1/h (or what the
     obstacle's margin needs, if more) rounded up to the next multiple of 4
-    whose halvings end at 6 columns or fewer (28 -> 32, 44 -> 48, 52 -> 64),
-    and coarsens away.
+    whose halvings end at 4 or 6 columns (28 -> 32, 40 -> 48, 52 -> 64), and
+    coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
     if L < 2:
@@ -694,24 +696,23 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     L = float(L)
     n = max(8, int(round(1.0 / h)))
     if obstacle is not None:
-        cx, cy = obstacle.center
-        r = obstacle.radius
-        margins = [cx - r, 1.0 - cx - r]
+        cx, (_, cy), r = 0.5, obstacle.center, obstacle.radius    # the disk at x1 = 1/2
+        margins = [0.5 - r]
         if abs(cy) > r:            # a disk off the interface line keeps clear of it
             margins.append(abs(cy) - r)
         n = max(n, int(math.ceil(1.3 / min(margins))))
     # the far field coarsens by halving the column count while it is even,
-    # so round up to a multiple of 4 whose halvings end at 6 columns or
-    # fewer; an odd count on the way, as 44 -> 22 -> 11, would keep the far
-    # field fine and the strip bigger than the one at 48 columns
+    # so round up to a multiple of 4 whose halvings end at 4 or 6 columns;
+    # an odd count on the way, as 44 -> 22 -> 11, keeps the far field fine,
+    # and 5 far-field columns have triangles crossing x1 = 1/2
     n += (-n) % 4
-    while n // (n & -n) > 6:       # n // (n & -n) is the last, odd count
+    while n // (n & -n) not in (1, 3):     # n // (n & -n) is the last, odd count
         n += 4
     s = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
 
     if obstacle is not None:
-        if min(cx - r, 1.0 - cx - r) <= 2 * s:
+        if 0.5 - r <= 2 * s:
             raise ObstacleTouchesCell("obstacle too close to the periodic sides")
         if not (-L + 2 < cy - r and cy + r < L - 2):
             raise ObstacleTouchesCell("obstacle must lie well inside the strip")

@@ -124,9 +124,9 @@ def _velocity_lu(red: ReducedSystem):
 # fixed polynomial in Mp, so the preconditioner is linear and SPD, as conjugate
 # gradients needs (Wathen & Rees, ETNA 34, 2009); its error in the Mp-norm is
 # at most 2 * 3^-k.  k = 8 is the fewest steps that leave the Uzawa iteration
-# count of upsilon on the full periodic strip (the path of asymmetric strips) as
-# with the exact inverse; the half-strip and macro solves hold theirs from 6
-# steps on (notes/decisions.md).
+# count of upsilon on the full periodic strip, now only the tests' reference,
+# as with the exact inverse; the half-strip and macro solves hold theirs from
+# 6 steps on (notes/decisions.md), and k stays 8 until a re-sweep measures it.
 CHEBYSHEV_STEPS = 8
 
 

@@ -3,13 +3,11 @@
 The default strip (ObstacleSpec(), L = 10, h = 1/48) and its cell solves
 are built once per session.  Tests must not change what these fixtures
 return; a test that needs to alter a solution builds its own.  The
-``periodic_path`` and ``periodic_operator`` fixtures give the periodic
-full-strip path, the reference for the half strip; ``prolongations`` gives
-the constraint reduction's prolongation matrices, built here as the
-reference for its column maps.
+``periodic_strip`` fixture gives the correctors solved on the full periodic
+strip, the reference for the half strip; ``prolongations`` gives the
+constraint reduction's prolongation matrices, the reference for its column
+maps.  Both are built here from ``fem`` primitives.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ import scipy.sparse as sp
 
 import stentflow.cell as cell
 from stentflow.cell import solve_all
+from stentflow.fem import Sources, apply_constraints, assemble_stokes, build_space
 from stentflow.geometry import ObstacleSpec, build_strip_mesh
 
 
@@ -32,27 +31,45 @@ def default_strip_cells(default_strip):
     return solve_all(default_strip, with_varkappa=True)
 
 
-@pytest.fixture(scope="session")
-def periodic_path():
-    """``with periodic_path():`` solves strip correctors on the full periodic
-    strip whatever the mesh's symmetry, as if ``mirror_half`` found no half.
-    The periodic path is the reference the half strip is checked against."""
-    @contextlib.contextmanager
-    def periodic():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cell, "mirror_half", lambda mesh: None)
-            yield
-    return periodic
+class PeriodicStrip:
+    """The strip correctors on the full periodic strip of ``mesh``.
+
+    ``operator`` is one reduced periodic Stokes operator that every
+    corrector shares.  ``solve`` stands in for the half strip's: it solves
+    a corrector of either parity on ``operator``, so that ``cell._beta``,
+    ``cell._upsilon`` and ``cell._chi`` run on this object unchanged.
+    ``varkappa`` is solved directly, with end datum +1 and the body force on
+    the whole strip.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.obstacle = (0.0, 0.0) if len(mesh.holes) else None
+        bc = cell._strip_bc(0.0, self.obstacle)
+        self.operator = apply_constraints(assemble_stokes(build_space(mesh, bc)))
+
+    def solve(self, bc, sources, config, parity):
+        return cell._solve_reduced(self.operator, bc, sources, config)
+
+    def varkappa(self, chi, config=None):
+        fields = cell._chi_on_quadrature(chi)
+        body_force = -2.0 * fields["gradu"][:, :, :, 0]
+        body_force[:, :, 0] += 2.0 * fields["eta_dev"]
+        return cell._cell("varkappa", *self.solve(cell._strip_bc(1.0, self.obstacle),
+                                                  Sources(volume=body_force), config, "odd"))
+
+    def solve_all(self, config=None):
+        """(solutions, constants) as ``solve_all`` with varkappa gives them."""
+        sols = {"beta": cell._beta(self, config), "upsilon": cell._upsilon(self, config),
+                "chi": cell._chi(self, config)}
+        sols["varkappa"] = self.varkappa(sols["chi"], config)
+        return sols, cell.extract_constants(*sols.values())
 
 
 @pytest.fixture(scope="session")
-def periodic_operator(periodic_path):
-    """``periodic_operator(mesh)`` is the reduced periodic Stokes operator
-    that every corrector on the strip ``mesh`` shares on the periodic path."""
-    def operator(mesh):
-        with periodic_path():
-            return cell._StripOperators(mesh, ("odd",)).operators["odd"]
-    return operator
+def periodic_strip():
+    """``periodic_strip(mesh)`` is the :class:`PeriodicStrip` of ``mesh``."""
+    return PeriodicStrip
 
 
 @pytest.fixture(scope="session")
@@ -60,11 +77,13 @@ def prolongations():
     """``prolongations(space)`` is (T_u, T_p, u_fix) of the constraint sets
     of ``space``: full = T reduced + fixed values.  A row of T holds one unit
     entry at the column of its DOF: free DOFs are numbered in order, a
-    periodic slave shares its master's column, and fixed DOFs (or slaves of
-    a DOF without a column) have none."""
+    periodic slave shares the column of its final master (a slave's master
+    may itself be a slave), and fixed DOFs have none."""
     def prolongation(n, fixed, pairs):
         target = np.arange(n)
         target[pairs[:, 0]] = pairs[:, 1]
+        while np.any(target[target] != target):
+            target = target[target]
         free = np.ones(n, dtype=bool)
         free[fixed] = free[pairs[:, 0]] = False
         rows = np.flatnonzero(free[target])

@@ -5,10 +5,13 @@ acceptance suite at full resolution; here a moderate strip keeps the
 structural identities cheap.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stentflow.cell import (
+    _chi,
     _far_field_jump,
     extract_constants,
     identity_report,
@@ -21,7 +24,7 @@ from stentflow.cell import (
     write_constants,
     read_constants,
 )
-from stentflow.errors import ConstraintMismatch, MeshMismatch
+from stentflow.errors import ConstraintMismatch, MeshMismatch, PeriodicMismatch
 from stentflow.solvers import SolverConfig
 from stentflow.fem import BC, assemble_loads, band_integral, gradient_energy
 from stentflow.geometry import BoundaryTag as T, ObstacleSpec, build_strip_mesh, mirror_half
@@ -202,12 +205,10 @@ def test_truncation_length_insensitive():
 
 def test_shared_operator_matches_independent_solves(strip, solutions):
     # solve_all shares its strip operators between the four correctors; each
-    # corrector solved alone factors its own.  The centred strip takes the
-    # half-strip path, the off-centre one the periodic path.
+    # corrector solved alone factors its own
     from stentflow.cli import TOL_TABLE
 
     off_centre = build_strip_mesh(ObstacleSpec(center=(0.4, 0.3)), L=L, h=H)
-    assert mirror_half(off_centre) is None
     for mesh, (sols, shared) in ((strip, solutions), (off_centre, solve_all(off_centre))):
         beta, upsilon, chi = solve_beta(mesh), solve_upsilon(mesh), solve_chi(mesh)
         varkappa = solve_varkappa(mesh, chi)
@@ -223,8 +224,8 @@ def test_shared_operator_matches_independent_solves(strip, solutions):
                     == (rep_alone[key] <= TOL_TABLE[key])), key
 
 
-def test_mismatched_pattern_rejected(strip, periodic_operator):
-    op = periodic_operator(strip)
+def test_mismatched_pattern_rejected(strip, periodic_strip):
+    op = periodic_strip(strip).operator
     # natural top and bottom: the vertical velocity there is no longer fixed
     bc = {T.STRIP_TOP: BC.natural(), T.STRIP_BOTTOM: BC.natural(),
           T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
@@ -235,7 +236,7 @@ def test_mismatched_pattern_rejected(strip, periodic_operator):
         op.with_loads(space, *assemble_loads(space))
     # the same pattern on another mesh
     other = build_strip_mesh(ObstacleSpec(), L=L, h=H)
-    space = periodic_operator(other).space
+    space = periodic_strip(other).operator.space
     with pytest.raises(ConstraintMismatch, match="mesh"):
         op.with_loads(space, *assemble_loads(space))
 
@@ -256,7 +257,7 @@ def _counting_splu(monkeypatch):
 @pytest.mark.parametrize("config", [SolverConfig(method="direct"),
                                     SolverConfig(outer_tol=1e-13)],
                          ids=["direct", "uzawa"])
-def test_half_strip_matches_periodic_path(monkeypatch, periodic_path, config):
+def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, config):
     # the half-strip problems are the periodic one restricted to fields of
     # one parity, so the two paths differ by rounding once the solver error
     # is below it (at the default outer_tol, varkappa1_jump differs by 4e-10)
@@ -266,8 +267,7 @@ def test_half_strip_matches_periodic_path(monkeypatch, periodic_path, config):
     # Uzawa factors the odd and the even velocity block, the direct solver
     # each half-strip saddle point
     assert len(calls) == (2 if config.method == "uzawa_cg" else 4)
-    with periodic_path():
-        ref_sols, ref = solve_all(mesh, config)
+    ref_sols, ref = periodic_strip(mesh).solve_all(config)
     for key, val in ref.as_dict().items():
         assert abs(getattr(half, key) - val) <= 1e-10 * abs(val), key
     for which, cell in ref_sols.items():
@@ -297,13 +297,26 @@ def test_half_strip_matches_periodic_path(monkeypatch, periodic_path, config):
 @pytest.mark.parametrize("obstacle, h", [(ObstacleSpec(), 1 / 40),
                                          (ObstacleSpec(center=(0.4, 0.3)), 1 / 16)],
                          ids=["h=1/40", "off-centre"])
-def test_asymmetric_strips_take_periodic_path(monkeypatch, obstacle, h):
+def test_every_strip_takes_half_strip(monkeypatch, obstacle, h):
+    # the odd and the even half-strip operators
     calls = _counting_splu(monkeypatch)
     solve_all(build_strip_mesh(obstacle, L=4, h=h), with_varkappa=False)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
-def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_path, tmp_path):
+def test_strip_without_a_half_rejected():
+    # one vertex moved off its mirror image
+    mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    vertices = mesh.vertices.copy()
+    k = np.argmin(np.hypot(vertices[:, 0] - 0.25, vertices[:, 1] - 2.0))
+    vertices[k, 0] += 1e-3
+    mesh = dataclasses.replace(mesh, vertices=vertices)
+    assert mirror_half(mesh) is None
+    with pytest.raises(PeriodicMismatch, match="mirror"):
+        solve_all(mesh, with_varkappa=False)
+
+
+def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_strip, tmp_path):
     # even chi and odd varkappa part with Dirichlet ends, as cell --no-obstacle
     # solves chi
     from stentflow.cli import main
@@ -313,9 +326,9 @@ def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_path
     chi = solve_chi(mesh)
     vk = solve_varkappa(mesh, chi)
     assert len(calls) == 2
-    with periodic_path():
-        ref_chi = solve_chi(mesh)
-        ref_vk = solve_varkappa(mesh, ref_chi)
+    periodic = periodic_strip(mesh)
+    ref_chi = _chi(periodic, None)
+    ref_vk = periodic.varkappa(ref_chi)
     for cell, ref in ((chi, ref_chi), (vk, ref_vk)):
         for name in ("u", "p"):
             a, b = getattr(cell.solution, name), getattr(ref.solution, name)

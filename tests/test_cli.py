@@ -303,6 +303,25 @@ class TestCli:
         assert f"constants file {constants}" in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
+    def test_cell_fails_a_broken_identity(self, workdir, monkeypatch, capsys):
+        # a pressure normalization off by a constant leaves every section
+        # average of the beta pressure at that constant
+        import stentflow.cell as cell
+
+        normalize = cell._normalize_pressure
+
+        def shifted(space, sol, mesh):
+            record = normalize(space, sol, mesh)
+            sol.p = sol.p + 1e-3
+            return record
+
+        monkeypatch.setattr(cell, "_normalize_pressure", shifted)
+        tmp, cfg = workdir
+        assert main(["cell", "--config", str(cfg)]) == 1
+        assert "pi_section_max_rel" in capsys.readouterr().err
+        report = (tmp / "out" / "identity_report.txt").read_text()
+        assert re.search(r"^pi_section_max_rel=.* FAIL$", report, re.M)
+
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stentflow.cli", "--version"],

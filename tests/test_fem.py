@@ -30,6 +30,7 @@ from stentflow.fem import (
     VelocityField,
     _TRI_C,
     _TRI_P1,
+    _column_map,
     _geometry_tables,
     apply_constraints,
     assemble_stokes,
@@ -422,6 +423,34 @@ class TestConstraints:
         for got, ref in ((u, Tu @ u_r + u_fix), (p, Tp @ p_r),
                          (red.restrict(v), Tu.T @ v), (red.restrict(q), Tp.T @ q)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_doubly_periodic_corner_takes_final_master(self, prolongations):
+        # with both side pairs periodic a corner's master is itself a slave;
+        # every corner ends at one column, and no DOF is left without a
+        # column unless it is fixed
+        mesh = rectangle_mesh(0, 1, 0, 1, 0.25)
+        bc = {T.GAMMA_IN: BC.periodic(T.GAMMA_OUT1), T.GAMMA_OUT1: BC.periodic(T.GAMMA_IN),
+              T.GAMMA0: BC.periodic(T.GAMMA1), T.GAMMA1: BC.periodic(T.GAMMA0)}
+        space = build_space(mesh, bc)
+        red = apply_constraints(assemble_stokes(space))
+        for col, fixed in ((red.u_col, space.fixed_dofs), (red.p_col, space.p_fixed)):
+            assert np.all((col >= 0) != np.isin(np.arange(len(col)), fixed))
+        corners = np.flatnonzero(np.all(np.isin(mesh.vertices, (0.0, 1.0)), axis=1))
+        assert len(corners) == 4
+        for dofs in (red.u_col[corners], red.u_col[space.n_vnode + corners], red.p_col[corners]):
+            assert len(set(dofs)) == 1
+        Tu, Tp, _ = prolongations(space)
+        u_r, p_r = (np.arange(T.shape[1], dtype=float) for T in (Tu, Tp))
+        u, p = red.expand(u_r, p_r)
+        assert np.array_equal(u, Tu @ u_r) and np.array_equal(p, Tp @ p_r)
+
+    @pytest.mark.parametrize("fixed, pairs", [([], [[0, 1], [1, 0]]),
+                                              ([], [[0, 1], [1, 2], [2, 0]]),
+                                              ([], [[0, 1], [0, 2]]), ([2], [[0, 1], [1, 2]])],
+                             ids=["2-cycle", "3-cycle", "two masters", "fixed master"])
+    def test_periodic_pairs_without_one_free_master_rejected(self, fixed, pairs):
+        with pytest.raises(ConflictingConstraints, match="one free master"):
+            _column_map(3, np.array(fixed, dtype=np.int64), np.array(pairs))
 
     @pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
     def test_reduced_blocks_unchanged(self, name):

@@ -241,9 +241,12 @@ class TestStripMesh:
             build_strip_mesh(ObstacleSpec(), L=1.0, h=0.1)
 
     def test_lateral_obstacle_rejected(self):
+        # the strip meshes every disk at x1 = 1/2, so only a disk that
+        # reaches the lateral sides from there is rejected, wherever its cx
+        m = build_strip_mesh(ObstacleSpec(center=(0.05, 0.25), radius=0.04), L=6, h=1 / 48)
+        assert m.holes.tolist() == [[0.5, 0.25, 0.04]]
         with pytest.raises(ObstacleTouchesCell):
-            build_strip_mesh(ObstacleSpec(center=(0.05, 0.25), radius=0.04),
-                             L=6, h=0.5)
+            build_strip_mesh(ObstacleSpec(radius=0.45), L=6, h=0.5)
 
     def test_coarser_request_gives_no_bigger_strip(self):
         # 22 columns halve to 11, an odd count that stopped the far-field
@@ -319,13 +322,22 @@ class TestMirrorHalf:
         assert np.array_equal(half.triangles, np.flatnonzero(
             full.vertices[full.triangles, 0].max(axis=1) < 0.5 + 1e-12))
 
-    @pytest.mark.parametrize("obstacle, h", [(ObstacleSpec(), 1 / 40),
-                                             (ObstacleSpec(center=(0.4, 0.3)), 1 / 24)],
-                             ids=["h=1/40", "off-centre"])
-    def test_asymmetric_strips_have_no_half(self, obstacle, h):
-        # at h = 1/40 the far field ends at 5 columns, and its middle
-        # triangles cross x1 = 1/2
-        assert mirror_half(build_strip_mesh(obstacle, L=10, h=h)) is None
+    @pytest.mark.parametrize("obstacle, h", [
+        pytest.param(ObstacleSpec(), 1 / 40, id="h=1/40"),
+        pytest.param(ObstacleSpec(center=(0.4, 0.3)), 1 / 24, id="off-centre"),
+        *(pytest.param(ObstacleSpec(), 1 / n, id=f"obstacle-{n}")
+          for n in (24, 32, 48, 64, 96, 128)),
+        *(pytest.param(None, 1 / n, id=f"none-{n}") for n in (8, 12, 16, 24, 32, 48, 64, 96, 128)),
+    ])
+    def test_every_strip_has_a_half(self, obstacle, h):
+        # h = 1/40 rounds to 48 columns, as the far field of 40 would end at
+        # 5 columns whose middle triangles cross x1 = 1/2; the off-centre disk
+        # is meshed at x1 = 1/2; the others are every column count that the
+        # requests 1/8 ... 1/128 give
+        mesh = build_strip_mesh(obstacle, L=4, h=h)
+        assert mirror_half(mesh) is not None
+        if obstacle is not None:
+            assert mesh.holes[0].tolist() == [0.5, obstacle.center[1], obstacle.radius]
 
 
 def test_one_edge_pass_per_mesh(monkeypatch):

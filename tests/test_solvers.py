@@ -168,9 +168,9 @@ def coarse_strip():
 
 
 @pytest.fixture(scope="module")
-def default_strip_A(default_strip, periodic_operator):
+def default_strip_A(default_strip, periodic_strip):
     # the default strip's periodic reduced A
-    return periodic_operator(default_strip).A
+    return periodic_strip(default_strip).operator.A
 
 
 class TestFactorize:
@@ -198,12 +198,13 @@ class TestFactorize:
 
     def test_factorize_heap_clean_under_malloc_check(self):
         # glibc checks every allocation and aborts on a corrupted heap
-        code = ("import stentflow.cell as cell\n"
+        code = ("from stentflow.cell import _strip_bc\n"
+                "from stentflow.fem import apply_constraints, assemble_stokes, build_space\n"
                 "from stentflow.geometry import ObstacleSpec, build_strip_mesh\n"
                 "from stentflow.solvers import factorize\n"
-                "cell.mirror_half = lambda mesh: None   # the periodic strip's A\n"
                 "strip = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 12)\n"
-                "A = cell._StripOperators(strip, ('odd',)).operators['odd'].A\n"
+                "space = build_space(strip, _strip_bc(0.0, (0.0, 0.0)))\n"
+                "A = apply_constraints(assemble_stokes(space)).A   # the periodic strip's A\n"
                 "for _ in range(10):\n"
                 "    factorize(A)\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -232,8 +233,8 @@ class TestFactorize:
         finally:
             solvers._malloc_trim.cache_clear()
 
-    def test_solution_matches_spsolve(self, coarse_strip, periodic_operator):
-        A = periodic_operator(coarse_strip).A
+    def test_solution_matches_spsolve(self, coarse_strip, periodic_strip):
+        A = periodic_strip(coarse_strip).operator.A
         b = np.sin(np.arange(A.shape[0]))
         x, ref = factorize(A).solve(b), spla.spsolve(A.tocsc(), b)
         # a failure says whether the factorization is at fault (a backward
@@ -496,11 +497,10 @@ class TestReducedBlocks:
         monkeypatch.setattr(ReducedSystem, "with_loads", recording)
         return loads
 
-    def test_strip_factor_input_and_corrector_loads(self, monkeypatch, periodic_path,
+    def test_strip_factor_input_and_corrector_loads(self, monkeypatch, periodic_strip,
                                                     default_strip, prolongations):
         loads = self._record_loads(monkeypatch)
-        with periodic_path():
-            solve_all(default_strip, with_varkappa=True)
+        periodic_strip(default_strip).solve_all()
         # the operator's own (unloaded) reduction, then beta, upsilon, chi
         # and varkappa on its blocks
         assert len(loads) == 5
@@ -535,7 +535,7 @@ class TestReducedBlocks:
 @pytest.fixture(scope="module")
 def suite_mass_matrices():
     """The reduced pressure mass matrix of each kind of solve the suite runs:
-    the periodic strip, the macro problems at eps = 1/4, the first-order
+    the half strip, the macro problems at eps = 1/4, the first-order
     pair and the no-stent channel."""
     seen = {}
     mass_inverse = solvers._mass_inverse
@@ -586,14 +586,13 @@ class TestMassPreconditioner:
             # a fixed polynomial in M: symmetric, as conjugate gradients needs
             assert abs(q @ precond(r) - r @ precond(q)) <= 1e-12 * abs(q @ x), name
 
-    def test_default_strip_iterations_as_with_exact_inverse(self, periodic_path, default_strip,
+    def test_default_strip_iterations_as_with_exact_inverse(self, periodic_strip, default_strip,
                                                             default_strip_cells):
-        # on the periodic strip and on the half strip (whose last solve is
-        # the odd part of varkappa), both as with the exact Mp inverse; with
-        # 6 steps the periodic counts read [9, 10, 11, 15], and the half
-        # strip's change from 5 steps down
-        with periodic_path():
-            periodic_cells, _ = solve_all(default_strip, with_varkappa=True)
+        # on the periodic strip (the test reference) and on the half strip
+        # (whose last solve is the odd part of varkappa), both as with the
+        # exact Mp inverse; with 6 steps the periodic counts read
+        # [9, 10, 11, 15], and the half strip's change from 5 steps down
+        periodic_cells, _ = periodic_strip(default_strip).solve_all()
         for cells, expected in ((periodic_cells, [9, 9, 11, 15]),
                                 (default_strip_cells[0], [9, 9, 11, 11])):
             iters = [cells[k].solution.diagnostics["iterations"]
