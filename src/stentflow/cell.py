@@ -127,7 +127,7 @@ def _half_bc(bc, parity):
 
 
 def _strip_L(mesh: Mesh) -> float:
-    return float(mesh.meta.get("L", mesh.vertices[:, 1].max()))
+    return float(mesh.meta["L"] if "L" in mesh.meta else mesh.vertices[:, 1].max())
 
 
 def _top_band(mesh):
@@ -394,12 +394,13 @@ def identity_report(beta, upsilon, chi, varkappa=None,
     """Residuals of the averaged identities the cell solutions must satisfy.
 
     Keys map to scalar residuals (absolute or relative as noted); the caller
-    decides pass/fail thresholds.  Section averages are read at y2 = +-1,
-    +-2.5 and +-5.
+    decides pass/fail thresholds.  Section averages are read at those of
+    y2 = +-1, +-2.5 and +-5 that lie strictly inside the strip.
     """
     c = constants or extract_constants(beta, upsilon, chi, varkappa)
     rep = {}
     sections = np.array([-5.0, -2.5, -1.0, 1.0, 2.5, 5.0])
+    sections = sections[np.abs(sections) < _strip_L(beta.mesh)]
 
     def section_max(cell, component):
         return float(np.max(np.abs(section_average(cell, component, sections))))

@@ -840,16 +840,25 @@ def _cut(p, c):
     return low, short, _edge_point(lo, hi, c)
 
 
-def band_integral(space: FESpace, u, y0, y1, component=0, average=False):
-    """Integral (or mean) of a field component over the band y0 <= y <= y1.
+def _rule(mesh: Mesh, key, build, *args):
+    """The integration rule ``build(mesh, *args)``, built on first use and
+    kept on the mesh under ``key``: it depends on the mesh alone, and every
+    field on the mesh is contracted against it."""
+    rules = mesh._integration_rules
+    if key not in rules:
+        rules[key] = build(mesh, *args)
+    return rules[key]
 
-    Triangles are clipped against the band, so the band boundaries need not
-    be mesh lines.  Works for velocity (length n_vel) and pressure (length
-    n_p) coefficient vectors.
-    """
-    y = space.mesh.vertices[:, 1][space.mesh.triangles]
+
+def _band_rule(mesh: Mesh, y0, y1):
+    """Triangles ``t`` (n,) meeting the band y0 <= y <= y1, barycentric
+    points ``lam`` (n, 24, 3) and weights ``w`` (n, 24) of the 6-point rule
+    on the four fan triangles clipped from each, and the band's area."""
+    y = mesh.vertices[:, 1][mesh.triangles]
     t = np.flatnonzero((y.max(axis=1) > y0 + 1e-14) & (y.min(axis=1) < y1 - 1e-14))
-    p = _by_height(space.mesh, t)
+    if not len(t):
+        raise ValueError(f"the band [{y0}, {y1}] meets no triangle of the mesh")
+    p = _by_height(mesh, t)
     # the band is the part of each triangle below y1 minus the part below y0
     subs = []
     for c in (y1, y0):
@@ -859,14 +868,57 @@ def band_integral(space: FESpace, u, y0, y1, component=0, average=False):
     X = np.stack(subs, axis=1)                                   # (n, 4, 3, 2)
     area = 0.5 * np.abs(cross2(X[:, :, 1] - X[:, :, 0], X[:, :, 2] - X[:, :, 0]))
     area *= [1.0, 1.0, -1.0, -1.0]
-    v, _, gradlam = _geometry_tables(space.mesh, t)
+    v, _, gradlam = _geometry_tables(mesh, t)
     lam = _barycentric(v[:, 0], gradlam, (TRI_QP @ X).reshape(len(t), -1, 2))
-    vals = _evaluate(space, u, t, lam, None)[:, :, component]
-    total = float(np.sum((area[:, :, None] * TRI_QW).reshape(len(t), -1) * vals))
+    w = (area[:, :, None] * TRI_QW).reshape(len(t), -1)
+    return t, lam, w, float(np.sum(area))
+
+
+def band_integral(space: FESpace, u, y0, y1, component=0, average=False):
+    """Integral (or mean) of a field component over the band y0 <= y <= y1.
+
+    Triangles are clipped against the band, so the band boundaries need not
+    be mesh lines.  Works for velocity (length n_vel) and pressure (length
+    n_p) coefficient vectors.  The band's rule is built once per mesh; a
+    band that meets no triangle raises ValueError.
+    """
+    key = ("band", np.array([y0, y1], dtype=float).tobytes())
+    t, lam, w, area = _rule(space.mesh, key, _band_rule, y0, y1)
+    total = float(np.sum(w * _evaluate(space, u, t, lam, None)[:, :, component]))
     if average:
-        area_tot = float(np.sum(area))
-        return total / area_tot if area_tot else 0.0
+        return total / area if area else 0.0
     return total
+
+
+def _section_rule(mesh: Mesh, heights):
+    """Triangles ``t`` (m,) crossed by the lines y = ``heights``, the line
+    ``k`` (m,) each crossing is on, barycentric points ``lam`` (m, 3, 3) of
+    the 3-point Gauss rule on each cut segment and the segment lengths."""
+    tol = 1e-13
+    y = mesh.vertices[:, 1][mesh.triangles]
+    ymin, ymax = y.min(axis=1)[None], y.max(axis=1)[None]
+    c = heights[:, None]
+    # vertices within tol of the line count as on it; a triangle meets the
+    # line when its lowest vertex is on or below it and its highest above,
+    # so a whole edge on the line counts once, for the triangle above it
+    meets = (ymin < c + tol) & (ymax >= c + tol)
+    # a line that no triangle lies above is the mesh's top edge, read from
+    # the triangles below it
+    top = ~meets.any(axis=1)
+    meets[top] = (ymax > c[top] - tol) & (ymin <= c[top] - tol)
+    missing = heights[~meets.any(axis=1)]
+    if len(missing):
+        raise ValueError(f"the lines y = {missing.tolist()} meet no triangle of the mesh")
+    k, t = np.nonzero(meets)
+    c = heights[k]
+    p = _by_height(mesh, t)
+    p[:, :, 1] = np.where(np.abs(p[:, :, 1] - c[:, None]) < tol, c[:, None], p[:, :, 1])
+    _, short, long = _cut(p, c)
+    x0, x1 = long[:, 0], short[:, 0]
+    pts = np.stack([x0[:, None] + EDGE_QP * (x1 - x0)[:, None],
+                    np.repeat(c[:, None], len(EDGE_QP), axis=1)], axis=-1)
+    v, _, gradlam = _geometry_tables(mesh, t)
+    return t, k, _barycentric(v[:, 0], gradlam, pts), np.abs(x1 - x0)
 
 
 def section_average(space: FESpace, u, y2, component=0):
@@ -874,27 +926,18 @@ def section_average(space: FESpace, u, y2, component=0):
 
     Each triangle crossed by the line contributes a Gauss-integrated
     segment.  A triangle with a whole edge on the line contributes only if
-    it lies above the line, so shared mesh-line edges count once.  The
-    domain width is 1, hence the line integral equals the average.  ``y2``
-    may be an array of heights, which gives an array of averages.
+    it lies above the line, so shared mesh-line edges count once; the top
+    edge of the mesh, with no triangle above it, is read from the triangles
+    below.  The domain width is 1, hence the line integral equals the
+    average.  ``y2`` may be an array of heights, which gives an array of
+    averages.  The rule of a set of heights is built once per mesh; a
+    height that meets no triangle raises ValueError.
     """
     heights = np.atleast_1d(np.asarray(y2, dtype=float))
-    tol = 1e-13
-    y = space.mesh.vertices[:, 1][space.mesh.triangles]
-    # vertices within tol of the line count as on it; a triangle meets the
-    # line when its lowest vertex is on or below it and its highest above
-    k, t = np.nonzero((y.min(axis=1) < heights[:, None] + tol)
-                      & (y.max(axis=1) >= heights[:, None] + tol))
-    c = heights[k]
-    p = _by_height(space.mesh, t)
-    p[:, :, 1] = np.where(np.abs(p[:, :, 1] - c[:, None]) < tol, c[:, None], p[:, :, 1])
-    _, short, long = _cut(p, c)
-    x0, x1 = long[:, 0], short[:, 0]
-    pts = np.stack([x0[:, None] + EDGE_QP * (x1 - x0)[:, None],
-                    np.repeat(c[:, None], len(EDGE_QP), axis=1)], axis=-1)
-    v, _, gradlam = _geometry_tables(space.mesh, t)
-    vals = _evaluate(space, u, t, _barycentric(v[:, 0], gradlam, pts), None)
-    per = np.abs(x1 - x0) * (vals[:, :, component] @ EDGE_QW)
+    key = ("section", heights.tobytes())
+    t, k, lam, length = _rule(space.mesh, key, _section_rule, heights)
+    vals = _evaluate(space, u, t, lam, None)
+    per = length * (vals[:, :, component] @ EDGE_QW)
     totals = np.bincount(k, weights=per, minlength=len(heights))
     return float(totals[0]) if np.ndim(y2) == 0 else totals
 

@@ -17,6 +17,7 @@ inputs produce identical meshes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -154,7 +155,9 @@ class Mesh:
     in lexicographic order, their integer keys (as :func:`_mesh_edges` gives
     them) and the edge opposite each vertex of every triangle (M, 3), the
     FE space's numbering of the local edges; a mesh built without it sorts
-    its edges once, on construction.
+    its edges once, on construction.  The band and section integration
+    rules of :mod:`.fem` are kept on the mesh once built, outside its
+    fields, so that equality, ``repr`` and the mesh file do not see them.
     """
 
     vertices: np.ndarray
@@ -172,6 +175,11 @@ class Mesh:
             edges, keys, tri_edges, _, _ = _mesh_edges(self.vertices,
                                                        self.triangles.astype(np.int64))
             self.edge_table = (edges, keys, tri_edges[:, [1, 2, 0]])
+
+    @functools.cached_property
+    def _integration_rules(self) -> dict:
+        """Integration rules built on this mesh, by band or heights."""
+        return {}
 
     @property
     def n_vertices(self) -> int:
@@ -683,9 +691,9 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     The left/right boundary vertex sets are exact y-translates of each other
     (periodic identification); y2 = 0 is a mesh line carrying the SIGMA tag;
     the lattice spacing near the obstacle is 1/n, with n = 1/h (or what the
-    obstacle's margin needs, if more) rounded up to the next multiple of 4
-    whose halvings end at 4 or 6 columns (28 -> 32, 40 -> 48, 52 -> 64), and
-    coarsens away.
+    obstacle's margin or radius needs, if more) rounded up to the next
+    multiple of 4 whose halvings end at 4 or 6 columns (28 -> 32, 40 -> 48,
+    52 -> 64), and coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
     if L < 2:
@@ -700,7 +708,11 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
         margins = [0.5 - r]
         if abs(cy) > r:            # a disk off the interface line keeps clear of it
             margins.append(abs(cy) - r)
-        n = max(n, int(math.ceil(1.3 / min(margins))))
+        # a lattice cell spans at most 2.5 chords of the disk's coarsest
+        # polygon (min_circle_segments sides), so that a small disk at a
+        # coarse h still meshes into good triangles
+        n = max(n, int(math.ceil(1.3 / min(margins))),
+                int(math.ceil(spec.min_circle_segments / (5.0 * math.pi * r))))
     # the far field coarsens by halving the column count while it is even,
     # so round up to a multiple of 4 whose halvings end at 4 or 6 columns;
     # an odd count on the way, as 44 -> 22 -> 11, keeps the far field fine,

@@ -203,6 +203,19 @@ def test_truncation_length_insensitive():
         assert abs(getattr(c10, key) - getattr(c14, key)) < 1e-6
 
 
+def test_identity_report_on_a_short_strip():
+    # at L = 4 the sections +-5 lie outside the strip, where an average
+    # raises; the report reads those at +-1 and +-2.5
+    mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    sols, constants = solve_all(mesh, with_varkappa=True)
+    rep = identity_report(*sols.values(), constants)
+    inside = np.array([-2.5, -1.0, 1.0, 2.5])
+    for key, which in (("beta2_section_max", "beta"), ("ups2_section_max", "upsilon")):
+        assert rep[key] == np.max(np.abs(section_average(sols[which], 1, inside)))
+    with pytest.raises(ValueError, match="meet no triangle"):
+        section_average(sols["beta"], 1, np.array([-5.0, 5.0]))
+
+
 def test_shared_operator_matches_independent_solves(strip, solutions):
     # solve_all shares its strip operators between the four correctors; each
     # corrector solved alone factors its own

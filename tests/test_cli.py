@@ -15,6 +15,14 @@ from stentflow.errors import ConfigError
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _child_env(**values):
+    """The environment for a child interpreter, with ``src`` first on
+    PYTHONPATH, plus ``values``."""
+    path = [str(README.parent / "src")] + ([os.environ["PYTHONPATH"]]
+                                           if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **values)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = parse_config("")
@@ -322,10 +330,27 @@ class TestCli:
         report = (tmp / "out" / "identity_report.txt").read_text()
         assert re.search(r"^pi_section_max_rel=.* FAIL$", report, re.M)
 
+    def test_cell_short_strip_passes_every_identity(self, workdir):
+        # the workdir strip has L = 4, inside which the report reads its
+        # sections (+-1 and +-2.5)
+        tmp, cfg = workdir
+        assert main(["cell", "--config", str(cfg)]) == 0
+        report = (tmp / "out" / "identity_report.txt").read_text().splitlines()[1:]
+        assert len(report) == 12 and all(line.endswith(" ok") for line in report)
+
+    def test_cell_small_disk_at_coarse_h(self, tmp_path):
+        # r = 0.04 at strip.h = 1/16 failed the mesh quality check (9.86
+        # degrees) before the lattice was sized from the radius too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"obstacle.r = 0.04\nstrip.h = {1 / 16}\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["cell", "--config", str(cfg)]) == 0
+        report = (tmp_path / "out" / "identity_report.txt").read_text().splitlines()[1:]
+        assert len(report) == 12 and all(line.endswith(" ok") for line in report)
+
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stentflow.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
@@ -342,18 +367,14 @@ def test_deterministic_outputs(workdir):
 def test_cell_outputs_independent_of_blas_threads(tmp_path):
     # the default strip: at strip.h = 1/16 a BLAS dot product happened to
     # give the same last digits with 1 and 2 threads, here it did not
-    src = str(Path(__file__).resolve().parent.parent / "src")
     procs = {}
     for n in ("1", "2"):
         run = tmp_path / f"threads{n}"
         run.mkdir()
         (run / "run.cfg").write_text(f"output.dir = {run / 'out'}\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                   PYTHONPATH=os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
-                                                      if os.environ.get("PYTHONPATH") else [])))
         procs[n] = subprocess.Popen(
             [sys.executable, "-m", "stentflow.cli", "cell", "--config", "run.cfg"],
-            cwd=run, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            cwd=run, env=_child_env(OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     assert all(proc.wait() == 0 for proc in procs.values())
     one, two = tmp_path / "threads1" / "out", tmp_path / "threads2" / "out"
     names = sorted(f.name for f in one.iterdir())

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from stentflow.analysis import macro_bc_spec, solve_direct
-from stentflow.cell import _strip_bc, solve_all, solve_chi, solve_varkappa
+from stentflow.cell import _strip_bc, identity_report, solve_all, solve_chi, solve_varkappa
 from stentflow.errors import (
     ConflictingConstraints,
     PointLocationFailure,
@@ -695,6 +695,116 @@ class TestClippedBandKernel:
         one = np.ones(space.n_p)
         vals = section_average(space, one, np.array([-1.0, 0.0, 1.0]))
         assert np.abs(vals - 1.0).max() <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def short_strip():
+    mesh = build_strip_mesh(ObstacleSpec(), L=3, h=1 / 16)
+    return build_space(mesh, {t: BC.natural() for t in set(mesh.boundary_tags)})
+
+
+class TestIntegrationRules:
+    """Band and section rules: read at the mesh's edges, refused where they
+    meet no triangle, built once per mesh and never shared between meshes."""
+
+    def test_both_edges_read_from_inside(self, short_strip):
+        # the bottom edge y = -3 is read from the triangles above it, the top
+        # edge y = 3, which has none above, from those below
+        space = short_strip
+        one, y = np.ones(space.n_p), space.mesh.vertices[:, 1].copy()
+        assert y.min() == -3.0 and y.max() == 3.0
+        heights = np.array([-3.0, -2.999, 2.999, 3.0])
+        assert np.abs(section_average(space, one, heights) - 1.0).max() <= 1e-13
+        assert np.abs(section_average(space, y, heights) - heights).max() <= 1e-12
+        vy = np.concatenate([np.zeros(space.n_vnode), space.node_xy[:, 1]])
+        assert section_average(space, vy, 3.0, component=1) == pytest.approx(3.0, abs=1e-12)
+        for y0, y1 in ((-3.0, -2.0), (2.0, 3.0)):
+            assert band_integral(space, one, y0, y1) == pytest.approx(1.0, abs=1e-13)
+
+    def test_lines_outside_the_mesh_raise(self, short_strip):
+        one = np.ones(short_strip.n_p)
+        with pytest.raises(ValueError, match=r"y = \[-5\.0, 5\.0\]"):
+            section_average(short_strip, one, np.array([-5.0, 0.0, 5.0]))
+        with pytest.raises(ValueError, match=r"y = \[3\.001\]"):
+            section_average(short_strip, one, 3.001)
+
+    def test_bands_outside_the_mesh_raise(self, short_strip):
+        one = np.ones(short_strip.n_p)
+        # a band beyond the mesh, and one that only touches its top edge
+        for y0, y1 in ((4.0, 5.0), (3.0, 4.0), (-4.0, -3.0)):
+            with pytest.raises(ValueError, match=rf"band \[{y0}, {y1}\]"):
+                band_integral(short_strip, one, y0, y1)
+
+    def test_rules_kept_per_mesh(self, short_strip):
+        # an identical mesh, and the strip's half, build their own rules
+        mesh = short_strip.mesh
+        twin = build_strip_mesh(ObstacleSpec(), L=3, h=1 / 16)
+        half = mirror_half(mesh).mesh
+        spaces = [short_strip, build_space(twin, {}), build_space(half, {})]
+        widths = []
+        for space in spaces:
+            one = np.ones(space.n_p)
+            widths.append(band_integral(space, one, 1.0, 2.0))
+            widths.append(section_average(space, one, 1.5))
+        assert widths[:4] == widths[:2] * 2
+        assert widths[4:] == [pytest.approx(0.5, abs=1e-13)] * 2
+        rules = [m._integration_rules for m in (mesh, twin, half)]
+        assert len(rules[1]) == len(rules[2]) == 2
+        for key in rules[1]:
+            ids = {id(a) for r in rules for a in r[key]
+                   if isinstance(a, np.ndarray)}
+            assert len(ids) == 3 * sum(isinstance(a, np.ndarray) for a in rules[0][key])
+        # the rules are no field of the mesh
+        assert "_integration_rules" not in {f.name for f in dataclasses.fields(mesh)}
+        assert "_integration_rules" not in repr(mesh)
+
+    def test_cell_builds_each_rule_once(self, monkeypatch):
+        # solve_all and identity_report make 18 band integrals on two bands
+        # and 6 section averages on two sets of heights
+        import stentflow.cell as cell
+        import stentflow.fem as fem
+
+        builds, uses = [], []
+        for module, name, log in ((fem, "_band_rule", builds), (fem, "_section_rule", builds),
+                                  (cell, "band_integral", uses),
+                                  (cell, "_section_average", uses)):
+            def counting(*args, _f=getattr(module, name), _name=name, _log=log, **kwargs):
+                _log.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        mesh = build_strip_mesh(ObstacleSpec(), L=10, h=1 / 48)
+        sols, constants = solve_all(mesh, with_varkappa=True)
+        identity_report(*sols.values(), constants)
+        assert sorted(builds) == ["_band_rule"] * 2 + ["_section_rule"] * 2
+        assert sorted(uses) == ["_section_average"] * 6 + ["band_integral"] * 18
+        # every corrector field reads the same bits from the kept rules as
+        # from rules built afresh, and the triangle-by-triangle references
+        # to rounding (they sum in another order)
+        keys = list(mesh._integration_rules)
+        bands = [tuple(np.frombuffer(k[1])) for k in keys if k[0] == "band"]
+        sections = [np.frombuffer(k[1]) for k in keys if k[0] == "section"]
+        cases = [(s.solution.space, f, comp) for s in sols.values()
+                 for f, comp in _field_cases(s.solution.u, s.solution.p)]
+
+        def read():
+            return ([band_integral(space, f, *b, comp, avg) for space, f, comp in cases
+                     for b in bands for avg in (False, True)],
+                    [section_average(space, f, h, comp) for space, f, comp in cases
+                     for h in sections])
+
+        kept_bands, kept_sections = read()
+        del mesh._integration_rules
+        fresh_bands, fresh_sections = read()
+        assert kept_bands == fresh_bands
+        assert all(np.array_equal(a, b) for a, b in zip(kept_sections, fresh_sections))
+        refs = [reference_band_integral(space, f, *b, comp, avg) for space, f, comp in cases
+                for b in bands for avg in (False, True)]
+        for val, ref in zip(kept_bands, refs):
+            assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+        refs = [[reference_section_average(space, f, y, comp) for y in h]
+                for space, f, comp in cases for h in sections]
+        for val, ref in zip(kept_sections, refs):
+            assert np.abs(val - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def _quadratic(xy):

@@ -263,6 +263,15 @@ class TestStripMesh:
                   for n in range(24, 97)]
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("r, n", [(0.02, 8), (0.02, 48), (0.04, 16), (0.04, 24),
+                                      (0.06, 16), (0.08, 12)])
+    def test_small_disk_at_coarse_h(self, r, n):
+        # a lattice cell spans at most 2.5 chords of the disk's 16-gon, so
+        # these meshes pass the quality check (below 10 degrees before)
+        mesh = build_strip_mesh(ObstacleSpec(radius=r), L=10, h=1 / n)
+        assert mesh.min_angle_deg() >= 20.0
+        assert mirror_half(mesh) is not None
+
     def test_default_strip_file_unchanged(self, tmp_path):
         # the mesh file of the default strip, as written before the column
         # count was rounded to a multiple of 4
