@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import CellConstants
+from .cell import CellConstants, solve_all
+from .config import RunConfig
 from .errors import StentflowError
 from .fem import (
     BC,
@@ -29,8 +30,6 @@ from .fem import (
 from .geometry import (
     BoundaryTag as T,
     Mesh,
-    ObstacleSpec,
-    RefineSpec,
     build_macro_geometry,
     triangulate,
 )
@@ -287,30 +286,30 @@ def fit_slope(eps_vals, errors) -> SlopeFit:
                     residual=residual)
 
 
-@dataclass
-class StudyConfig:
-    """Inputs of the convergence study."""
+def first_order_model(cfg: RunConfig, zero, constants: CellConstants | None = None):
+    """The first-order corrector of ``cfg`` around the zero-order model
+    ``zero``, on the two ``first_order.h`` meshes.  The strip constants it
+    needs are solved on ``cfg.strip_mesh()`` unless given; the strip and its
+    solutions are freed before the corrector solves.  Returns (first-order
+    solution, constants)."""
+    if constants is None:
+        constants = solve_all(cfg.strip_mesh(), cfg.solver(), with_varkappa=False)[1]
+    mesh_up, mesh_lo = first_order_meshes(cfg["first_order.h"], cfg.refine_spec(),
+                                          case=cfg.case)
+    return solve_first_order(mesh_up, mesh_lo, zero, constants,
+                             config=cfg.solver()), constants
 
-    flow: FlowData = field(default_factory=FlowData)
-    obstacle: ObstacleSpec = field(default_factory=ObstacleSpec)
-    h_macro: float = 0.1
-    h_first_order: float = 0.05
-    strip_L: float = 10.0
-    strip_h: float = 1.0 / 48.0
-    refine: RefineSpec = field(default_factory=RefineSpec)
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
-
-def _measure(rep: ErrorReport, study: StudyConfig, zero, first_order,
+def _measure(rep: ErrorReport, cfg: RunConfig, zero, first_order,
              constants: CellConstants):
     """Fill the report of one eps: mesh, direct solve, the four errors from
     one point location of the direct mesh's error points on the corrector
     meshes and one Poisson factorization, flow rates and profiles."""
     eps = rep.eps
     t0 = time.time()
-    geo = build_macro_geometry(eps, study.flow.case, study.obstacle)
-    mesh = triangulate(geo, study.h_macro, study.refine)
-    direct = solve_direct(mesh, study.flow, study.solver)
+    geo = build_macro_geometry(eps, cfg.case, cfg.obstacle())
+    mesh = triangulate(geo, cfg["mesh.h"], cfg.refine_spec())
+    direct = solve_direct(mesh, cfg.flow(), cfg.solver())
     avg = averaged_approximation(zero, first_order, eps)
     points = _error_points(direct)
     pts, n = points["pts"], points["p"].size
@@ -320,7 +319,7 @@ def _measure(rep: ErrorReport, study: StudyConfig, zero, first_order,
     prs = np.stack([zero.pressure(pts[:n]), avg.pressure_at(located)[:n]])
     rep.hm1_p_zero, rep.hm1_p_first = map(float, _hm1_errors(direct, points, prs))
     rep.q_direct = flowrate_direct(direct)
-    if study.flow.case == "collateral":
+    if cfg.case == "collateral":
         rep.q_formula = flowrate_formula(zero, constants, eps)
         rep.q_first_order = flowrate_first_order(first_order, eps)
     rep.meta = {
@@ -332,42 +331,30 @@ def _measure(rep: ErrorReport, study: StudyConfig, zero, first_order,
     rep.meta["profiles"] = velocity_profiles(direct, avg, eps)
 
 
-def convergence_study(eps_list, study: StudyConfig | None = None,
+def convergence_study(cfg: RunConfig | None = None,
                       constants: CellConstants | None = None, progress=None):
-    """Run the full study over descending eps values.
+    """Run the full study of ``cfg`` over its descending ``eps_list``.
 
     Cell constants are computed once (or passed in); the first-order
-    corrector is eps-independent and solved once.  Per eps: mesh, direct
-    solve, both error norms against the zero- and first-order models, the
-    three flow rates and the velocity profiles.  A numerical failure
+    corrector is eps-independent and solved once (:func:`first_order_model`).
+    Per eps: mesh, direct solve, both error norms against the zero- and
+    first-order models, the three flow rates and the velocity profiles.  A numerical failure
     (:class:`~stentflow.errors.StentflowError`) records its message and the
     study continues; any other exception propagates.  Returns (reports,
     slope fits, first-order solution, constants).
     """
-    study = study or StudyConfig()
-    eps_list = list(eps_list)
-    if len(eps_list) < 3:
+    cfg = cfg or RunConfig()
+    if len(cfg.eps_list) < 3:
         raise ValueError("need at least 3 eps values")
-    if constants is None:
-        from .cell import solve_all
-        from .geometry import build_strip_mesh
-
-        strip = build_strip_mesh(study.obstacle, L=study.strip_L,
-                                 h=study.strip_h, refine_spec=study.refine)
-        constants = solve_all(strip, study.solver, with_varkappa=False)[1]
-        del strip               # the strip and its solutions are not held per eps
-    zero = zero_order(study.flow)
-    mesh_up, mesh_lo = first_order_meshes(study.h_first_order, study.refine,
-                                          case=study.flow.case)
-    first_order = solve_first_order(mesh_up, mesh_lo, zero, constants,
-                                    config=study.solver)
+    zero = zero_order(cfg.flow())
+    first_order, constants = first_order_model(cfg, zero, constants)
 
     reports = []
-    for eps in eps_list:
-        rep = ErrorReport(eps=float(eps))
+    for eps in cfg.eps_list:
+        rep = ErrorReport(eps=eps)
         reports.append(rep)
         try:
-            _measure(rep, study, zero, first_order, constants)
+            _measure(rep, cfg, zero, first_order, constants)
         except StentflowError as exc:          # keep going with the other eps
             rep.error = f"{type(exc).__name__}: {exc}"
         if progress:

@@ -407,8 +407,8 @@ def identity_report(beta, upsilon, chi, varkappa=None,
 
     rep["beta2_section_max"] = section_max(beta, 1)
     rep["ups2_section_max"] = section_max(upsilon, 1)
-    pi_norm = l2_norm_diff(beta.solution.space, beta.solution.p, None)
-    varpi_norm = l2_norm_diff(upsilon.solution.space, upsilon.solution.p, None)
+    pi_norm = l2_norm_diff(beta.solution.space, beta.solution.p)
+    varpi_norm = l2_norm_diff(upsilon.solution.space, upsilon.solution.p)
     rep["pi_section_max_rel"] = section_max(beta, "p") / max(pi_norm, 1e-30)
     rep["varpi_section_max_rel"] = section_max(upsilon, "p") / max(varpi_norm, 1e-30)
 

@@ -21,7 +21,7 @@ from .errors import (
     ObstacleTouchesCell,
     StentflowError,
 )
-from .geometry import build_macro_geometry, build_strip_mesh, triangulate
+from .geometry import build_macro_geometry, triangulate
 from .meshio import save_mesh, write_vtk
 
 TOL_TABLE = {
@@ -65,8 +65,7 @@ def cmd_mesh(cfg: RunConfig, args) -> int:
     macro = triangulate(geo, cfg["mesh.h"], cfg.refine_spec())
     save_mesh(macro, os.path.join(out, f"macro_eps{cfg.eps:g}.mesh"),
               header_lines=[prov])
-    strip = build_strip_mesh(cfg.obstacle(), L=cfg["strip.L"], h=cfg["strip.h"],
-                             refine_spec=cfg.refine_spec())
+    strip = cfg.strip_mesh()
     save_mesh(strip, os.path.join(out, "strip.mesh"), header_lines=[prov])
     if args.vtk:
         write_vtk(macro, os.path.join(out, f"macro_eps{cfg.eps:g}.vtk"),
@@ -83,10 +82,8 @@ def cmd_cell(cfg: RunConfig, args) -> int:
 
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
-    obstacle = None if args.no_obstacle else cfg.obstacle()
-    strip = build_strip_mesh(obstacle, L=cfg["strip.L"], h=cfg["strip.h"],
-                             refine_spec=cfg.refine_spec())
-    if obstacle is None:
+    strip = cfg.strip_mesh(with_obstacle=not args.no_obstacle)
+    if args.no_obstacle:
         # unobstructed strip: only the through-flow problem is well posed
         jump = _far_field_jump(solve_chi(strip, cfg.solver()), "p")
         path = os.path.join(out, "constants.txt")
@@ -118,7 +115,7 @@ def cmd_cell(cfg: RunConfig, args) -> int:
         fh.write(f"# {prov}\n")
         for key, val in report.items():
             tol = TOL_TABLE.get(key)
-            ok = tol is None or val <= tol
+            ok = tol is not None and val <= tol
             if not ok:
                 failures.append(key)
             fh.write(f"{key}={val!r} tol={tol!r} {'ok' if ok else 'FAIL'}\n")
@@ -160,16 +157,16 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_homog(cfg: RunConfig, args) -> int:
-    from .cell import read_constants, solve_all
+    from .analysis import first_order_model
+    from .cell import read_constants
     from .homogenized import (
-        first_order_meshes,
         flowrate_first_order,
         flowrate_formula,
         implicit_interface_report,
-        solve_first_order,
         zero_order,
     )
 
+    constants = None
     if args.constants:
         try:
             constants = read_constants(args.constants)
@@ -177,26 +174,18 @@ def cmd_homog(cfg: RunConfig, args) -> int:
             raise ConfigError(f"constants file {args.constants}: {exc}") from None
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
-    if not args.constants:
-        strip = build_strip_mesh(cfg.obstacle(), L=cfg["strip.L"],
-                                 h=cfg["strip.h"], refine_spec=cfg.refine_spec())
-        _, constants = solve_all(strip, cfg.solver(), with_varkappa=False)
-    flow = cfg.flow()
-    zero = zero_order(flow)
-    if flow.case == "aneurysm":
+    zero = zero_order(cfg.flow())
+    if cfg.case == "aneurysm":
         print(f"lower-channel zero-order pressure: {zero.p_lower:g}")
     if cfg.eps == 0.0:
         print("eps = 0: zero-order model only; nothing further to solve")
         return 0
-    mesh_up, mesh_lo = first_order_meshes(cfg["first_order.h"],
-                                          cfg.refine_spec(), case=flow.case)
-    first = solve_first_order(mesh_up, mesh_lo, zero, constants,
-                              config=cfg.solver())
+    first, constants = first_order_model(cfg, zero, constants)
     rows = implicit_interface_report(zero, first, constants, cfg.eps)
     _write_csv(os.path.join(out, f"interface_eps{cfg.eps:g}.csv"),
                ["x1", "u_t_plus", "u_t_minus", "u_n", "p_jump",
                 "slip_residual", "normal_residual"], rows, prov)
-    if flow.case == "collateral":
+    if cfg.case == "collateral":
         qf = flowrate_formula(zero, constants, cfg.eps)
         q1 = flowrate_first_order(first, cfg.eps)
         _write_csv(os.path.join(out, f"flowrate_eps{cfg.eps:g}.csv"),
@@ -208,18 +197,12 @@ def cmd_homog(cfg: RunConfig, args) -> int:
 
 
 def cmd_converge(cfg: RunConfig, args) -> int:
-    from .analysis import StudyConfig, check_slope_bands, convergence_study
+    from .analysis import check_slope_bands, convergence_study
 
-    eps_list = cfg.eps_list
-    study = StudyConfig(
-        flow=cfg.flow(), obstacle=cfg.obstacle(), h_macro=cfg["mesh.h"],
-        h_first_order=cfg["first_order.h"], strip_L=cfg["strip.L"],
-        strip_h=cfg["strip.h"], refine=cfg.refine_spec(), solver=cfg.solver(),
-    )
     if args.dry_run:
-        print(f"plan: eps={eps_list}, macro h={study.h_macro}, "
-              f"strip h={study.strip_h} L={study.strip_L}, "
-              f"first-order h={study.h_first_order}")
+        print(f"plan: eps={cfg.eps_list}, macro h={cfg['mesh.h']}, "
+              f"strip h={cfg['strip.h']} L={cfg['strip.L']}, "
+              f"first-order h={cfg['first_order.h']}")
         return 0
     out = _ensure_outdir(cfg)
     prov = cfg.provenance()
@@ -232,8 +215,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
                   f"{rep.l2_vel_first:.4e}, pressure {rep.hm1_p_zero:.4e} / "
                   f"{rep.hm1_p_first:.4e}")
 
-    reports, fits, first, constants = convergence_study(eps_list, study,
-                                                        progress=progress)
+    reports, fits, _, _ = convergence_study(cfg, progress=progress)
     cols = ["eps", "l2_vel_zero", "l2_vel_first", "hm1_p_zero", "hm1_p_first",
             "q_direct", "q_formula", "q_first_order"]
     rows = [{c: getattr(r, c) for c in cols} for r in reports if r.error is None]

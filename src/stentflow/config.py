@@ -12,35 +12,36 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NonIntegerReciprocal
-from .geometry import ObstacleSpec, RefineSpec, _period_count
+from .geometry import Mesh, ObstacleSpec, RefineSpec, _period_count, build_strip_mesh
 from .homogenized import FlowData
 from .solvers import SolverConfig
 
+# a key that a typed spec also holds takes its default from that spec
+_FLOW, _OBSTACLE, _REFINE, _SOLVER = FlowData(), ObstacleSpec(), RefineSpec(), SolverConfig()
+
+# each value's type is its key's type: str, int or float
 DEFAULTS = {
-    "case": "collateral",
+    "case": _FLOW.case,
     "eps": 0.125,
     "eps_list": "0.25,0.125,0.0625",
-    "p_in": 2.0,
-    "p_out1": 0.0,
-    "p_out2": -1.0,
-    "obstacle.cx": 0.5,
-    "obstacle.cy": 0.25,
-    "obstacle.r": 3.0 / 16.0,
+    "p_in": _FLOW.p_in,
+    "p_out1": _FLOW.p_out1,
+    "p_out2": _FLOW.p_out2,
+    "obstacle.cx": _OBSTACLE.center[0],
+    "obstacle.cy": _OBSTACLE.center[1],
+    "obstacle.r": _OBSTACLE.radius,
     "strip.L": 10.0,
     "strip.h": 1.0 / 48.0,
     "mesh.h": 0.1,
-    "mesh.obstacle_factor": 0.5,
-    "mesh.min_circle_segments": 16,
-    "mesh.min_angle": 20.0,
+    "mesh.obstacle_factor": _REFINE.obstacle_factor,
+    "mesh.min_circle_segments": _REFINE.min_circle_segments,
+    "mesh.min_angle": _REFINE.min_angle_deg,
     "first_order.h": 0.05,
-    "solver.method": "uzawa_cg",
-    "solver.outer_tol": 1e-10,
-    "solver.max_outer": 500,
+    "solver.method": _SOLVER.method,
+    "solver.outer_tol": _SOLVER.outer_tol,
+    "solver.max_outer": _SOLVER.max_outer,
     "output.dir": "out",
 }
-
-_STRING_KEYS = {"case", "eps_list", "solver.method", "output.dir"}
-_INT_KEYS = {"mesh.min_circle_segments", "solver.max_outer"}
 
 
 @dataclass
@@ -88,6 +89,13 @@ class RunConfig:
             max_outer=self.values["solver.max_outer"],
         )
 
+    def strip_mesh(self, with_obstacle=True) -> Mesh:
+        """The strip of ``strip.L`` and ``strip.h``; unobstructed unless
+        ``with_obstacle``."""
+        return build_strip_mesh(self.obstacle() if with_obstacle else None,
+                                L=self.values["strip.L"], h=self.values["strip.h"],
+                                refine_spec=self.refine_spec())
+
     def digest(self) -> str:
         """Deterministic hash of the effective configuration."""
         text = "\n".join(f"{k}={self.values[k]!r}" for k in sorted(self.values))
@@ -111,23 +119,15 @@ def parse_config(text: str) -> RunConfig:
         key, val = (tok.strip() for tok in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in _STRING_KEYS:
-            values[key] = val
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects an integer") from None
-        else:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects a number") from None
-            if not math.isfinite(values[key]):
-                raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
+        kind = type(DEFAULTS[key])
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"line {lineno}: {key} expects {noun}") from None
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
     cfg = RunConfig(values=values)
-    if cfg.case not in ("collateral", "aneurysm"):
-        raise ConfigError(f"case must be collateral or aneurysm, got {cfg.case!r}")
     if cfg["obstacle.r"] <= 0:
         raise ConfigError(f"obstacle.r must be positive, got {cfg['obstacle.r']!r}; "
                           "use 'cell --no-obstacle' for the unobstructed strip")
@@ -136,23 +136,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     if cfg["strip.L"] < 2:
         raise ConfigError(f"strip.L must be >= 2, got {cfg['strip.L']!r}")
-    if cfg["mesh.obstacle_factor"] <= 0:
-        raise ConfigError("mesh.obstacle_factor must be positive, "
-                          f"got {cfg['mesh.obstacle_factor']!r}")
-    if cfg["mesh.min_circle_segments"] < 3:
-        raise ConfigError("mesh.min_circle_segments must be >= 3, "
-                          f"got {cfg['mesh.min_circle_segments']!r}")
-    if not 0 <= cfg["mesh.min_angle"] < 60:
-        raise ConfigError(f"mesh.min_angle must lie in [0, 60), got {cfg['mesh.min_angle']!r}")
+    for spec in (cfg.flow, cfg.refine_spec, cfg.solver):
+        try:
+            spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     try:
         if cfg.eps != 0.0:      # eps = 0 is homog's zero-order-only model
             _period_count(cfg.eps)
     except NonIntegerReciprocal as exc:
         raise ConfigError(f"eps: {exc}") from None
-    try:
-        cfg.solver()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     try:
         # each value is checked; the slope fit leaves out eps = 1 (m = 1)
         n_fit = sum(_period_count(eps) > 1 for eps in cfg.eps_list)

@@ -763,22 +763,11 @@ class PressureField(VelocityField):
         return super().at(tri, lam)[:, 0]
 
 
-def l2_norm_diff(space: FESpace, u, field_b, tri_sel=None):
-    """L2 norm of (discrete field - reference) over a set of triangles.
-
-    ``u`` is a velocity (length n_vel) or pressure (length n_p) coefficient
-    vector, ``field_b`` a callable(points) returning matching values, or None
-    for a plain norm.  ``tri_sel`` selects triangles as in
-    :func:`eval_on_quadrature`.
-    """
-    diff = _evaluate(space, u, tri_sel, TRI_QP, None)
-    if field_b is None:
-        w = _quadrature_weights(space, tri_sel)
-    else:
-        fields = eval_on_quadrature(space, tri_sel=tri_sel)
-        ref = np.asarray(field_b(fields["pts"].reshape(-1, 2)))
-        diff, w = diff - ref.reshape(diff.shape), fields["w"]
-    return float(np.sqrt(np.sum(w[:, :, None] * diff**2)))
+def l2_norm_diff(space: FESpace, u):
+    """L2 norm of a discrete velocity (length n_vel) or pressure (length
+    n_p) over the whole mesh."""
+    vals = _evaluate(space, u, None, TRI_QP, None)
+    return float(np.sqrt(np.sum(_quadrature_weights(space, None)[:, :, None] * vals**2)))
 
 
 def integrate_field(space: FESpace, u, tri_sel=None, component=0):

@@ -99,6 +99,17 @@ class RefineSpec:
     min_circle_segments: int = 16
     min_angle_deg: float = 20.0
 
+    def __post_init__(self):
+        if not self.obstacle_factor > 0:
+            raise ValueError("mesh.obstacle_factor must be positive, "
+                             f"got {self.obstacle_factor!r}")
+        if self.min_circle_segments < 3:
+            raise ValueError("mesh.min_circle_segments must be >= 3, "
+                             f"got {self.min_circle_segments!r}")
+        if not 0 <= self.min_angle_deg < 60:
+            raise ValueError("mesh.min_angle must lie in [0, 60), "
+                             f"got {self.min_angle_deg!r}")
+
 
 def _period_count(eps) -> int:
     """The integer m = 1/eps of an obstacle-row period eps in (0, 1].

@@ -50,7 +50,7 @@ class FlowData:
             if not math.isfinite(v):
                 raise ValueError("flow data must be finite")
         if self.case not in ("collateral", "aneurysm"):
-            raise ValueError(f"unknown case {self.case!r}")
+            raise ValueError(f"case must be collateral or aneurysm, got {self.case!r}")
 
 
 @dataclass

@@ -6,7 +6,8 @@ return; a test that needs to alter a solution builds its own.  The
 ``periodic_strip`` fixture gives the correctors solved on the full periodic
 strip, the reference for the half strip; ``prolongations`` gives the
 constraint reduction's prolongation matrices, the reference for its column
-maps.  Both are built here from ``fem`` primitives.
+maps.  Both are built here from ``fem`` primitives.  ``l2_distance``
+compares a discrete field with a closed-form one.
 """
 
 import numpy as np
@@ -15,7 +16,13 @@ import scipy.sparse as sp
 
 import stentflow.cell as cell
 from stentflow.cell import solve_all
-from stentflow.fem import Sources, apply_constraints, assemble_stokes, build_space
+from stentflow.fem import (
+    Sources,
+    apply_constraints,
+    assemble_stokes,
+    build_space,
+    eval_on_quadrature,
+)
 from stentflow.geometry import ObstacleSpec, build_strip_mesh
 
 
@@ -64,6 +71,22 @@ class PeriodicStrip:
                 "chi": cell._chi(self, config)}
         sols["varkappa"] = self.varkappa(sols["chi"], config)
         return sols, cell.extract_constants(*sols.values())
+
+
+@pytest.fixture(scope="session")
+def l2_distance():
+    """``l2_distance(space, coeffs, exact)`` is the L2 distance between a
+    discrete velocity (length n_vel) or pressure (length n_p) and the
+    callable ``exact(points)``, both read at the volume quadrature points of
+    ``space``."""
+    def distance(space, coeffs, exact):
+        kind = "u" if len(coeffs) == space.n_vel else "p"
+        fields = eval_on_quadrature(space, **{kind: coeffs})
+        diff = fields[kind] - np.reshape(exact(fields["pts"].reshape(-1, 2)),
+                                         fields[kind].shape)
+        w = fields["w"] if kind == "p" else fields["w"][:, :, None]
+        return float(np.sqrt(np.sum(w * diff**2)))
+    return distance
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from stentflow.analysis import (
-    StudyConfig,
     check_slope_bands,
     convergence_study,
     interface_normal_samples,
@@ -24,6 +23,7 @@ from stentflow.analysis import (
     solve_direct,
 )
 from stentflow.cell import identity_report
+from stentflow.config import parse_config
 from stentflow.fem import BC, VelocityField, assemble_stokes, build_space
 from stentflow.geometry import (
     BoundaryTag as T,
@@ -63,9 +63,8 @@ def cells(default_strip, default_strip_cells):
 @pytest.fixture(scope="module")
 def study(cells):
     _, constants = cells
-    cfg = StudyConfig()
-    reports, fits, first, _ = convergence_study(EPS_LIST, cfg,
-                                                constants=constants)
+    cfg = parse_config(f"eps_list = {','.join(map(str, EPS_LIST))}")
+    reports, fits, first, _ = convergence_study(cfg, constants=constants)
     return reports, fits, first, constants
 
 
@@ -295,7 +294,7 @@ def test_criterion_7_vortex_orientation_at_depth(aneurysm_direct):
     assert mid_s > 0 > mid_p
 
 
-def test_criterion_8_solver_cross_validation():
+def test_criterion_8_solver_cross_validation(l2_distance):
     geo = build_macro_geometry(0.25, "collateral", ObstacleSpec())
     mesh = triangulate(geo, 0.1)
     from stentflow.analysis import macro_bc_spec
@@ -312,15 +311,15 @@ def test_criterion_8_solver_cross_validation():
         msh = rectangle_mesh(0, 1, 0, 1, h,
                              tags=(T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2,
                                    T.GAMMA1))
-        from stentflow.fem import eval_on_quadrature, l2_norm_diff
+        from stentflow.fem import eval_on_quadrature
 
         sp = build_space(msh, {t: BC.natural() for t in
                                (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1)})
         x, y = np.moveaxis(eval_on_quadrature(sp)["pts"], -1, 0)
         rhs = 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         q, _ = solve_poisson(msh, rhs, np.unique(msh.boundary_edges))
-        errs.append(l2_norm_diff(sp, q, lambda pts: np.sin(np.pi * pts[:, 0])
-                                 * np.sin(np.pi * pts[:, 1])))
+        errs.append(l2_distance(sp, q, lambda pts: np.sin(np.pi * pts[:, 0])
+                                * np.sin(np.pi * pts[:, 1])))
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
     ok = du <= 1e-8 and dp <= 1e-8 and min(orders) >= 1.9
     report(8, ok, f"DOF agreement u {du:.1e}, p {dp:.1e}; "

@@ -6,7 +6,6 @@ import pytest
 import stentflow.analysis as analysis
 from stentflow.analysis import (
     SLOPE_BANDS,
-    StudyConfig,
     _hm1_dirichlet_nodes,
     boundary_fluxes,
     check_slope_bands,
@@ -20,8 +19,9 @@ from stentflow.analysis import (
     velocity_profiles,
 )
 from stentflow.cell import CellConstants
+from stentflow.config import parse_config
 from stentflow.errors import NonConvergence
-from stentflow.fem import PressureField, VelocityField, l2_norm_diff
+from stentflow.fem import PressureField, VelocityField
 from stentflow.geometry import (
     BoundaryTag as T,
     ObstacleSpec,
@@ -64,10 +64,10 @@ class TestSlopeFit:
 
 
 class TestErrorNorms:
-    def test_self_interpolant_error_zero(self, quarter_case):
+    def test_self_interpolant_error_zero(self, quarter_case, l2_distance):
         mesh, direct = quarter_case
         field = VelocityField(direct.space, direct.u)
-        err = l2_norm_diff(direct.space, direct.u, field)
+        err = l2_distance(direct.space, direct.u, field)
         assert err < 1e-13
 
     def test_flat_channel_vs_closed_form(self):
@@ -93,11 +93,11 @@ class TestErrorNorms:
 
         assert l2_velocity_error(sol, exact) <= 1e-8
 
-    def test_hole_contribution_added(self, quarter_case):
+    def test_hole_contribution_added(self, quarter_case, l2_distance):
         mesh, direct = quarter_case
         const = lambda pts: np.tile([[1.0, 0.0]], (len(pts), 1))
         e_holes = l2_velocity_error(direct, const)
-        e_plain = l2_norm_diff(direct.space, direct.u, const)
+        e_plain = l2_distance(direct.space, direct.u, const)
         hole_area = float(np.pi * np.sum(mesh.holes[:, 2] ** 2))
         assert e_holes**2 - e_plain**2 == pytest.approx(hole_area, rel=1e-3)
 
@@ -175,11 +175,10 @@ def test_pipeline_with_nonreference_obstacle():
     orderings are geometry-independent even where the fitted slopes move
     with the obstacle shape (the acceptance bands target the reference
     disk)."""
-    obs = ObstacleSpec(center=(0.45, 0.35), radius=0.12)
-    study = StudyConfig(obstacle=obs, strip_h=1 / 24, h_macro=0.12,
-                        h_first_order=0.08)
-    reports, fits, _, constants = convergence_study([0.25, 0.125, 0.0625],
-                                                    study)
+    cfg = parse_config("obstacle.cx = 0.45\nobstacle.cy = 0.35\nobstacle.r = 0.12\n"
+                       f"strip.h = {1 / 24}\nmesh.h = 0.12\nfirst_order.h = 0.08\n"
+                       "eps_list = 0.25,0.125,0.0625")
+    reports, fits, _, constants = convergence_study(cfg)
     assert constants.eta_jump > 0
     q_prev = np.inf
     for r in reports:
@@ -213,6 +212,35 @@ class TestProfiles:
         assert mid["u1_direct_at_eps"] > 0
 
 
+def test_study_reads_its_inputs_from_the_config(monkeypatch):
+    # eps_list, mesh.h, strip.L, strip.h and first_order.h of a parsed
+    # config reach the study's meshers
+    import stentflow.config as config
+
+    seen = []
+
+    def spy(fn, h_of):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, h_of(*args, **kwargs)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config, "build_strip_mesh", spy(
+        config.build_strip_mesh, lambda obstacle, L, h, refine_spec: (L, h)))
+    monkeypatch.setattr(analysis, "triangulate", spy(
+        analysis.triangulate, lambda geo, h, spec: (geo.eps, h)))
+    monkeypatch.setattr(analysis, "first_order_meshes", spy(
+        analysis.first_order_meshes, lambda h, spec, case: h))
+    cfg = parse_config("eps_list = 0.5,0.25,0.125\nmesh.h = 0.25\nstrip.L = 4\n"
+                       "strip.h = 0.0625\nfirst_order.h = 0.2\n")
+    reports, _, _, _ = convergence_study(cfg)
+    assert [r.eps for r in reports] == [0.5, 0.25, 0.125]
+    assert all(r.error is None for r in reports)
+    assert seen == [("build_strip_mesh", (4.0, 0.0625)), ("first_order_meshes", 0.2),
+                    ("triangulate", (0.5, 0.25)), ("triangulate", (0.25, 0.25)),
+                    ("triangulate", (0.125, 0.25))]
+
+
 TABLE = CellConstants(
     beta1_plus=-0.377928, beta1_minus=-0.122114,
     ups1_plus=-0.000371269, ups1_minus=0.121744,
@@ -225,8 +253,9 @@ COARSE_EPS = [0.5, 0.25, 0.125]
 
 def coarse_study():
     """A cheap three-eps study with the paper's constants."""
-    study = StudyConfig(h_macro=0.25, h_first_order=0.25)
-    return convergence_study(COARSE_EPS, study, constants=TABLE)
+    cfg = parse_config("mesh.h = 0.25\nfirst_order.h = 0.25\n"
+                       f"eps_list = {','.join(map(str, COARSE_EPS))}")
+    return convergence_study(cfg, constants=TABLE)
 
 
 class TestStudyFailures:

@@ -92,6 +92,15 @@ class TestCellSolves:
         assert rep["varkappa1_jump_identity_rel"] <= 0.02
         assert rep["varkappa_farfield_variance"] <= 1e-6
 
+    def test_report_keys_match_tolerance_table(self, solutions):
+        # `cell` fails a report key without a tolerance, so the two agree
+        from stentflow.cli import TOL_TABLE
+
+        sols, constants = solutions
+        rep = identity_report(sols["beta"], sols["upsilon"], sols["chi"],
+                              sols["varkappa"], constants)
+        assert rep.keys() == TOL_TABLE.keys()
+
     def test_grad_energies_match_stiffness_form(self, solutions):
         sols, constants = solutions
         for which in ("beta", "upsilon", "chi"):

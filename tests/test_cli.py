@@ -225,6 +225,34 @@ class TestCli:
         assert "zero-order pressure: 1" in out       # aneurysm sac constant
         assert "zero-order model only" in out
 
+    def test_homog_eps_zero_solves_nothing(self, workdir, capsys):
+        # the zero-order model needs no strip constants, so none are solved
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.0"))
+        assert main(["homog", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "zero-order model only" in out
+        assert "converged=" not in err
+
+    @pytest.mark.parametrize("command", ["homog", "converge"])
+    def test_strip_built_and_solved_once(self, workdir, monkeypatch, command):
+        import stentflow.analysis as analysis
+        import stentflow.config as config
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(config, "build_strip_mesh", counting(config.build_strip_mesh))
+        monkeypatch.setattr(analysis, "solve_all", counting(analysis.solve_all))
+        tmp, cfg = workdir
+        assert main([command, "--config", str(cfg)]) == 0
+        assert calls == ["build_strip_mesh", "solve_all"]
+
     def test_homog_unconverged_exit_1(self, workdir, capsys):
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text() + "solver.max_outer = 3\n")
@@ -246,7 +274,9 @@ class TestCli:
     def test_converge_dry_run(self, workdir, capsys):
         tmp, cfg = workdir
         assert main(["converge", "--config", str(cfg), "--dry-run"]) == 0
-        assert "plan:" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "plan: eps=[0.25, 0.125, 0.0625], macro h=0.12, strip h=0.0625 L=4.0, "
+            "first-order h=0.05\n")
         assert not (tmp / "out").exists()
 
     def test_converge_needs_three_eps(self, workdir):
@@ -329,6 +359,23 @@ class TestCli:
         assert "pi_section_max_rel" in capsys.readouterr().err
         report = (tmp / "out" / "identity_report.txt").read_text()
         assert re.search(r"^pi_section_max_rel=.* FAIL$", report, re.M)
+
+    def test_cell_fails_a_check_without_tolerance(self, workdir, monkeypatch, capsys):
+        # a report key missing from TOL_TABLE is a failure, not a pass
+        import stentflow.cell as cell
+
+        report = cell.identity_report
+
+        def extended(*args):
+            return {**report(*args), "untabled_check": 0.0}
+
+        monkeypatch.setattr(cell, "identity_report", extended)
+        tmp, cfg = workdir
+        assert main(["cell", "--config", str(cfg)]) == 1
+        assert "identity checks FAILED: untabled_check" in capsys.readouterr().err
+        lines = (tmp / "out" / "identity_report.txt").read_text().splitlines()[1:]
+        assert lines[-1] == "untabled_check=0.0 tol=None FAIL"
+        assert all(line.endswith(" ok") for line in lines[:-1])
 
     def test_cell_short_strip_passes_every_identity(self, workdir):
         # the workdir strip has L = 4, inside which the report reads its

@@ -462,22 +462,22 @@ class TestConstraints:
 
 
 class TestNorms:
-    def test_l2_norm_same_field_zero(self):
+    def test_l2_norm_same_field_zero(self, l2_distance):
+        # the located evaluation agrees with the quadrature-point one
         mesh = flat_channel(0.25)
         space = build_space(mesh, all_dirichlet_bc())
         u = np.random.default_rng(0).normal(size=space.n_vel)
         from stentflow.fem import VelocityField
 
         field = VelocityField(space, u)
-        assert l2_norm_diff(space, u, field) < 1e-13
+        assert l2_distance(space, u, field) < 1e-13
 
     def test_l2_norm_linear_field(self):
         # |x1 - 0| over the unit square = 1/sqrt(3)
         mesh = flat_channel(0.25)
         space = build_space(mesh, all_dirichlet_bc())
         p = mesh.vertices[:, 0].copy()
-        assert l2_norm_diff(space, p, None) == pytest.approx(1 / np.sqrt(3),
-                                                             abs=1e-14)
+        assert l2_norm_diff(space, p) == pytest.approx(1 / np.sqrt(3), abs=1e-14)
 
     def test_band_integral_constant(self):
         mesh = flat_channel(0.25)
@@ -499,14 +499,14 @@ class TestNorms:
         lin = mesh.vertices[:, 0].copy()
         assert section_average(space, lin, 0.5) == pytest.approx(0.5, abs=1e-13)
 
-    def test_quadratic_velocity_exact(self):
+    def test_quadratic_velocity_exact(self, l2_distance):
         mesh = flat_channel(0.5)
         space = build_space(mesh, all_dirichlet_bc())
         xy = space.node_xy
         u = np.concatenate([xy[:, 1] * (1 - xy[:, 1]), np.zeros(space.n_vnode)])
         exact = lambda pts: np.stack(
             [pts[:, 1] * (1 - pts[:, 1]), np.zeros(len(pts))], axis=1)
-        assert l2_norm_diff(space, u, exact) < 1e-14
+        assert l2_distance(space, u, exact) < 1e-14
 
 
 

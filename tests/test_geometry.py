@@ -117,6 +117,19 @@ class TestMacroMesh:
         on_line = np.abs(m.vertices[:, 1] - eps) < 1e-14
         assert on_line.sum() >= 2
 
+    @pytest.mark.parametrize("spec, key", [
+        (dict(obstacle_factor=0), "mesh.obstacle_factor"),
+        (dict(obstacle_factor=float("nan")), "mesh.obstacle_factor"),
+        (dict(min_circle_segments=2), "mesh.min_circle_segments"),
+        (dict(min_angle_deg=60.0), "mesh.min_angle"),
+        (dict(min_angle_deg=-1.0), "mesh.min_angle"),
+    ])
+    def test_refine_spec_rejects_bad_values(self, spec, key):
+        # a bad spec fails where it is made, naming its config key, before
+        # any meshing (obstacle_factor = 0 divided by zero in triangulate)
+        with pytest.raises(ValueError, match=key):
+            triangulate(build_macro_geometry(0.25, "collateral"), 0.1, RefineSpec(**spec))
+
     def test_circle_segments(self):
         spec = RefineSpec(min_circle_segments=16)
         geo = build_macro_geometry(0.25, "collateral", ObstacleSpec())

@@ -32,7 +32,6 @@ from stentflow.fem import (
     energy_norm_sq,
     eval_on_quadrature,
     integrate_field,
-    l2_norm_diff,
 )
 from stentflow.geometry import (
     BoundaryTag as T,
@@ -308,7 +307,7 @@ class TestPoisson:
         int_q = integrate_field(space, q)
         assert abs(norm**2 - int_q) < 1e-10
 
-    def test_convergence_order(self):
+    def test_convergence_order(self, l2_distance):
         # L2 error of the P1 solution drops at order >= 1.9 under h-halving
         errs = []
         for h in (0.1, 0.05, 0.025):
@@ -318,7 +317,7 @@ class TestPoisson:
             space = build_space(mesh, {t: BC.natural() for t in WALL_TAGS})
             exact = lambda pts: (np.sin(np.pi * pts[:, 0])
                                  * np.sin(np.pi * pts[:, 1]))
-            errs.append(l2_norm_diff(space, q, exact))
+            errs.append(l2_distance(space, q, exact))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert order1 >= 1.9 and order2 >= 1.9
@@ -397,7 +396,7 @@ class TestStokesManufactured:
             - np.pi * np.cos(x) * np.sin(y),
         ], axis=-1)
 
-    def errors(self, h):
+    def errors(self, h, l2_distance):
         mesh = rectangle_mesh(0, 1, 0, 1, h, tags=WALL_TAGS)
         space = build_space(mesh, {t: BC.dirichlet((0.0, 0.0)) for t in WALL_TAGS})
         pts = eval_on_quadrature(space)["pts"]
@@ -406,12 +405,12 @@ class TestStokesManufactured:
         fields = eval_on_quadrature(space, u=sol.u, grad=True)
         dgrad = fields["gradu"] - self.velocity_gradient(fields["pts"])
         p_mean_free = sol.p - integrate_field(space, sol.p)    # unit area
-        return (l2_norm_diff(space, sol.u, self.velocity),
+        return (l2_distance(space, sol.u, self.velocity),
                 float(np.sqrt(np.sum(fields["w"][:, :, None, None] * dgrad**2))),
-                l2_norm_diff(space, p_mean_free, self.pressure))
+                l2_distance(space, p_mean_free, self.pressure))
 
-    def test_convergence_rates(self):
-        errs = np.array([self.errors(h) for h in (1 / 8, 1 / 16, 1 / 32)])
+    def test_convergence_rates(self, l2_distance):
+        errs = np.array([self.errors(h, l2_distance) for h in (1 / 8, 1 / 16, 1 / 32)])
         rates = np.log2(errs[:-1] / errs[1:])          # rows: h pairs
         vel_l2, vel_h1, p_l2 = rates.T
         assert np.all((vel_l2 >= 2.8) & (vel_l2 <= 3.2)), rates
