@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (
@@ -21,6 +19,7 @@ from .errors import (
     ObstacleTouchesCell,
     StentflowError,
 )
+from .fem import _vertex_velocity
 from .geometry import build_macro_geometry, triangulate
 from .meshio import save_mesh, write_vtk
 
@@ -58,6 +57,11 @@ def _write_csv(path, header_cols, rows, provenance):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_values(path, values, provenance):
+    _write_csv(path, ["name", "value"],
+               [{"name": k, "value": v} for k, v in values.items()], provenance)
+
+
 def cmd_mesh(cfg: RunConfig, args) -> int:
     geo = build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle())   # checks eps
     out = _ensure_outdir(cfg)
@@ -85,29 +89,26 @@ def cmd_cell(cfg: RunConfig, args) -> int:
     strip = cfg.strip_mesh(with_obstacle=not args.no_obstacle)
     if args.no_obstacle:
         # unobstructed strip: only the through-flow problem is well posed
-        jump = _far_field_jump(solve_chi(strip, cfg.solver()), "p")
-        path = os.path.join(out, "constants.txt")
-        with open(path, "w") as fh:
-            fh.write(f"# {prov}\neta_jump={float(jump)!r}\n")
-        print(f"no obstacle: eta_jump={jump:.3e} (expected 0)")
-        return 0 if abs(jump) < 1e-8 else 1
-    sols, constants = solve_all(strip, cfg.solver(),
-                                with_varkappa=not args.skip_varkappa)
+        sols = {"chi": solve_chi(strip, cfg.solver())}
+    else:
+        sols, constants = solve_all(strip, cfg.solver(),
+                                    with_varkappa=not args.skip_varkappa)
     if args.vtk:
-        n_vert = strip.n_vertices
         data = {}
         for name, cell in sols.items():
-            space = cell.solution.space
-            data[f"{name}_velocity"] = np.stack(
-                [cell.solution.u[:n_vert],
-                 cell.solution.u[space.n_vnode:space.n_vnode + n_vert]], axis=1)
+            data[f"{name}_velocity"] = _vertex_velocity(cell.solution.space, cell.solution.u)
             data[f"{name}_pressure"] = cell.solution.p
         write_vtk(strip, os.path.join(out, "cell_fields.vtk"),
                   point_data=data, title=prov)
+    if args.no_obstacle:
+        jump = _far_field_jump(sols["chi"], "p")
+        with open(os.path.join(out, "constants.txt"), "w") as fh:
+            fh.write(f"# {prov}\neta_jump={float(jump)!r}\n")
+        print(f"no obstacle: eta_jump={jump:.3e} (expected 0)")
+        return 0 if abs(jump) < 1e-8 else 1
     write_constants(constants, os.path.join(out, "constants.txt"),
                     header_lines=[prov])
-    rows = [{"name": k, "value": v} for k, v in constants.as_dict().items()]
-    _write_csv(os.path.join(out, "constants.csv"), ["name", "value"], rows, prov)
+    _write_values(os.path.join(out, "constants.csv"), constants.as_dict(), prov)
     report = identity_report(sols["beta"], sols["upsilon"], sols["chi"],
                              sols.get("varkappa"), constants)
     failures = []
@@ -138,18 +139,11 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     sol = solve_direct(mesh, cfg.flow(), cfg.solver())
     fluxes = boundary_fluxes(sol)
     q0 = flowrate_direct(sol)
-    rows = [{"name": k, "value": v} for k, v in fluxes.items()]
-    rows.append({"name": "Q_GAMMA0", "value": q0})
-    _write_csv(os.path.join(out, f"fluxes_eps{cfg.eps:g}.csv"),
-               ["name", "value"], rows, prov)
-    n_vert = mesh.n_vertices
+    _write_values(os.path.join(out, f"fluxes_eps{cfg.eps:g}.csv"),
+                  {**fluxes, "Q_GAMMA0": q0}, prov)
     write_vtk(mesh, os.path.join(out, f"solution_eps{cfg.eps:g}.vtk"),
-              point_data={
-                  "velocity": np.stack([sol.u[:n_vert],
-                                        sol.u[sol.space.n_vnode:sol.space.n_vnode
-                                              + n_vert]], axis=1),
-                  "pressure": sol.p,
-              }, title=prov)
+              point_data={"velocity": _vertex_velocity(sol.space, sol.u),
+                          "pressure": sol.p}, title=prov)
     imbalance = sum(fluxes.values())
     print(f"flow rate through the interface: {q0:.6g}; "
           f"flux imbalance {imbalance:.2e}")
@@ -188,10 +182,8 @@ def cmd_homog(cfg: RunConfig, args) -> int:
     if cfg.case == "collateral":
         qf = flowrate_formula(zero, constants, cfg.eps)
         q1 = flowrate_first_order(first, cfg.eps)
-        _write_csv(os.path.join(out, f"flowrate_eps{cfg.eps:g}.csv"),
-                   ["name", "value"],
-                   [{"name": "Q_formula", "value": qf},
-                    {"name": "Q_first_order_trace", "value": q1}], prov)
+        _write_values(os.path.join(out, f"flowrate_eps{cfg.eps:g}.csv"),
+                      {"Q_formula": qf, "Q_first_order_trace": q1}, prov)
         print(f"flow-rate law: Q = {qf:.6g} (trace integral {q1:.6g})")
     return 0
 

@@ -8,16 +8,19 @@ configuration.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NonIntegerReciprocal
-from .geometry import Mesh, ObstacleSpec, RefineSpec, _period_count, build_strip_mesh
-from .homogenized import FlowData
+from .geometry import (Mesh, ObstacleSpec, RefineSpec, _check_half_length, _check_size,
+                       _period_count, build_strip_mesh)
+from .homogenized import FlowData, first_order_meshes
 from .solvers import SolverConfig
 
-# a key that a typed spec also holds takes its default from that spec
+# a key that a typed spec or a library signature also holds takes its default from there
 _FLOW, _OBSTACLE, _REFINE, _SOLVER = FlowData(), ObstacleSpec(), RefineSpec(), SolverConfig()
+_STRIP, _FIRST = (inspect.signature(f).parameters for f in (build_strip_mesh, first_order_meshes))
 
 # each value's type is its key's type: str, int or float
 DEFAULTS = {
@@ -30,13 +33,13 @@ DEFAULTS = {
     "obstacle.cx": _OBSTACLE.center[0],
     "obstacle.cy": _OBSTACLE.center[1],
     "obstacle.r": _OBSTACLE.radius,
-    "strip.L": 10.0,
-    "strip.h": 1.0 / 48.0,
+    "strip.L": _STRIP["L"].default,
+    "strip.h": _STRIP["h"].default,
     "mesh.h": 0.1,
     "mesh.obstacle_factor": _REFINE.obstacle_factor,
     "mesh.min_circle_segments": _REFINE.min_circle_segments,
     "mesh.min_angle": _REFINE.min_angle_deg,
-    "first_order.h": 0.05,
+    "first_order.h": _FIRST["h"].default,
     "solver.method": _SOLVER.method,
     "solver.outer_tol": _SOLVER.outer_tol,
     "solver.max_outer": _SOLVER.max_outer,
@@ -63,8 +66,17 @@ class RunConfig:
 
     @property
     def eps_list(self):
-        return [float(tok) for tok in str(self.values["eps_list"]).split(",")
-                if tok.strip()]
+        """The study's eps values: each is 1/m, and at least 3 lie below 1, as
+        the slope fit (which leaves out eps = 1) needs; else a ValueError."""
+        try:
+            eps_list = [float(tok) for tok in str(self.values["eps_list"]).split(",")
+                        if tok.strip()]
+            n_fit = sum(_period_count(eps) > 1 for eps in eps_list)
+            if n_fit < 3:
+                raise ValueError(f"needs at least 3 values below 1, got {n_fit}")
+        except (ValueError, NonIntegerReciprocal) as exc:
+            raise ValueError(f"eps_list: {exc}") from None
+        return eps_list
 
     def flow(self) -> FlowData:
         return FlowData(p_in=self.values["p_in"], p_out1=self.values["p_out1"],
@@ -128,31 +140,19 @@ def parse_config(text: str) -> RunConfig:
         if kind is float and not math.isfinite(values[key]):
             raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
     cfg = RunConfig(values=values)
-    if cfg["obstacle.r"] <= 0:
-        raise ConfigError(f"obstacle.r must be positive, got {cfg['obstacle.r']!r}; "
-                          "use 'cell --no-obstacle' for the unobstructed strip")
-    for key in ("mesh.h", "first_order.h", "strip.h"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-    if cfg["strip.L"] < 2:
-        raise ConfigError(f"strip.L must be >= 2, got {cfg['strip.L']!r}")
-    for spec in (cfg.flow, cfg.refine_spec, cfg.solver):
-        try:
-            spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     try:
+        for key, check in (("mesh.h", _check_size), ("first_order.h", _check_size),
+                           ("strip.h", _check_size), ("strip.L", _check_half_length)):
+            check(cfg[key], key)
+        for spec in (cfg.obstacle, cfg.flow, cfg.refine_spec, cfg.solver):
+            spec()
+        cfg.eps_list            # its values and their count
         if cfg.eps != 0.0:      # eps = 0 is homog's zero-order-only model
             _period_count(cfg.eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     except NonIntegerReciprocal as exc:
         raise ConfigError(f"eps: {exc}") from None
-    try:
-        # each value is checked; the slope fit leaves out eps = 1 (m = 1)
-        n_fit = sum(_period_count(eps) > 1 for eps in cfg.eps_list)
-        if n_fit < 3:
-            raise ValueError(f"needs at least 3 values below 1, got {n_fit}")
-    except (ValueError, NonIntegerReciprocal) as exc:
-        raise ConfigError(f"eps_list: {exc}") from None
     return cfg
 
 

@@ -181,12 +181,6 @@ class FESpace:
     def n_p(self):
         return self.mesh.n_vertices
 
-    @property
-    def node_xy(self):
-        """Coordinates (n_vnode, 2) of every velocity node, computed on
-        access: the space keeps no coordinate table."""
-        return _node_xy(self, np.arange(self.n_vnode))
-
     def mid_nodes(self, a, b):
         """Midpoint node ids of the mesh edges (a[k], b[k]), either orientation."""
         a = np.asarray(a, dtype=np.int64)
@@ -233,6 +227,11 @@ def _node_xy(space: FESpace, nodes):
     e = space.edges[np.maximum(nodes - nv, 0)]
     mid = 0.5 * (v[e[:, 0]] + v[e[:, 1]])
     return np.where((nodes < nv)[:, None], v[np.minimum(nodes, nv - 1)], mid)
+
+
+def _vertex_velocity(space: FESpace, u):
+    """The velocity ``u`` at the mesh vertices, (n_vertices, 2)."""
+    return u.reshape(2, space.n_vnode)[:, :space.mesh.n_vertices].T
 
 
 def _impose_constraints(space: FESpace):

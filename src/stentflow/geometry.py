@@ -69,8 +69,9 @@ class ObstacleSpec:
     radius: float = 3.0 / 16.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("obstacle radius must be positive")
+        if not self.radius > 0:
+            raise ValueError(f"obstacle.r must be positive, got {self.radius!r}; "
+                             "use 'cell --no-obstacle' for the unobstructed strip")
 
     def cell_margin(self) -> float:
         """Distance from the disk to the boundary of the unit cell ]0,1[^2."""
@@ -140,8 +141,7 @@ class MacroGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _period_count(self.eps))
-        if self.case not in ("collateral", "aneurysm"):
-            raise ValueError(f"unknown case {self.case!r}")
+        _lower_bottom(self.case)            # checks the case
         self.obstacle.validate_in_unit_cell()
 
     def hole_centers(self) -> np.ndarray:
@@ -540,9 +540,7 @@ def build_macro_geometry(eps, case, obstacle=None) -> MacroGeometry:
     strictly inside the open unit cell.  The collateral case exposes the
     bottom side as an outflow, the aneurysm case closes it as a wall.
     """
-    if obstacle is None:
-        obstacle = ObstacleSpec()
-    return MacroGeometry(eps=float(eps), case=case, obstacle=obstacle)
+    return MacroGeometry(eps=float(eps), case=case, obstacle=obstacle or ObstacleSpec())
 
 
 def _n_circle(radius, spacing, min_segments):
@@ -550,15 +548,33 @@ def _n_circle(radius, spacing, min_segments):
     return n + (-n) % 4  # multiple of 4 keeps the sampling mirror-symmetric
 
 
+def _check_size(h, name="h"):
+    if not h > 0:
+        raise ValueError(f"{name} must be positive, got {h!r}")
+
+
+def _check_half_length(L, name="L"):
+    if not L >= 2:
+        raise ValueError(f"{name} must be >= 2, got {L!r}")
+
+
+def _lower_bottom(case):
+    """Tag of the lower channel's bottom side: the lower outflow in the
+    collateral case, a wall in the aneurysm case; a ValueError for any
+    other case."""
+    if case not in ("collateral", "aneurysm"):
+        raise ValueError(f"case must be collateral or aneurysm, got {case!r}")
+    return BoundaryTag.GAMMA_OUT2 if case == "collateral" else BoundaryTag.GAMMA2
+
+
 def _channel_pair_sides(case):
     """Outer sides of the channel pair, as :func:`_finish` takes them.
 
     The left and right sides split at x2 = 0 into inflow/outflow above and
-    wall below, the top is a wall, and the bottom is the lower outflow in the
-    collateral case and a wall in the aneurysm case.
+    wall below, the top is a wall, and the bottom is :func:`_lower_bottom`.
     """
     T = BoundaryTag
-    bottom = T.GAMMA_OUT2 if case == "collateral" else T.GAMMA2
+    bottom = _lower_bottom(case)
     return [(0, 0.0, T.GAMMA_IN, T.GAMMA2), (0, 1.0, T.GAMMA_OUT1, T.GAMMA2),
             (1, 1.0, T.GAMMA1, T.GAMMA1), (1, -1.0, bottom, bottom)]
 
@@ -571,8 +587,7 @@ def triangulate(geometry: MacroGeometry, h_target,
     obstacle_factor, stays fine within one eps of the layer, and coarsens
     away from it; x2 = 0 and x2 = eps are mesh lines.
     """
-    if h_target is None or h_target <= 0:
-        raise ValueError("h_target must be positive")
+    _check_size(h_target, "h_target")
     if not isinstance(geometry, MacroGeometry):
         raise TypeError(f"cannot triangulate {type(geometry).__name__}")
     geo, h, spec = geometry, h_target, refine_spec or RefineSpec()
@@ -616,6 +631,7 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
     tags (inflow / outflow / interface / top wall).  Without grading the grid
     is structured at spacing <= h.
     """
+    _check_size(h)
     if tags is None:
         tags = (BoundaryTag.GAMMA_IN, BoundaryTag.GAMMA_OUT1,
                 BoundaryTag.GAMMA0, BoundaryTag.GAMMA1)
@@ -676,6 +692,8 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     Same outer tagging as the macro mesh, x2 = 0 kept as an interface mesh
     line, grading toward the interface.
     """
+    _check_size(h)
+    sides = _channel_pair_sides(case)
     spec = refine_spec or RefineSpec()
     s = h * spec.obstacle_factor
     nx = int(math.ceil(1.0 / s))
@@ -688,7 +706,7 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     _coarsen_away(b, row, x, 4 * s, 1.0, h, upward=True)
     row, _ = _uniform_fill(b, gamma0_row, x, 0.0, -4 * s, s, upward=False)
     _coarsen_away(b, row, x, -4 * s, -1.0, h, upward=False)
-    return _finish(b, spec, "no-stent mesh", _channel_pair_sides(case),
+    return _finish(b, spec, "no-stent mesh", sides,
                    BoundaryTag.GAMMA0, np.empty((0, 3)),
                    {"kind": "no_stent", "case": case, "h": h})
 
@@ -707,10 +725,8 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     52 -> 64), and coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
-    if L < 2:
-        raise ValueError("strip half-length L must be >= 2")
-    if h is None or h <= 0:
-        raise ValueError("h must be positive")
+    _check_half_length(L)
+    _check_size(h)
     spec = refine_spec or RefineSpec()
     L = float(L)
     n = max(8, int(round(1.0 / h)))

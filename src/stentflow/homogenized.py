@@ -32,7 +32,7 @@ from .fem import (
     integrate_field,
     velocity_gradient_at,
 )
-from .geometry import BoundaryTag as T, Mesh, RefineSpec, rectangle_mesh
+from .geometry import BoundaryTag as T, Mesh, RefineSpec, _lower_bottom, rectangle_mesh
 from .solvers import SolverConfig, StokesSolution, solve_stokes
 
 
@@ -46,11 +46,9 @@ class FlowData:
     case: str = "collateral"
 
     def __post_init__(self):
-        for v in (self.p_in, self.p_out1, self.p_out2):
-            if not math.isfinite(v):
-                raise ValueError("flow data must be finite")
-        if self.case not in ("collateral", "aneurysm"):
-            raise ValueError(f"case must be collateral or aneurysm, got {self.case!r}")
+        if not all(map(math.isfinite, (self.p_in, self.p_out1, self.p_out2))):
+            raise ValueError("flow data must be finite")
+        _lower_bottom(self.case)            # checks the case
 
 
 @dataclass
@@ -146,12 +144,12 @@ class FirstOrderSolution:
 def first_order_meshes(h=0.05, refine_spec: RefineSpec | None = None,
                        case="collateral"):
     """Default macroscopic corrector meshes, graded toward the interface."""
+    bottom = _lower_bottom(case)
     upper = rectangle_mesh(
         0.0, 1.0, 0.0, 1.0, h,
         tags=(T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA0, T.GAMMA1),
         grade_to_y=0.0, refine_spec=refine_spec,
     )
-    bottom = T.GAMMA_OUT2 if case == "collateral" else T.GAMMA2
     lower = rectangle_mesh(
         0.0, 1.0, -1.0, 0.0, h,
         tags=(T.GAMMA2, T.GAMMA2, bottom, T.GAMMA0),

@@ -7,7 +7,8 @@ return; a test that needs to alter a solution builds its own.  The
 strip, the reference for the half strip; ``prolongations`` gives the
 constraint reduction's prolongation matrices, the reference for its column
 maps.  Both are built here from ``fem`` primitives.  ``l2_distance``
-compares a discrete field with a closed-form one.
+compares a discrete field with a closed-form one, and ``node_xy`` gives the
+coordinates of a space's velocity nodes.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import stentflow.cell as cell
 from stentflow.cell import solve_all
 from stentflow.fem import (
     Sources,
+    _node_xy,
     apply_constraints,
     assemble_stokes,
     build_space,
@@ -87,6 +89,13 @@ def l2_distance():
         w = fields["w"] if kind == "p" else fields["w"][:, :, None]
         return float(np.sqrt(np.sum(w * diff**2)))
     return distance
+
+
+@pytest.fixture(scope="session")
+def node_xy():
+    """``node_xy(space)`` is the coordinates (n_vnode, 2) of every velocity
+    node of ``space``: the mesh vertices, then the edge midpoints."""
+    return lambda space: _node_xy(space, np.arange(space.n_vnode))
 
 
 @pytest.fixture(scope="session")

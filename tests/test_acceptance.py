@@ -79,7 +79,7 @@ def aneurysm_direct():
     return out
 
 
-def test_criterion_1_poiseuille_exactness():
+def test_criterion_1_poiseuille_exactness(node_xy):
     t0 = time.time()
     mesh = rectangle_mesh(0, 1, 0, 1, 0.25,
                           tags=(T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA2, T.GAMMA1))
@@ -91,7 +91,7 @@ def test_criterion_1_poiseuille_exactness():
     }
     space = build_space(mesh, bc)
     sol = solve_stokes(assemble_stokes(space))
-    xy = space.node_xy
+    xy = node_xy(space)
     err_u = max(
         np.abs(sol.u[: space.n_vnode] - xy[:, 1] * (1 - xy[:, 1])).max(),
         np.abs(sol.u[space.n_vnode :]).max(),

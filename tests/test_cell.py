@@ -45,13 +45,13 @@ def solutions(strip):
 
 
 class TestCellSolves:
-    def test_dirichlet_on_obstacle_exact(self, strip, solutions):
+    def test_dirichlet_on_obstacle_exact(self, strip, solutions, node_xy):
         sols, _ = solutions
         beta = sols["beta"]
         space = beta.solution.space
         circ = strip.edges_with_tag(T.GAMMA_EPS)
         nds = np.unique(circ.ravel())
-        xy = space.node_xy[nds]
+        xy = node_xy(space)[nds]
         assert np.abs(beta.solution.u[nds] + xy[:, 1]).max() < 1e-13
         assert np.abs(beta.solution.u[space.n_vnode + nds]).max() < 1e-13
 
@@ -279,7 +279,7 @@ def _counting_splu(monkeypatch):
 @pytest.mark.parametrize("config", [SolverConfig(method="direct"),
                                     SolverConfig(outer_tol=1e-13)],
                          ids=["direct", "uzawa"])
-def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, config):
+def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, config, node_xy):
     # the half-strip problems are the periodic one restricted to fields of
     # one parity, so the two paths differ by rounding once the solver error
     # is below it (at the default outer_tol, varkappa1_jump differs by 4e-10)
@@ -309,7 +309,7 @@ def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, config):
         assert sol.space.mesh is mesh and len(sol.space.vel_pairs)
         assert all(sol.u[s] == sol.u[m] for s, m in sol.space.vel_pairs)
         assert np.array_equal(sol.p[sol.space.p_pairs[:, 0]], sol.p[sol.space.p_pairs[:, 1]])
-        obstacle = -sol.space.node_xy[circle, 1] if which == "beta" else 0.0
+        obstacle = -node_xy(sol.space)[circle, 1] if which == "beta" else 0.0
         assert np.abs(sol.u[circle] - obstacle).max() < 1e-13
         assert np.abs(sol.u[sol.space.n_vnode + circle]).max() < 1e-13
         ref_energy = gradient_energy(sol.space, sol.u)

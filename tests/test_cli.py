@@ -194,6 +194,14 @@ class TestCli:
         assert "VECTORS beta_velocity double" in text
         assert "SCALARS chi_pressure double 1" in text
 
+    def test_cell_no_obstacle_vtk_export(self, workdir):
+        # the unobstructed strip writes chi's fields, as the obstructed one does
+        tmp, cfg = workdir
+        assert main(["cell", "--config", str(cfg), "--no-obstacle", "--vtk"]) == 0
+        text = (tmp / "out" / "cell_fields.vtk").read_text()
+        names = re.findall(r"^(?:VECTORS|SCALARS) (\w+)", text, flags=re.M)
+        assert names == ["chi_velocity", "chi_pressure"]
+
     def test_homog_from_constants_file(self, workdir, capsys):
         tmp, cfg = workdir
         assert main(["cell", "--config", str(cfg), "--skip-varkappa"]) == 0

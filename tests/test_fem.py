@@ -204,7 +204,7 @@ class TestQuadrature:
 
 class TestSpace:
     @pytest.mark.parametrize("which", ["macro-8", "strip", "half-strip", "graded"])
-    def test_node_xy_is_vertices_then_midpoints(self, which, default_strip, graded_mesh):
+    def test_node_xy_is_vertices_then_midpoints(self, which, default_strip, graded_mesh, node_xy):
         mesh = {
             "macro-8": lambda: triangulate(
                 build_macro_geometry(1 / 8, "collateral", ObstacleSpec()), 0.1),
@@ -215,10 +215,12 @@ class TestSpace:
         space = build_space(mesh, {})
         v, e = mesh.vertices, space.edges
         ref = np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
-        # computed on access, bit for bit the table the space used to store
-        assert "node_xy" not in vars(space)
-        assert space.node_xy.dtype == ref.dtype and space.node_xy.shape == ref.shape
-        assert space.node_xy.tobytes() == ref.tobytes()
+        # the space keeps no coordinate table; the nodes' coordinates are
+        # bit for bit the table it used to store
+        assert not hasattr(space, "node_xy")
+        xy = node_xy(space)
+        assert xy.dtype == ref.dtype and xy.shape == ref.shape
+        assert xy.tobytes() == ref.tobytes()
 
     def test_dof_counts(self):
         mesh = flat_channel()
@@ -227,22 +229,22 @@ class TestSpace:
         assert space.n_vel == 2 * (mesh.n_vertices + n_edges)
         assert space.n_p == mesh.n_vertices
 
-    def test_all_walls_dirichlet_fixes_all_boundary(self):
+    def test_all_walls_dirichlet_fixes_all_boundary(self, node_xy):
         mesh = flat_channel()
         space = build_space(mesh, all_dirichlet_bc())
-        xy = space.node_xy
+        xy = node_xy(space)
         on_bnd = ((np.abs(xy[:, 0]) < 1e-14) | (np.abs(xy[:, 0] - 1) < 1e-14)
                   | (np.abs(xy[:, 1]) < 1e-14) | (np.abs(xy[:, 1] - 1) < 1e-14))
         expected = 2 * on_bnd.sum()
         assert len(space.fixed_dofs) == expected
         assert np.all(space.fixed_vals == 0.0)
 
-    def test_pressure_bc_fixes_parallel_component(self):
+    def test_pressure_bc_fixes_parallel_component(self, node_xy):
         mesh = flat_channel()
         bc = dict(all_dirichlet_bc())
         bc[T.GAMMA_IN] = BC.pressure(2.0)
         space = build_space(mesh, bc)
-        xy = space.node_xy
+        xy = node_xy(space)
         on_inflow = np.abs(xy[:, 0]) < 1e-14
         interior_inflow = on_inflow & (xy[:, 1] > 1e-14) & (xy[:, 1] < 1 - 1e-14)
         fixed = set(space.fixed_dofs)
@@ -250,7 +252,7 @@ class TestSpace:
             assert space.n_vnode + nd in fixed     # vertical component fixed
             assert nd not in fixed                 # horizontal free
 
-    def test_periodic_pairs_on_strip(self):
+    def test_periodic_pairs_on_strip(self, node_xy):
         mesh = build_strip_mesh(None, L=2, h=0.25)
         bc = {
             T.STRIP_LEFT: BC.periodic(T.STRIP_RIGHT),
@@ -260,7 +262,7 @@ class TestSpace:
         }
         space = build_space(mesh, bc)
         assert len(space.vel_pairs) > 0
-        xy = space.node_xy
+        xy = node_xy(space)
         for s, m in space.vel_pairs:
             sn, mn = s % space.n_vnode, m % space.n_vnode
             assert xy[sn, 0] == pytest.approx(1.0)     # slave on the right
@@ -331,7 +333,7 @@ class TestAssembly:
         with pytest.raises(UnassembledTag):
             assemble_stokes(space)
 
-    def test_zero_sources_pressure_terms_only(self):
+    def test_zero_sources_pressure_terms_only(self, node_xy):
         mesh = flat_channel()
         bc = dict(all_dirichlet_bc())
         bc[T.GAMMA_IN] = BC.pressure(2.0)
@@ -339,8 +341,7 @@ class TestAssembly:
         space = build_space(mesh, bc)
         system = assemble_stokes(space)
         nz = np.nonzero(system.f)[0]
-        xy = np.concatenate([space.node_xy, space.node_xy])[nz % space.n_vel]
-        xs = space.node_xy[nz % space.n_vnode, 0]
+        xs = node_xy(space)[nz % space.n_vnode, 0]
         assert np.all((np.abs(xs) < 1e-14) | (np.abs(xs - 1) < 1e-14))
         # outward normal at the inflow is -e1: load is +h * trace weights
         assert system.f[nz].sum() == pytest.approx(2.0, abs=1e-12)
@@ -499,10 +500,10 @@ class TestNorms:
         lin = mesh.vertices[:, 0].copy()
         assert section_average(space, lin, 0.5) == pytest.approx(0.5, abs=1e-13)
 
-    def test_quadratic_velocity_exact(self, l2_distance):
+    def test_quadratic_velocity_exact(self, l2_distance, node_xy):
         mesh = flat_channel(0.5)
         space = build_space(mesh, all_dirichlet_bc())
-        xy = space.node_xy
+        xy = node_xy(space)
         u = np.concatenate([xy[:, 1] * (1 - xy[:, 1]), np.zeros(space.n_vnode)])
         exact = lambda pts: np.stack(
             [pts[:, 1] * (1 - pts[:, 1]), np.zeros(len(pts))], axis=1)
@@ -707,7 +708,7 @@ class TestIntegrationRules:
     """Band and section rules: read at the mesh's edges, refused where they
     meet no triangle, built once per mesh and never shared between meshes."""
 
-    def test_both_edges_read_from_inside(self, short_strip):
+    def test_both_edges_read_from_inside(self, short_strip, node_xy):
         # the bottom edge y = -3 is read from the triangles above it, the top
         # edge y = 3, which has none above, from those below
         space = short_strip
@@ -716,7 +717,7 @@ class TestIntegrationRules:
         heights = np.array([-3.0, -2.999, 2.999, 3.0])
         assert np.abs(section_average(space, one, heights) - 1.0).max() <= 1e-13
         assert np.abs(section_average(space, y, heights) - heights).max() <= 1e-12
-        vy = np.concatenate([np.zeros(space.n_vnode), space.node_xy[:, 1]])
+        vy = np.concatenate([np.zeros(space.n_vnode), node_xy(space)[:, 1]])
         assert section_average(space, vy, 3.0, component=1) == pytest.approx(3.0, abs=1e-12)
         for y0, y1 in ((-3.0, -2.0), (2.0, 3.0)):
             assert band_integral(space, one, y0, y1) == pytest.approx(1.0, abs=1e-13)
@@ -821,11 +822,11 @@ def _quadratic(xy):
 class TestEvaluationKernel:
     """The shared (quadrature) and located branches of field evaluation."""
 
-    def test_quadratic_gradients_exact(self, strip_fields):
+    def test_quadratic_gradients_exact(self, strip_fields, node_xy):
         # P2 interpolates a quadratic velocity and P1 a linear pressure
         # exactly, at quadrature points and at located points alike
         space = strip_fields[0]
-        u = _quadratic(space.node_xy)[0].T.ravel()
+        u = _quadratic(node_xy(space))[0].T.ravel()
         p = 2.0 - 0.3 * space.mesh.vertices[:, 0] + 0.7 * space.mesh.vertices[:, 1]
         fields = eval_on_quadrature(space, u=u, p=p, grad=True)
         rng = np.random.default_rng(2)

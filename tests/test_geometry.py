@@ -305,7 +305,7 @@ class TestMirrorHalf:
                                              (ObstacleSpec(), 16), (ObstacleSpec(), 20),
                                              (ObstacleSpec(), 24), (ObstacleSpec(), 32),
                                              (None, 4)])
-    def test_symmetric_strip_halves(self, request, obstacle, n):
+    def test_symmetric_strip_halves(self, request, obstacle, n, node_xy):
         L = 10.0 if obstacle else 4.0
         full = (request.getfixturevalue("default_strip") if n == 48
                 else build_strip_mesh(obstacle, L=L, h=1 / n))
@@ -337,7 +337,7 @@ class TestMirrorHalf:
         for e, t in zip(full_id[mesh.boundary_edges].tolist(), mesh.boundary_tags):
             assert tag_of.get(frozenset(e), T.STRIP_RIGHT) == t
         # each vertex and edge midpoint sits at its source, or at its mirror image
-        xy_full, xy_half = (build_space(m, {}).node_xy for m in (full, mesh))
+        xy_full, xy_half = (node_xy(build_space(m, {})) for m in (full, mesh))
         src = xy_half[half.source]
         src[half.mirrored, 0] = 1.0 - src[half.mirrored, 0]
         assert np.abs(src - xy_full).max() < 1e-12

@@ -116,14 +116,14 @@ def collateral_first_order():
 
 
 class TestFirstOrder:
-    def test_interface_trace_nodewise_exact(self, collateral_first_order):
+    def test_interface_trace_nodewise_exact(self, collateral_first_order, node_xy):
         z, fo = collateral_first_order
         space = fo.lower.space
         from stentflow.geometry import BoundaryTag as T
 
         edges = fo.mesh_lower.edges_with_tag(T.GAMMA0)
         nds = np.unique(edges.ravel())
-        xy = space.node_xy[nds]
+        xy = node_xy(space)[nds]
         expect = fo.trace_minus(xy[:, 0])
         assert np.abs(fo.lower.u[nds] - expect[:, 0]).max() < 1e-13
         assert np.abs(fo.lower.u[space.n_vnode + nds] - expect[:, 1]).max() < 1e-13

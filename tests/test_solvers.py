@@ -74,10 +74,10 @@ def poiseuille_system(h=0.25, p_in=2.0, p_out=0.0):
 
 class TestStokes:
     @pytest.mark.parametrize("method", ["uzawa_cg", "direct"])
-    def test_poiseuille_exact(self, method):
+    def test_poiseuille_exact(self, method, node_xy):
         space, system = poiseuille_system()
         sol = solve_stokes(system, SolverConfig(method=method))
-        xy = space.node_xy
+        xy = node_xy(space)
         u1_exact = xy[:, 1] * (1 - xy[:, 1])
         assert np.abs(sol.u[: space.n_vnode] - u1_exact).max() <= 1e-8
         assert np.abs(sol.u[space.n_vnode :]).max() <= 1e-8
