@@ -13,12 +13,7 @@ import sys
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    NonIntegerReciprocal,
-    ObstacleTouchesCell,
-    StentflowError,
-)
+from .errors import ConfigError, NonIntegerReciprocal, StentflowError
 from .fem import _vertex_velocity
 from .geometry import build_macro_geometry, triangulate
 from .meshio import save_mesh, write_vtk
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
-    except (ConfigError, NonIntegerReciprocal, ObstacleTouchesCell) as exc:
+    except (ConfigError, NonIntegerReciprocal) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except StentflowError as exc:

@@ -141,11 +141,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
     cfg = RunConfig(values=values)
     try:
-        for key, check in (("mesh.h", _check_size), ("first_order.h", _check_size),
-                           ("strip.h", _check_size), ("strip.L", _check_half_length)):
-            check(cfg[key], key)
+        for key in ("mesh.h", "first_order.h", "strip.h"):
+            _check_size(cfg[key], key)
         for spec in (cfg.obstacle, cfg.flow, cfg.refine_spec, cfg.solver):
             spec()
+        _check_half_length(cfg["strip.L"], cfg.obstacle(), "strip.L")
         cfg.eps_list            # its values and their count
         if cfg.eps != 0.0:      # eps = 0 is homog's zero-order-only model
             _period_count(cfg.eps)

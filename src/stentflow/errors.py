@@ -9,10 +9,6 @@ class NonIntegerReciprocal(StentflowError):
     """eps is not the reciprocal of an integer."""
 
 
-class ObstacleTouchesCell(StentflowError):
-    """Obstacle closure is not strictly inside its periodicity cell."""
-
-
 class MeshQualityFailure(StentflowError):
     """Generated mesh violates the minimum-angle threshold."""
 

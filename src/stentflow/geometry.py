@@ -25,12 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .errors import (
-    MeshQualityFailure,
-    NonIntegerReciprocal,
-    ObstacleTouchesCell,
-    PeriodicMismatch,
-)
+from .errors import MeshQualityFailure, NonIntegerReciprocal, PeriodicMismatch
 
 GEOM_TOL = 1e-12
 
@@ -62,7 +57,9 @@ class ObstacleSpec:
     """A single solid obstacle in the unit periodicity cell.
 
     A disk: ``center`` is expressed in unit-cell coordinates, ``radius`` is
-    dimensionless.
+    dimensionless.  The disk lies in the open unit cell ]0,1[^2, as the
+    paper's holes lie in ]0,eps[^2; this check is the one every command
+    and mesher reads.
     """
 
     center: tuple[float, float] = (0.5, 0.25)
@@ -72,18 +69,15 @@ class ObstacleSpec:
         if not self.radius > 0:
             raise ValueError(f"obstacle.r must be positive, got {self.radius!r}; "
                              "use 'cell --no-obstacle' for the unobstructed strip")
+        if not self.cell_margin() > GEOM_TOL:
+            raise ValueError(f"obstacle.cx, obstacle.cy, obstacle.r = {self.center[0]!r}, "
+                             f"{self.center[1]!r}, {self.radius!r}: the disk must lie "
+                             "inside the open unit cell ]0,1[^2")
 
     def cell_margin(self) -> float:
         """Distance from the disk to the boundary of the unit cell ]0,1[^2."""
         cx, cy = self.center
         return min(cx, cy, 1.0 - cx, 1.0 - cy) - self.radius
-
-    def validate_in_unit_cell(self):
-        if self.cell_margin() <= GEOM_TOL:
-            raise ObstacleTouchesCell(
-                f"obstacle (center={self.center}, r={self.radius}) touches the "
-                "unit cell boundary"
-            )
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,11 @@ class RefineSpec:
         if not self.obstacle_factor > 0:
             raise ValueError("mesh.obstacle_factor must be positive, "
                              f"got {self.obstacle_factor!r}")
-        if self.min_circle_segments < 3:
-            raise ValueError("mesh.min_circle_segments must be >= 3, "
+        # the ring rounds up to a multiple of 4 points: below 6 segments a
+        # lattice sized to the polygon's chord can meet a ring of 8 points
+        # with chords of 5/8 of its spacing, and thin triangles
+        if self.min_circle_segments < 6:
+            raise ValueError("mesh.min_circle_segments must be >= 6, "
                              f"got {self.min_circle_segments!r}")
         if not 0 <= self.min_angle_deg < 60:
             raise ValueError("mesh.min_angle must lie in [0, 60), "
@@ -142,7 +139,6 @@ class MacroGeometry:
     def __post_init__(self):
         object.__setattr__(self, "m", _period_count(self.eps))
         _lower_bottom(self.case)            # checks the case
-        self.obstacle.validate_in_unit_cell()
 
     def hole_centers(self) -> np.ndarray:
         """Centers of the m scaled obstacle copies, shape (m, 2)."""
@@ -346,6 +342,19 @@ def _coarsen_away(b, row, x, y, y_end, h_max, upward):
         level += 1
     row, y = _uniform_fill(b, row, cur_x, y, y_end, cur_x[1] - cur_x[0], upward)
     return row, cur_x, y
+
+
+def _graded_fill(b, row, x, y, y_end, fine, h_fine, h_far):
+    """Fill from the row at y to the far wall y_end, graded away from y.
+
+    Spacing is capped at h_fine within ``fine`` of y (clamped at y_end), at
+    h_far beyond; each part coarsens by 2:1 steps.  An h_fine equal to the
+    row's own spacing keeps the fine part uniform.
+    """
+    upward = y_end > y
+    y_fine = min(y_end, y + fine) if upward else max(y_end, y - fine)
+    row, x, y = _coarsen_away(b, row, x, y, y_fine, h_fine, upward)
+    _coarsen_away(b, row, x, y, y_end, h_far, upward)
 
 
 # ----------------------------------------------------------------------------
@@ -553,9 +562,15 @@ def _check_size(h, name="h"):
         raise ValueError(f"{name} must be positive, got {h!r}")
 
 
-def _check_half_length(L, name="L"):
-    if not L >= 2:
-        raise ValueError(f"{name} must be >= 2, got {L!r}")
+def _check_half_length(L, obstacle, name="L"):
+    """The strip half-length rule: L >= 2, and with a disk, its top 2 below
+    the far wall (cy + r < L - 2)."""
+    if obstacle is None:
+        if not L >= 2:
+            raise ValueError(f"{name} must be >= 2, got {L!r}")
+    elif not obstacle.center[1] + obstacle.radius < L - 2:
+        raise ValueError(f"{name} must be > 2 + obstacle.cy + obstacle.r = "
+                         f"{2 + obstacle.center[1] + obstacle.radius!r}, got {L!r}")
 
 
 def _lower_bottom(case):
@@ -610,12 +625,8 @@ def triangulate(geometry: MacroGeometry, h_target,
     # each channel is graded away from the layer: spacing capped at
     # h*factor within one eps of it (the upper channel from x2 = eps, the
     # lower one downward from x2 = 0), at h beyond
-    for row, y0, y_fine_end, y_end, upward in (
-            (top_row, eps, min(1.0, 2 * eps), 1.0, True),
-            (gamma0_row, 0.0, -min(1.0, eps), -1.0, False)):
-        row, cur_x, y = _coarsen_away(b, row, x, y0, y_fine_end,
-                                      h * spec.obstacle_factor, upward)
-        _coarsen_away(b, row, cur_x, y, y_end, h, upward)
+    for row, y0, y_end in ((top_row, eps, 1.0), (gamma0_row, 0.0, -1.0)):
+        _graded_fill(b, row, x, y0, y_end, eps, h * spec.obstacle_factor, h)
 
     return _finish(b, spec, f"macro mesh eps=1/{m}", _channel_pair_sides(geo.case),
                    BoundaryTag.GAMMA0, np.column_stack([centers, np.full(m, r_hole)]),
@@ -658,11 +669,7 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
         x = np.linspace(x0, x1, nx + 1)
         s0 = wx / nx
         # four rows at spacing s0 next to the graded side, then coarsening
-        upward = end > start
-        fine_end = min(end, start + 4 * s0) if upward else max(end, start - 4 * s0)
-        row = b.add_row(x, start)
-        row, _ = _uniform_fill(b, row, x, start, fine_end, s0, upward)
-        _coarsen_away(b, row, x, fine_end, end, h, upward)
+        _graded_fill(b, b.add_row(x, start), x, start, end, 4 * s0, s0, h)
     sides = [(axis, value, tag, tag)
              for (axis, value), tag in zip(((0, x0), (0, x1), (1, y0), (1, y1)), tags)]
     return _finish(b, spec, "rectangle mesh", sides, BoundaryTag.GAMMA0,
@@ -702,10 +709,8 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     s = 1.0 / nx
     b = _Builder()
     gamma0_row = b.add_row(x, 0.0)
-    row, _ = _uniform_fill(b, gamma0_row, x, 0.0, 4 * s, s, upward=True)
-    _coarsen_away(b, row, x, 4 * s, 1.0, h, upward=True)
-    row, _ = _uniform_fill(b, gamma0_row, x, 0.0, -4 * s, s, upward=False)
-    _coarsen_away(b, row, x, -4 * s, -1.0, h, upward=False)
+    for y_end in (1.0, -1.0):      # four rows at spacing s each side, as rectangle_mesh
+        _graded_fill(b, gamma0_row, x, 0.0, y_end, 4 * s, s, h)
     return _finish(b, spec, "no-stent mesh", sides,
                    BoundaryTag.GAMMA0, np.empty((0, 3)),
                    {"kind": "no_stent", "case": case, "h": h})
@@ -720,26 +725,26 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     The left/right boundary vertex sets are exact y-translates of each other
     (periodic identification); y2 = 0 is a mesh line carrying the SIGMA tag;
     the lattice spacing near the obstacle is 1/n, with n = 1/h (or what the
-    obstacle's margin or radius needs, if more) rounded up to the next
+    disk's clearances or radius need, if more) rounded up to the next
     multiple of 4 whose halvings end at 4 or 6 columns (28 -> 32, 40 -> 48,
     52 -> 64), and coarsens away.
     ``obstacle=None`` meshes the unobstructed strip.
     """
-    _check_half_length(L)
+    _check_half_length(L, obstacle)
     _check_size(h)
     spec = refine_spec or RefineSpec()
     L = float(L)
     n = max(8, int(round(1.0 / h)))
     if obstacle is not None:
         cx, (_, cy), r = 0.5, obstacle.center, obstacle.radius    # the disk at x1 = 1/2
-        margins = [0.5 - r]
-        if abs(cy) > r:            # a disk off the interface line keeps clear of it
-            margins.append(abs(cy) - r)
-        # a lattice cell spans at most 2.5 chords of the disk's coarsest
-        # polygon (min_circle_segments sides), so that a small disk at a
+        # more than 2 lattice spacings clear the disk of the periodic sides
+        # and 1.3 of the interface line below it; a lattice cell spans at
+        # most 1.5 chords of the disk's coarsest polygon (min_circle_segments
+        # sides, rounded up to a multiple of 4), so that a small disk at a
         # coarse h still meshes into good triangles
-        n = max(n, int(math.ceil(1.3 / min(margins))),
-                int(math.ceil(spec.min_circle_segments / (5.0 * math.pi * r))))
+        n_ring = _n_circle(r, math.inf, spec.min_circle_segments)
+        n = max(n, int(2.0 / (0.5 - r)) + 1, int(math.ceil(1.3 / (cy - r))),
+                int(math.ceil(n_ring / (3.0 * math.pi * r))))
     # the far field coarsens by halving the column count while it is even,
     # so round up to a multiple of 4 whose halvings end at 4 or 6 columns;
     # an odd count on the way, as 44 -> 22 -> 11, keeps the far field fine,
@@ -751,12 +756,8 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     x = np.linspace(0.0, 1.0, n + 1)
 
     if obstacle is not None:
-        if 0.5 - r <= 2 * s:
-            raise ObstacleTouchesCell("obstacle too close to the periodic sides")
-        if not (-L + 2 < cy - r and cy + r < L - 2):
-            raise ObstacleTouchesCell("obstacle must lie well inside the strip")
         lo_row = min(0, math.floor((cy - r) / s) - 2)
-        hi_row = max(0, math.ceil((cy + r) / s) + 2)
+        hi_row = math.ceil((cy + r) / s) + 2
     else:
         lo_row, hi_row = 0, 0
     block_lo, block_hi = lo_row * s, hi_row * s
@@ -771,12 +772,8 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
         row = bottom_row
 
     # fine window of one unit above/below the block, then coarsen to the far field
-    fine_hi = block_hi + 1.0
-    row, _ = _uniform_fill(b, row, x, block_hi, fine_hi, s, upward=True)
-    _coarsen_away(b, row, x, fine_hi, L, 0.25, upward=True)
-    fine_lo = block_lo - 1.0
-    row, _ = _uniform_fill(b, bottom_row, x, block_lo, fine_lo, s, upward=False)
-    _coarsen_away(b, row, x, fine_lo, -L, 0.25, upward=False)
+    _graded_fill(b, row, x, block_hi, L, 1.0, s, 0.25)
+    _graded_fill(b, bottom_row, x, block_lo, -L, 1.0, s, 0.25)
 
     T = BoundaryTag
     sides = [(0, 0.0, T.STRIP_LEFT, T.STRIP_LEFT), (0, 1.0, T.STRIP_RIGHT, T.STRIP_RIGHT),

@@ -142,6 +142,29 @@ class TestCli:
         assert "cell --no-obstacle" in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
+    @pytest.mark.parametrize("lines", ["obstacle.r = 0.3", "obstacle.cy = 0.1\nobstacle.r = 0.2",
+                                       "strip.L = 2"])
+    def test_geometry_rule_exit_2_in_every_command(self, workdir, capsys, lines):
+        # the disk contract and the strip half-length rule mean the same in
+        # every subcommand: `homog` ran on these disks, `cell` and `converge`
+        # failed after solving, and strip.L = 2 failed after out/ was made
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text().replace("strip.L = 4\n", "") + lines + "\n")
+        key = lines.split("\n")[-1].split(" =")[0]
+        for command in ("mesh", "solve", "homog", "cell", "converge"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and key in err
+            assert not (tmp / "out").exists()
+
+    def test_small_disk_on_coarse_strip_meshes(self, workdir):
+        # a lattice cell spanned 2.5 chords of the disk's 16-gon and the
+        # strip failed the quality check (15.4 degrees); now it spans 1.5
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text().replace(f"strip.h = {1 / 16}", "strip.h = 0.125")
+                       + "obstacle.cy = 0.3\nobstacle.r = 0.1\n")
+        assert main(["mesh", "--config", str(cfg)]) == 0
+
     def test_unknown_key_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mystery = 42\n")

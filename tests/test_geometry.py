@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stentflow.geometry as geometry
-from stentflow.errors import NonIntegerReciprocal, ObstacleTouchesCell
+from stentflow.errors import NonIntegerReciprocal
 from stentflow.fem import build_space
 from stentflow.geometry import (
     BoundaryTag as T,
@@ -55,9 +55,9 @@ class TestMacroGeometry:
             build_macro_geometry(eps, "collateral", ObstacleSpec())
 
     def test_obstacle_touching_cell(self):
-        with pytest.raises(ObstacleTouchesCell):
-            build_macro_geometry(0.25, "collateral",
-                                 ObstacleSpec(center=(0.5, 0.25), radius=0.25))
+        # the disk contract is checked where the spec is built, for every mesher
+        with pytest.raises(ValueError, match="open unit cell"):
+            ObstacleSpec(center=(0.5, 0.25), radius=0.25)
 
     def test_bad_case(self):
         with pytest.raises(ValueError):
@@ -181,12 +181,18 @@ class TestMacroMesh:
          "33dc4d49d2abb327dd3d59d2d4fb25ca0be03c3b6d749e817df4cde1ece2629b"),
         ("ungraded rectangle",
          "729335e651a712a91241f12e9e3fde30e94fd4d9541db7dfde97f76f098cf6ad"),
+        ("no-stent h=1",
+         "933ebf447b6bdf6f90de382d052e60cd2cff1b940dc1a3ca888f85358c148e8e"),
+        ("no-stent h=1.5",
+         "933ebf447b6bdf6f90de382d052e60cd2cff1b940dc1a3ca888f85358c148e8e"),
     ])
     def test_macro_file_unchanged(self, tmp_path, which, digest):
         # the mesh files of the study's first and last eps (a float), as
         # written when the obstacle blocks were assembled point by point in
         # Python loops, and of the other domains, as written when each mesh
-        # builder finished its mesh with its own copy of the edge tagging
+        # builder finished its mesh with its own copy of the edge tagging;
+        # the coarse no-stent pairs (both 2 columns wide) raised
+        # MeshQualityFailure until the graded fill was clamped at the walls
         builders = {
             "no-stent collateral": lambda: no_stent_mesh("collateral"),
             "no-stent aneurysm": lambda: no_stent_mesh("aneurysm"),
@@ -196,6 +202,8 @@ class TestMacroMesh:
                 lambda: first_order_meshes(case="aneurysm")[1],
             "unobstructed strip": lambda: build_strip_mesh(None),
             "ungraded rectangle": lambda: rectangle_mesh(0, 1, 0, 1, 0.1),
+            "no-stent h=1": lambda: no_stent_mesh(h=1.0),
+            "no-stent h=1.5": lambda: no_stent_mesh(h=1.5),
         }
         mesh = (triangulate(build_macro_geometry(which, "collateral", ObstacleSpec()), 0.1)
                 if isinstance(which, float) else builders[which]())
@@ -236,12 +244,18 @@ class TestStripMesh:
         lengths = np.abs(np.diff(m.vertices[sig][:, :, 0], axis=1))
         assert lengths.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_obstacle_below_interface_valid(self):
-        # containment is the only geometric requirement
-        obs = ObstacleSpec(center=(0.5, -0.3), radius=0.15)
+    def test_obstacle_near_interface_valid(self):
+        # a disk 0.05 above the interface line: the lattice keeps 1.3
+        # spacings between them, so the line stays whole
+        obs = ObstacleSpec(center=(0.5, 0.2), radius=0.15)
         m = build_strip_mesh(obs, L=6, h=1 / 24)
         assert np.all(m.signed_areas() > 0)
         assert m.min_angle_deg() >= 20.0
+        sig = m.edges_with_tag(T.SIGMA)
+        assert np.abs(np.diff(m.vertices[sig][:, :, 0], axis=1)).sum() == pytest.approx(1.0)
+        # a disk below the interface lies outside the unit cell
+        with pytest.raises(ValueError, match="open unit cell"):
+            ObstacleSpec(center=(0.5, -0.3), radius=0.15)
 
     def test_area_invariant(self):
         h = 1 / 24
@@ -252,14 +266,21 @@ class TestStripMesh:
     def test_small_L_rejected(self):
         with pytest.raises(ValueError):
             build_strip_mesh(ObstacleSpec(), L=1.0, h=0.1)
+        # the disk's top must lie 2 below the far wall: 0.25 + 3/16 < L - 2
+        with pytest.raises(ValueError, match="L must be > 2 [+] obstacle.cy [+] obstacle.r"):
+            build_strip_mesh(ObstacleSpec(), L=2.4375, h=0.1)
+        assert build_strip_mesh(ObstacleSpec(), L=2.44, h=0.1).n_triangles
 
     def test_lateral_obstacle_rejected(self):
-        # the strip meshes every disk at x1 = 1/2, so only a disk that
-        # reaches the lateral sides from there is rejected, wherever its cx
+        # the strip meshes every disk at x1 = 1/2, wherever its cx; a disk
+        # that reaches out of the unit cell is rejected where the spec is
+        # built, and one that nearly fills it gets the columns it needs
         m = build_strip_mesh(ObstacleSpec(center=(0.05, 0.25), radius=0.04), L=6, h=1 / 48)
         assert m.holes.tolist() == [[0.5, 0.25, 0.04]]
-        with pytest.raises(ObstacleTouchesCell):
-            build_strip_mesh(ObstacleSpec(radius=0.45), L=6, h=0.5)
+        with pytest.raises(ValueError, match="open unit cell"):
+            ObstacleSpec(radius=0.45)
+        wide = build_strip_mesh(ObstacleSpec(center=(0.5, 0.5), radius=0.45), L=6, h=0.5)
+        assert np.count_nonzero(wide.vertices[:, 1] == 0.0) - 1 > 2 / 0.05
 
     def test_coarser_request_gives_no_bigger_strip(self):
         # 22 columns halve to 11, an odd count that stopped the far-field
@@ -279,8 +300,9 @@ class TestStripMesh:
     @pytest.mark.parametrize("r, n", [(0.02, 8), (0.02, 48), (0.04, 16), (0.04, 24),
                                       (0.06, 16), (0.08, 12)])
     def test_small_disk_at_coarse_h(self, r, n):
-        # a lattice cell spans at most 2.5 chords of the disk's 16-gon, so
-        # these meshes pass the quality check (below 10 degrees before)
+        # a lattice cell spans at most 1.5 chords of the disk's 16-gon, so
+        # these meshes pass the quality check (below 10 degrees with no ring
+        # floor; 14 to 20 degrees at other disks with a 2.5-chord floor)
         mesh = build_strip_mesh(ObstacleSpec(radius=r), L=10, h=1 / n)
         assert mesh.min_angle_deg() >= 20.0
         assert mirror_half(mesh) is not None

@@ -16,6 +16,7 @@ from stentflow.geometry import (
     build_strip_mesh,
     no_stent_mesh,
     rectangle_mesh,
+    triangulate,
 )
 from stentflow.homogenized import FlowData, first_order_meshes
 
@@ -105,3 +106,57 @@ def test_vertex_velocity_is_the_p1_part():
     vel = _vertex_velocity(space, u)
     assert vel.shape == (n, 2)
     assert np.array_equal(vel, np.stack([u[:n], u[nv:nv + n]], axis=1))
+
+
+def _draw_config(rng):
+    """One seeded draw of every key that reaches a mesher, over its accepted
+    range and past it: a fifth of the disks touch or leave the unit cell, and
+    strip.L runs below the disk's minimum.  Sizes are capped so the draw
+    meshes in well under a second: each disk that fits keeps 0.03 clear of
+    the cell (the macro lattice takes 1.3 columns per clearance), r >= 0.05
+    and at most 24 circle segments."""
+    cx, cy = (float(v) for v in rng.uniform(0.15, 0.85, 2))
+    d = min(cx, cy, 1 - cx, 1 - cy)
+    r = float(d + rng.uniform(0.0, 0.05) if rng.random() < 0.2
+              else rng.uniform(0.05, d - 0.03))
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return {
+        "case": str(rng.choice(["collateral", "aneurysm"])),
+        "eps": float(rng.choice([1.0, 0.5, 0.25])),
+        "mesh.h": log_uniform(0.1, 2.0),
+        "first_order.h": log_uniform(0.04, 2.0),
+        "strip.h": log_uniform(1 / 32, 1.0),
+        "strip.L": float(rng.uniform(2.0, 6.0)),
+        "obstacle.cx": cx, "obstacle.cy": cy, "obstacle.r": r,
+        "mesh.obstacle_factor": log_uniform(0.25, 4.0),
+        "mesh.min_circle_segments": int(rng.integers(3, 25)),
+    }
+
+
+def test_every_accepted_input_meshes():
+    # each draw is either refused when the config is parsed, naming a drawn
+    # key, or every mesher a command calls on it returns a mesh that passes
+    # the default quality gate; before the strip sizing rule had one owner,
+    # the strip refused or failed disks that parse_config accepted
+    rng = np.random.default_rng(0)
+    meshed = refused = 0
+    for _ in range(100):
+        values = _draw_config(rng)
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert str(exc).split()[0].rstrip(",") in values, (text, exc)
+            refused += 1
+            continue
+        spec = cfg.refine_spec()
+        triangulate(build_macro_geometry(cfg.eps, cfg.case, cfg.obstacle()), cfg["mesh.h"], spec)
+        cfg.strip_mesh()
+        cfg.strip_mesh(with_obstacle=False)
+        first_order_meshes(cfg["first_order.h"], spec, cfg.case)
+        no_stent_mesh(cfg.case, cfg["mesh.h"], spec)
+        meshed += 1
+    assert meshed >= 40 and refused >= 20
