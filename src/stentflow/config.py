@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NonIntegerReciprocal
-from .geometry import (Mesh, ObstacleSpec, RefineSpec, _check_half_length, _check_size,
-                       _period_count, build_strip_mesh)
+from .geometry import (Mesh, ObstacleSpec, RefineSpec, _check_disk_divisions,
+                       _check_half_length, _check_size, _period_count, build_strip_mesh)
 from .homogenized import FlowData, first_order_meshes
 from .solvers import SolverConfig
 
@@ -40,7 +40,6 @@ DEFAULTS = {
     "mesh.min_circle_segments": _REFINE.min_circle_segments,
     "mesh.min_angle": _REFINE.min_angle_deg,
     "first_order.h": _FIRST["h"].default,
-    "solver.method": _SOLVER.method,
     "solver.outer_tol": _SOLVER.outer_tol,
     "solver.max_outer": _SOLVER.max_outer,
     "output.dir": "out",
@@ -66,14 +65,18 @@ class RunConfig:
 
     @property
     def eps_list(self):
-        """The study's eps values: each is 1/m, and at least 3 lie below 1, as
-        the slope fit (which leaves out eps = 1) needs; else a ValueError."""
+        """The study's eps values: each is 1/m, none repeats, and at least 3
+        lie below 1, as the slope fit (which leaves out eps = 1) needs; else
+        a ValueError."""
         try:
             eps_list = [float(tok) for tok in str(self.values["eps_list"]).split(",")
                         if tok.strip()]
-            n_fit = sum(_period_count(eps) > 1 for eps in eps_list)
+            periods = [_period_count(eps) for eps in eps_list]
+            if len(set(periods)) < len(periods):
+                raise ValueError(f"repeats a value in {self.values['eps_list']}")
+            n_fit = sum(m > 1 for m in periods)
             if n_fit < 3:
-                raise ValueError(f"needs at least 3 values below 1, got {n_fit}")
+                raise ValueError(f"needs at least 3 distinct values below 1, got {n_fit}")
         except (ValueError, NonIntegerReciprocal) as exc:
             raise ValueError(f"eps_list: {exc}") from None
         return eps_list
@@ -96,7 +99,6 @@ class RunConfig:
 
     def solver(self) -> SolverConfig:
         return SolverConfig(
-            method=self.values["solver.method"],
             outer_tol=self.values["solver.outer_tol"],
             max_outer=self.values["solver.max_outer"],
         )
@@ -145,6 +147,7 @@ def parse_config(text: str) -> RunConfig:
             _check_size(cfg[key], key)
         for spec in (cfg.obstacle, cfg.flow, cfg.refine_spec, cfg.solver):
             spec()
+        _check_disk_divisions(cfg.obstacle(), cfg.refine_spec())
         _check_half_length(cfg["strip.L"], cfg.obstacle(), "strip.L")
         cfg.eps_list            # its values and their count
         if cfg.eps != 0.0:      # eps = 0 is homog's zero-order-only model

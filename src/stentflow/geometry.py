@@ -573,6 +573,29 @@ def _check_half_length(L, obstacle, name="L"):
                          f"{2 + obstacle.center[1] + obstacle.radius!r}, got {L!r}")
 
 
+# The most lattice divisions per cell that a disk's geometry alone may need;
+# the tests' nearest disk to a side (cx = 0.05, r = 0.04) needs 130, and one
+# at 160 gives a 209k-triangle macro mesh at eps = 1/4 (notes/decisions.md).
+MAX_DISK_DIVISIONS = 160
+
+
+def _check_disk_divisions(obstacle, spec):
+    """The disk cost rule: the lattice divisions per cell that the disk's
+    geometry needs are at most MAX_DISK_DIVISIONS.  Those are 1.3 per
+    clearance to the cell's sides (:func:`_cell_divisions`), more than 2 per
+    clearance to the strip's periodic sides with the disk at x1 = 1/2, and
+    ``min_circle_segments`` chords around the circle; the strip's 1.3 per
+    clearance to its interface line and its ring floor never need more."""
+    r = obstacle.radius
+    need = max(1.3 / obstacle.cell_margin(), 2.0 / (0.5 - r),
+               spec.min_circle_segments / (2.0 * np.pi * r))
+    if need > MAX_DISK_DIVISIONS:
+        raise ValueError(f"obstacle.cx, obstacle.cy, obstacle.r = {obstacle.center[0]!r}, "
+                         f"{obstacle.center[1]!r}, {r!r}: the disk needs {need:.0f} lattice "
+                         f"divisions per cell at mesh.min_circle_segments = "
+                         f"{spec.min_circle_segments}, more than {MAX_DISK_DIVISIONS}")
+
+
 def _lower_bottom(case):
     """Tag of the lower channel's bottom side: the lower outflow in the
     collateral case, a wall in the aneurysm case; a ValueError for any
@@ -606,6 +629,7 @@ def triangulate(geometry: MacroGeometry, h_target,
     if not isinstance(geometry, MacroGeometry):
         raise TypeError(f"cannot triangulate {type(geometry).__name__}")
     geo, h, spec = geometry, h_target, refine_spec or RefineSpec()
+    _check_disk_divisions(geo.obstacle, spec)
     eps, m = geo.eps, geo.m
     n_cell = _cell_divisions(geo.obstacle, eps, h, spec)
     n_c = _n_circle(geo.obstacle.radius, 1.0 / n_cell, spec.min_circle_segments)
@@ -736,6 +760,7 @@ def build_strip_mesh(obstacle: ObstacleSpec | None, L=10.0, h=1.0 / 48.0,
     L = float(L)
     n = max(8, int(round(1.0 / h)))
     if obstacle is not None:
+        _check_disk_divisions(obstacle, spec)
         cx, (_, cy), r = 0.5, obstacle.center, obstacle.radius    # the disk at x1 = 1/2
         # more than 2 lattice spacings clear the disk of the periodic sides
         # and 1.3 of the interface line below it; a lattice cell spans at

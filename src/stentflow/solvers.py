@@ -1,13 +1,12 @@
 """Saddle-point solvers and the scalar Poisson solver.
 
-The default Stokes path is conjugate gradients on the pressure Schur
-complement (Uzawa), with the velocity block solved by a sparse factorization
-and the pressure mass matrix, the preconditioner, inverted by a fixed number
-of Chebyshev steps: one LU per Stokes operator.  A direct sparse
-factorization of the whole saddle point is the cross-validation fallback.
-The velocity factorization is kept with the reduced blocks, so every system
-put on the same blocks (``ReducedSystem.with_loads``) shares it.  Every matrix
-this module factors is symmetric, and :func:`factorize` is the one sparse LU.
+Every Stokes solve is conjugate gradients on the pressure Schur complement
+(Uzawa), with the velocity block solved by a sparse factorization and the
+pressure mass matrix, the preconditioner, inverted by a fixed number of
+Chebyshev steps: one LU per Stokes operator.  The velocity factorization is
+kept with the reduced blocks, so every system put on the same blocks
+(``ReducedSystem.with_loads``) shares it.  Every matrix this module factors
+is symmetric, and :func:`factorize` is the one sparse LU.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonConvergence, SingularSystem
@@ -33,27 +31,19 @@ from .fem import (
 from .geometry import Mesh
 
 
-METHODS = ("uzawa_cg", "direct")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iterative-solver parameters.
+    """Uzawa parameters.
 
-    ``method`` is ``uzawa_cg`` or ``direct``.  Uzawa iterations invert the
-    velocity block by an exact sparse LU, made once per reduced operator, and
-    are preconditioned by the pressure mass matrix, inverted by Chebyshev
-    steps.
+    Uzawa iterations invert the velocity block by an exact sparse LU, made
+    once per reduced operator, and are preconditioned by the pressure mass
+    matrix, inverted by Chebyshev steps.
     """
 
-    method: str = "uzawa_cg"
     outer_tol: float = 1e-10
     max_outer: int = 500
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"solver.method must be one of {', '.join(METHODS)}, "
-                             f"got {self.method!r}")
         if not 0 < self.outer_tol < 1:
             raise ValueError(f"solver.outer_tol must lie in (0, 1), "
                              f"got {self.outer_tol!r}")
@@ -101,7 +91,7 @@ def factorize(M):
     keeps the fill of a symmetric positive definite matrix at about half of
     SuperLU's default column ordering with partial pivoting; SuperLU still
     takes an off-diagonal pivot where a diagonal entry is exactly zero, as in
-    the saddle point.  ``splu`` is looked up on ``scipy.sparse.linalg`` at
+    a saddle-point matrix.  ``splu`` is looked up on ``scipy.sparse.linalg`` at
     call time, so a wrapper installed there sees every factorization.  The
     heap that assembly and reduction freed goes back to the system first, so
     it does not stay resident under the factor.
@@ -149,22 +139,6 @@ def _mass_inverse(M):
     return apply
 
 
-def _load_norms(red: ReducedSystem):
-    """The scales of the momentum and divergence residuals: ||f|| (at least
-    1e-300) and max(||g||, 1)."""
-    return (max(float(np.linalg.norm(red.f)), 1e-300),
-            max(float(np.linalg.norm(red.g)), 1.0))
-
-
-def _diagnostics(red: ReducedSystem, u, p, method, iterations) -> dict:
-    """Method, iteration count and the scaled residuals of (u, p) on ``red``."""
-    fnorm, gnorm = _load_norms(red)
-    mom = float(np.linalg.norm(red.A @ u + red.B.T @ p - red.f)) / fnorm
-    div = float(np.linalg.norm(red.B @ u - red.g)) / gnorm
-    return {"method": method, "iterations": iterations,
-            "momentum_residual": mom, "divergence_residual": div}
-
-
 def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     B, f, g = red.B, red.f, red.g
     n_p = B.shape[0]
@@ -184,7 +158,9 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
     z = project(precond(r))
     d = z.copy()
     rz = float(r @ z)
-    _, gnorm = _load_norms(red)
+    # the scales of the divergence and momentum residuals
+    gnorm = max(float(np.linalg.norm(g)), 1.0)
+    fnorm = max(float(np.linalg.norm(f)), 1e-300)
     iters = 0
     converged = False
     for iters in range(1, config.max_outer + 1):
@@ -209,30 +185,11 @@ def _uzawa_cg(red: ReducedSystem, config: SolverConfig):
         rz = rz_new
     # tighten the momentum equation with one final velocity solve
     u = Ainv(f - B.T @ p)
-    diag = _diagnostics(red, u, p, "uzawa_cg", iters)
-    diag["converged"] = bool(converged and diag["divergence_residual"]
-                             <= 10 * config.outer_tol)
-    return u, p, diag
-
-
-def _direct(red: ReducedSystem, config: SolverConfig):
-    A, B = red.A, red.B
-    n_u, n_p = A.shape[0], B.shape[0]
-    K = sp.bmat([[A, B.T], [B, None]], format="coo")
-    rhs = np.concatenate([red.f, red.g])
-    if red.space.pressure_kernel and n_p:
-        # pin one pressure DOF to remove the constant kernel: clear its row
-        # and column and put a unit diagonal there, which keeps K symmetric
-        pin = n_u
-        keep = (K.row != pin) & (K.col != pin)
-        K = sp.coo_matrix(
-            (np.append(K.data[keep], 1.0),
-             (np.append(K.row[keep], pin), np.append(K.col[keep], pin))),
-            shape=K.shape)
-        rhs[pin] = 0.0
-    x = factorize(K).solve(rhs)
-    u, p = x[:n_u], x[n_u:]
-    return u, p, {**_diagnostics(red, u, p, "direct", 1), "converged": True}
+    div = float(np.linalg.norm(B @ u - g)) / gnorm
+    return u, p, {"method": "uzawa_cg", "iterations": iters,
+                  "momentum_residual": float(np.linalg.norm(red.A @ u + B.T @ p - f)) / fnorm,
+                  "divergence_residual": div,
+                  "converged": bool(converged and div <= 10 * config.outer_tol)}
 
 
 def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
@@ -247,8 +204,7 @@ def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
     config = config or SolverConfig()
     red = system.reduced() if isinstance(system, StokesSystem) else system
     del system                  # the assembled blocks are freed once reduced
-    solve = _direct if config.method == "direct" else _uzawa_cg
-    u_r, p_r, diag = solve(red, config)
+    u_r, p_r, diag = _uzawa_cg(red, config)
     u, p = red.expand(u_r, p_r)
     print(
         "stentflow solve: method={method} iters={iterations} "

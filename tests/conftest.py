@@ -6,9 +6,12 @@ return; a test that needs to alter a solution builds its own.  The
 ``periodic_strip`` fixture gives the correctors solved on the full periodic
 strip, the reference for the half strip; ``prolongations`` gives the
 constraint reduction's prolongation matrices, the reference for its column
-maps.  Both are built here from ``fem`` primitives.  ``l2_distance``
-compares a discrete field with a closed-form one, and ``node_xy`` gives the
-coordinates of a space's velocity nodes.
+maps.  Both are built here from ``fem`` primitives.  ``pinned_lu`` solves a
+reduced Stokes system by one factorization of its whole saddle point, the
+reference for Uzawa, and ``use_pinned_lu()`` puts it in Uzawa's place for
+the rest of a test.  ``l2_distance`` compares a discrete field with a
+closed-form one, and ``node_xy`` gives the coordinates of a space's
+velocity nodes.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 import stentflow.cell as cell
+import stentflow.solvers as solvers
 from stentflow.cell import solve_all
 from stentflow.fem import (
     Sources,
@@ -26,6 +30,31 @@ from stentflow.fem import (
     eval_on_quadrature,
 )
 from stentflow.geometry import ObstacleSpec, build_strip_mesh
+from stentflow.solvers import factorize
+
+
+def pinned_lu(red, config=None):
+    """(u, p, diagnostics) of the reduced system ``red`` from one sparse LU of
+    its saddle point [[A, B^T], [B, 0]].  Where the pressure has a constant
+    kernel, one pressure is pinned: its row and column are cleared and a unit
+    diagonal put there, which keeps the matrix symmetric.  ``config`` is
+    ignored; the signature is Uzawa's."""
+    n_u, n_p = red.A.shape[0], red.B.shape[0]
+    K = sp.bmat([[red.A, red.B.T], [red.B, None]], format="coo")
+    rhs = np.concatenate([red.f, red.g])
+    if red.space.pressure_kernel and n_p:
+        pin = n_u
+        keep = (K.row != pin) & (K.col != pin)
+        K = sp.coo_matrix((np.append(K.data[keep], 1.0),
+                           (np.append(K.row[keep], pin), np.append(K.col[keep], pin))),
+                          shape=K.shape)
+        rhs[pin] = 0.0
+    x = factorize(K).solve(rhs)
+    u, p = x[:n_u], x[n_u:]
+    residual = [float(np.linalg.norm(r)) for r in
+                (red.A @ u + red.B.T @ p - red.f, red.B @ u - red.g)]
+    return u, p, {"method": "pinned_lu", "iterations": 1, "momentum_residual": residual[0],
+                  "divergence_residual": residual[1], "converged": True}
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +102,14 @@ class PeriodicStrip:
                 "chi": cell._chi(self, config)}
         sols["varkappa"] = self.varkappa(sols["chi"], config)
         return sols, cell.extract_constants(*sols.values())
+
+
+@pytest.fixture
+def use_pinned_lu(monkeypatch):
+    """``use_pinned_lu()`` makes every later Stokes solve of the test, those
+    inside ``solve_all`` included, factor the pinned saddle point
+    (:func:`pinned_lu`) instead of running Uzawa."""
+    return lambda: monkeypatch.setattr(solvers, "_uzawa_cg", pinned_lu)
 
 
 @pytest.fixture(scope="session")

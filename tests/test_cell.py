@@ -276,19 +276,21 @@ def _counting_splu(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("config", [SolverConfig(method="direct"),
-                                    SolverConfig(outer_tol=1e-13)],
-                         ids=["direct", "uzawa"])
-def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, config, node_xy):
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "uzawa"])
+def test_half_strip_matches_periodic_path(monkeypatch, periodic_strip, direct, node_xy,
+                                          use_pinned_lu):
     # the half-strip problems are the periodic one restricted to fields of
     # one parity, so the two paths differ by rounding once the solver error
     # is below it (at the default outer_tol, varkappa1_jump differs by 4e-10)
     mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
+    config = SolverConfig(outer_tol=1e-13)
+    if direct:
+        use_pinned_lu()
     calls = _counting_splu(monkeypatch)
     sols, half = solve_all(mesh, config, with_varkappa=True)
-    # Uzawa factors the odd and the even velocity block, the direct solver
+    # Uzawa factors the odd and the even velocity block, the pinned LU
     # each half-strip saddle point
-    assert len(calls) == (2 if config.method == "uzawa_cg" else 4)
+    assert len(calls) == (4 if direct else 2)
     ref_sols, ref = periodic_strip(mesh).solve_all(config)
     for key, val in ref.as_dict().items():
         assert abs(getattr(half, key) - val) <= 1e-10 * abs(val), key

@@ -143,11 +143,14 @@ class TestCli:
         assert not (tmp / "out").exists()
 
     @pytest.mark.parametrize("lines", ["obstacle.r = 0.3", "obstacle.cy = 0.1\nobstacle.r = 0.2",
-                                       "strip.L = 2"])
+                                       "strip.L = 2", "obstacle.cx = 0.747\n"
+                                       "obstacle.cy = 0.693\nobstacle.r = 0.2507"])
     def test_geometry_rule_exit_2_in_every_command(self, workdir, capsys, lines):
-        # the disk contract and the strip half-length rule mean the same in
-        # every subcommand: `homog` ran on these disks, `cell` and `converge`
-        # failed after solving, and strip.L = 2 failed after out/ was made
+        # the disk contract, the disk cost rule and the strip half-length
+        # rule mean the same in every subcommand: `homog` ran on these disks,
+        # `cell` and `converge` failed after solving, strip.L = 2 failed after
+        # out/ was made, and the last disk, 0.0023 from a cell side, meshed
+        # 2.8 M triangles at eps = 1/4
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text().replace("strip.L = 4\n", "") + lines + "\n")
         key = lines.split("\n")[-1].split(" =")[0]
@@ -317,7 +320,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["mesh", "converge"])
     @pytest.mark.parametrize("eps_list", ["0.25,0.125", "0.25,abc",
-                                          "0.25,0.3,0.0625"])
+                                          "0.25,0.3,0.0625", "0.25,0.25,0.125"])
     def test_bad_eps_list_exit_2(self, workdir, capsys, command, eps_list):
         # eps_list means the same in every subcommand: rejected when the
         # file is read, before any meshing, naming the key

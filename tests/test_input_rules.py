@@ -11,6 +11,7 @@ from stentflow.config import DEFAULTS, RunConfig, parse_config
 from stentflow.errors import ConfigError, MeshQualityFailure
 from stentflow.fem import _vertex_velocity, build_space
 from stentflow.geometry import (
+    MAX_DISK_DIVISIONS,
     ObstacleSpec,
     build_macro_geometry,
     build_strip_mesh,
@@ -63,7 +64,27 @@ def test_obstacle_radius_rule(value):
         ObstacleSpec(radius=value)
 
 
-@pytest.mark.parametrize("eps_list", ["1,0.5,0.25", "0.25,0.125", "0.25,0.3,0.0625"])
+@pytest.mark.parametrize("obstacle", [
+    ObstacleSpec(center=(0.747, 0.693), radius=0.2507),   # 0.0023 from the side x1 = 1
+    ObstacleSpec(center=(0.5, 0.5), radius=0.49),         # 0.01 from the strip's periodic sides
+    ObstacleSpec(radius=0.01),                            # 16 chords of a tiny circle
+], ids=["cell-side", "strip-side", "circle"])
+def test_disk_divisions_rule(obstacle):
+    # a disk inside the unit cell whose clearance or radius alone asks for
+    # more lattice divisions than MAX_DISK_DIVISIONS is refused before any
+    # meshing: the first disk gave a 2.8 M-triangle macro mesh at eps = 1/4
+    (cx, cy), r = obstacle.center, obstacle.radius
+    message = _config_error(f"obstacle.cx = {cx}\nobstacle.cy = {cy}\nobstacle.r = {r}")
+    assert message.startswith("obstacle.cx, obstacle.cy, obstacle.r = ")
+    assert f"more than {MAX_DISK_DIVISIONS}" in message
+    for build in (lambda: triangulate(build_macro_geometry(0.25, "collateral", obstacle), 0.1),
+                  lambda: build_strip_mesh(obstacle)):
+        with pytest.raises(ValueError, match="lattice divisions per cell"):
+            build()
+
+
+@pytest.mark.parametrize("eps_list", ["1,0.5,0.25", "0.25,0.125", "0.25,0.3,0.0625",
+                                      "0.25,0.25,0.125"])
 def test_eps_list_rule(monkeypatch, eps_list):
     # the study refuses a list the slope fit cannot use before any solve
     assert _config_error(f"eps_list = {eps_list}").startswith("eps_list: ")
