@@ -249,16 +249,22 @@ def _chi(strip: _StripOperators, config) -> CellSolution:
     return _cell("chi", *strip.solve(bc, None, config, "even"))
 
 
-def _varkappa(strip: _StripOperators, chi: CellSolution, config) -> CellSolution:
+def _varkappa_source(strip: _StripOperators, chi: CellSolution) -> Sources:
+    """w's body force on the half strip's triangles, from chi's fields."""
     if chi.mesh is not strip.mesh:
         raise MeshMismatch("varkappa must be solved on the chi mesh")
     fields = _chi_on_quadrature(chi, strip.half.triangles)
     body_force = -2.0 * fields["gradu"][:, :, :, 0]
     body_force[:, :, 0] += 2.0 * fields["eta_dev"]
+    return Sources(volume=body_force)
+
+
+def _varkappa(strip: _StripOperators, chi: CellSolution, source: Sources,
+              config) -> CellSolution:
     obstacle = (0.0, 0.0) if len(strip.mesh.holes) else None
     # varkappa = w - chi; w and chi are orthogonal in energy, being of
     # opposite parities
-    w, energy = strip.solve(_strip_bc(0.0, obstacle), Sources(volume=body_force), config, "odd")
+    w, energy = strip.solve(_strip_bc(0.0, obstacle), source, config, "odd")
     sol = dataclasses.replace(w, u=w.u - chi.solution.u, p=w.p - chi.solution.p)
     return _cell("varkappa", sol, energy + chi.grad_energy)
 
@@ -292,7 +298,8 @@ def solve_varkappa(strip_mesh: Mesh, chi: CellSolution,
     w, which takes the body force with zero end data, is odd.  The
     solution's space is w's, whose ends are fixed to 0.
     """
-    return _varkappa(_StripOperators(strip_mesh, ("odd",)), chi, config)
+    strip = _StripOperators(strip_mesh, ("odd",))
+    return _varkappa(strip, chi, _varkappa_source(strip, chi), config)
 
 
 def section_average(cell: CellSolution, component, y2):
@@ -455,15 +462,17 @@ def solve_all(strip_mesh: Mesh, config: SolverConfig | None = None,
     All correctors share one :class:`_StripOperators`, each operator
     assembled, reduced and factored once per call.  chi, the one even
     corrector, is solved first, and the even operator is dropped with its
-    factor before the odd one is factored.  Returns (solutions dict,
+    factor before the odd one is factored; varkappa's source is evaluated
+    in between, while no factor is alive.  Returns (solutions dict,
     constants).
     """
     strip = _StripOperators(strip_mesh, ("odd", "even"))
     chi = _chi(strip, config)
     del strip.operators["even"]
+    source = _varkappa_source(strip, chi) if with_varkappa else None
     sols = {"beta": _beta(strip, config), "upsilon": _upsilon(strip, config), "chi": chi}
     if with_varkappa:
-        sols["varkappa"] = _varkappa(strip, chi, config)
+        sols["varkappa"] = _varkappa(strip, chi, source, config)
     constants = extract_constants(sols["beta"], sols["upsilon"], sols["chi"],
                                   sols.get("varkappa"))
     return sols, constants

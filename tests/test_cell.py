@@ -366,31 +366,57 @@ def test_no_obstacle_half_strip_matches_periodic_path(monkeypatch, periodic_stri
     assert abs(jump - _far_field_jump(ref_chi, "p")) <= 1e-10
 
 
-def test_one_strip_factorization_alive_at_a_time(monkeypatch):
-    # solve_all drops the even operator, with its factor, before the odd one
-    # is factored; SuperLU objects take no weak references, so the reduced
-    # systems holding the factors are probed
+def _factor_probe(monkeypatch):
+    """A function counting the reduced systems still alive that hold a
+    factor; SuperLU objects take no weak references, so every system that
+    ``ReducedSystem.with_loads`` returns from now on is probed instead."""
     import weakref
 
-    from stentflow import solvers
     from stentflow.fem import ReducedSystem
 
-    systems, alive_with_factor = [], []
-    with_loads, factorize = ReducedSystem.with_loads, solvers.factorize
+    systems, with_loads = [], ReducedSystem.with_loads
 
     def recording(self, space, f, g):
         red = with_loads(self, space, f, g)
         systems.append(weakref.ref(red))
         return red
 
+    monkeypatch.setattr(ReducedSystem, "with_loads", recording)
+    return lambda: sum(red() is not None and "A" in red().factors for red in systems)
+
+
+def test_one_strip_factorization_alive_at_a_time(monkeypatch):
+    # solve_all drops the even operator, with its factor, before the odd one
+    # is factored
+    from stentflow import solvers
+
+    alive_with_factor, factorize = _factor_probe(monkeypatch), solvers.factorize
+    counts = []
+
     def counting(M):
-        alive_with_factor.append(sum(red() is not None and "A" in red().factors
-                                     for red in systems))
+        counts.append(alive_with_factor())
         return factorize(M)
 
-    monkeypatch.setattr(ReducedSystem, "with_loads", recording)
     monkeypatch.setattr(solvers, "factorize", counting)
     mesh = build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16)
     assert mirror_half(mesh) is not None
     solve_all(mesh, with_varkappa=True)
-    assert alive_with_factor == [0, 0]
+    assert counts == [0, 0]
+
+
+def test_varkappa_source_evaluated_with_no_factor_alive(monkeypatch):
+    # chi's fields for w's body force are evaluated between the even
+    # operator's drop and the odd one's factorization, so their temporaries
+    # do not add to a live factor
+    from stentflow import cell
+
+    alive_with_factor, evaluate = _factor_probe(monkeypatch), cell.eval_on_quadrature
+    counts = []
+
+    def counting(*args, **kwargs):
+        counts.append(alive_with_factor())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cell, "eval_on_quadrature", counting)
+    solve_all(build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16), with_varkappa=True)
+    assert counts == [0]

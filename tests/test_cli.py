@@ -1,5 +1,6 @@
 """Configuration parsing and CLI subcommand behaviour."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -418,6 +419,21 @@ class TestCli:
         assert main(["cell", "--config", str(cfg)]) == 0
         report = (tmp / "out" / "identity_report.txt").read_text().splitlines()[1:]
         assert len(report) == 12 and all(line.endswith(" ok") for line in report)
+
+    def test_cell_output_bytes_pinned(self, workdir):
+        # sha256 of each file below its provenance line, as written before
+        # varkappa's source was evaluated between the two factorizations
+        tmp, cfg = workdir
+        assert main(["cell", "--config", str(cfg)]) == 0
+        pinned = {
+            "constants.txt": "6f17bc8c6ab9d8bfbc6e366f7d862e37db6291780c5fc137a78a6fab3e701dcd",
+            "constants.csv": "d5cfc087821452c622c3dded53be1db65fe95dab3d6cd2755667d00c66bdfc3a",
+            "identity_report.txt":
+                "a40b09ec28cf9279a4403e0d051323e5f1c2087fbf939fcfadd34696d8035d22",
+        }
+        for name, digest in pinned.items():
+            body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
+            assert hashlib.sha256(body).hexdigest() == digest, name
 
     def test_cell_small_disk_at_coarse_h(self, tmp_path):
         # r = 0.04 at strip.h = 1/16 failed the mesh quality check (9.86
