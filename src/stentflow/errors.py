@@ -38,10 +38,6 @@ class NonConvergence(StentflowError):
         self.diagnostics = diagnostics
 
 
-class SingularSystem(StentflowError):
-    """Iterative solver detected an indefinite or singular operator."""
-
-
 class ConstraintMismatch(StentflowError):
     """A system's constrained pattern differs from the operator it meets."""
 

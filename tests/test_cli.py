@@ -435,6 +435,29 @@ class TestCli:
             body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
             assert hashlib.sha256(body).hexdigest() == digest, name
 
+    def test_macro_output_bytes_pinned(self, workdir, capsys):
+        # sha256 of each file below its provenance line, and the Uzawa step
+        # counts, as recorded before Uzawa's outer loop moved onto scipy's
+        # cg; the aneurysm sac's corrector solve has a pressure kernel
+        tmp, cfg = workdir
+        sac = tmp / "sac.cfg"
+        sac.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.125")
+                       + "case = aneurysm\n")
+        pinned = [
+            (cfg, "solve", "fluxes_eps0.25.csv",
+             "dc10ec0aa5454ab039f85cd1093858440151319f8508d2e0e9c86cf6a2f66f65", [19]),
+            (sac, "homog", "interface_eps0.125.csv",
+             "ce97afbca2672766c388d23474debece937fe49191b35baf844e612970bbaccc",
+             [11, 9, 9, 11, 16]),
+        ]
+        for config, command, name, digest, steps in pinned:
+            capsys.readouterr()
+            assert main([command, "--config", str(config)]) == 0
+            body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
+            assert hashlib.sha256(body).hexdigest() == digest, name
+            err = capsys.readouterr().err
+            assert [int(n) for n in re.findall(r" iters=(\d+) ", err)] == steps, command
+
     def test_cell_small_disk_at_coarse_h(self, tmp_path):
         # r = 0.04 at strip.h = 1/16 failed the mesh quality check (9.86
         # degrees) before the lattice was sized from the radius too

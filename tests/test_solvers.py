@@ -163,6 +163,29 @@ class TestStokes:
         assert exc.value.diagnostics["converged"] is False
         assert exc.value.diagnostics["iterations"] == 2
 
+    def test_zero_data_takes_no_step(self):
+        # zero pressures on the eps = 1/4 macro mesh: the Schur right-hand
+        # side is zero, so the solution is exactly zero without a CG step
+        mesh = triangulate(build_macro_geometry(0.25, "collateral", ObstacleSpec()), 0.12)
+        sol = solve_direct(mesh, FlowData(0.0, 0.0, 0.0))
+        assert not sol.u.any() and not sol.p.any()
+        assert sol.diagnostics["converged"] is True
+        assert sol.diagnostics["iterations"] == 0
+
+    @pytest.mark.parametrize("case, steps", [("collateral", 19), ("aneurysm", 23)])
+    def test_cap_counts_the_converging_step(self, case, steps):
+        # max_outer = N admits the N-th step, whose residual cg never tests
+        mesh = triangulate(build_macro_geometry(0.25, case, ObstacleSpec()), 0.12)
+        flow = FlowData(case=case)
+        assert solve_direct(mesh, flow).diagnostics["iterations"] == steps
+        sol = solve_direct(mesh, flow, SolverConfig(max_outer=steps))
+        assert sol.diagnostics["converged"] is True
+        assert sol.diagnostics["iterations"] == steps
+        with pytest.raises(NonConvergence) as exc:
+            solve_direct(mesh, flow, SolverConfig(max_outer=steps - 1))
+        assert exc.value.diagnostics["converged"] is False
+        assert exc.value.diagnostics["iterations"] == steps - 1
+
 
 @pytest.fixture(scope="module")
 def coarse_strip():
