@@ -19,7 +19,6 @@ from .cell import CellConstants, solve_all
 from .config import RunConfig
 from .errors import StentflowError
 from .fem import (
-    BC,
     VelocityField,
     assemble_stokes,
     build_space,
@@ -39,33 +38,12 @@ from .homogenized import (
     first_order_meshes,
     flowrate_first_order,
     flowrate_formula,
+    interface_flux,
+    macro_bc_spec,
     solve_first_order,
     zero_order,
 )
 from .solvers import SolverConfig, StokesSolution, solve_poisson, solve_stokes
-
-MACRO_BC = {
-    T.GAMMA_IN: ("pressure", "p_in"),
-    T.GAMMA_OUT1: ("pressure", "p_out1"),
-    T.GAMMA_OUT2: ("pressure", "p_out2"),
-    T.GAMMA1: ("wall", None),
-    T.GAMMA2: ("wall", None),
-    T.GAMMA_EPS: ("wall", None),
-}
-
-
-def macro_bc_spec(mesh: Mesh, flow: FlowData):
-    """Boundary conditions of the direct rough problem for this mesh.  Its
-    tags hold the case: an aneurysm mesh has no lower outflow."""
-    spec = {}
-    for tag in set(mesh.boundary_tags):
-        kind, key = MACRO_BC[tag]
-        if kind == "wall":
-            spec[tag] = BC.dirichlet((0.0, 0.0))
-        else:
-            spec[tag] = BC.pressure(getattr(flow, key))
-    return spec
-
 
 def solve_direct(mesh: Mesh, flow: FlowData,
                  config: SolverConfig | None = None) -> StokesSolution:
@@ -174,21 +152,16 @@ def hm1_pressure_error(direct: StokesSolution, approx_pressure) -> float:
 def flowrate_direct(direct: StokesSolution) -> float:
     """Line integral of the direct velocity's normal trace over the interface
     (normal pointing into the lower channel)."""
-    mesh = direct.space.mesh
-    edges = mesh.edges_with_tag(T.GAMMA0)
-    return edge_flux(direct.space, direct.u, edges, normal=(0.0, -1.0))
+    return interface_flux(direct)
 
 
 def boundary_fluxes(direct: StokesSolution) -> dict:
-    """Outward fluxes through every tagged outer boundary."""
+    """Outward fluxes through every tagged outer boundary, in the order of
+    :class:`~stentflow.geometry.BoundaryTag`."""
     mesh = direct.space.mesh
-    out = {}
-    for tag in (T.GAMMA_IN, T.GAMMA_OUT1, T.GAMMA_OUT2, T.GAMMA1, T.GAMMA2,
-                T.GAMMA_EPS):
-        edges = mesh.edges_with_tag(tag)
-        if len(edges):
-            out[tag.value] = edge_flux(direct.space, direct.u, edges)
-    return out
+    tags = set(mesh.boundary_tags)
+    return {tag.value: edge_flux(direct.space, direct.u, mesh.edges_with_tag(tag))
+            for tag in T if tag in tags}
 
 
 def mean_pressure_lower(direct: StokesSolution) -> float:
@@ -220,16 +193,13 @@ def velocity_profiles(direct: StokesSolution, avg, eps):
                               np.stack([x, np.zeros(n)], axis=1)])
     u_top, u_mid = np.split(VelocityField(direct.space, direct.u)(top_mid), 2)
     a_top, a_mid = np.split(avg.velocity(top_mid), 2)
-    rows = []
-    for i in range(n):
-        rows.append({
-            "x1": float(x[i]),
-            "u1_direct_at_eps": float(u_top[i, 0]),
-            "u1_avg_at_eps": float(a_top[i, 0]),
-            "u2_direct_at_0": float(u_mid[i, 1]),
-            "u2_avg_at_0": float(a_mid[i, 1]),
-        })
-    return rows
+    return [{
+        "x1": float(x[i]),
+        "u1_direct_at_eps": float(u_top[i, 0]),
+        "u1_avg_at_eps": float(a_top[i, 0]),
+        "u2_direct_at_0": float(u_mid[i, 1]),
+        "u2_avg_at_0": float(a_mid[i, 1]),
+    } for i in range(n)]
 
 
 # ----------------------------------------------------------------------------

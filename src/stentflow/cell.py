@@ -24,6 +24,7 @@ with these signs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -90,6 +91,14 @@ class CellConstants:
     def as_dict(self):
         """The constants that are set, in field order."""
         return {k: v for k, v in asdict(self).items() if v is not None}
+
+    def slip(self, side):
+        """beta1 + ups1 of the ``side`` "plus" (above the layer) or "minus"."""
+        if side == "plus":
+            return self.beta1_plus + self.ups1_plus
+        if side == "minus":
+            return self.beta1_minus + self.ups1_minus
+        raise ValueError("side must be 'plus' or 'minus'")
 
 
 def _strip_bc(top_bottom_value, obstacle_value):
@@ -186,14 +195,17 @@ class _StripOperators:
     a mesh without a half raises PeriodicMismatch.  An operator keeps the
     factorizations the solver makes, so this should live no longer than the
     solves using it; :func:`solve_all` drops the even operator once chi is
-    solved, so that no two factorizations are alive at once.
+    solved, so that no two factorizations are alive at once.  ``obstacle``
+    is the no-slip datum on the obstacle circle (None on a strip without
+    one), which every corrector but beta takes.
     """
 
     def __init__(self, mesh: Mesh, parities):
         self.mesh, self.half, self.full = mesh, mirror_half(mesh), None
         if self.half is None:
             raise PeriodicMismatch("the strip mesh does not mirror onto itself about x1 = 1/2")
-        bc = _strip_bc(0.0, (0.0, 0.0) if len(mesh.holes) else None)
+        self.obstacle = (0.0, 0.0) if len(mesh.holes) else None
+        bc = _strip_bc(0.0, self.obstacle)
         spaces = [build_space(self.half.mesh, _half_bc(bc, parities[0]))]
         spaces += [spaces[0].with_bc(_half_bc(bc, parity)) for parity in parities[1:]]
         system = assemble_stokes(spaces[0])
@@ -241,12 +253,11 @@ def _beta(strip: _StripOperators, config) -> CellSolution:
 def _upsilon(strip: _StripOperators, config) -> CellSolution:
     _require_obstacle(strip.mesh, "upsilon")
     sources = Sources(line=(T.SIGMA, 1.0))
-    return _cell("upsilon", *strip.solve(_strip_bc(0.0, (0.0, 0.0)), sources, config, "odd"))
+    return _cell("upsilon", *strip.solve(_strip_bc(0.0, strip.obstacle), sources, config, "odd"))
 
 
 def _chi(strip: _StripOperators, config) -> CellSolution:
-    bc = _strip_bc(-1.0, (0.0, 0.0) if len(strip.mesh.holes) else None)
-    return _cell("chi", *strip.solve(bc, None, config, "even"))
+    return _cell("chi", *strip.solve(_strip_bc(-1.0, strip.obstacle), None, config, "even"))
 
 
 def _varkappa_source(strip: _StripOperators, chi: CellSolution) -> Sources:
@@ -261,10 +272,9 @@ def _varkappa_source(strip: _StripOperators, chi: CellSolution) -> Sources:
 
 def _varkappa(strip: _StripOperators, chi: CellSolution, source: Sources,
               config) -> CellSolution:
-    obstacle = (0.0, 0.0) if len(strip.mesh.holes) else None
     # varkappa = w - chi; w and chi are orthogonal in energy, being of
     # opposite parities
-    w, energy = strip.solve(_strip_bc(0.0, obstacle), source, config, "odd")
+    w, energy = strip.solve(_strip_bc(0.0, strip.obstacle), source, config, "odd")
     sol = dataclasses.replace(w, u=w.u - chi.solution.u, p=w.p - chi.solution.p)
     return _cell("varkappa", sol, energy + chi.grad_energy)
 
@@ -487,6 +497,9 @@ def write_constants(constants: CellConstants, path, header_lines=()):
 
 
 def read_constants(path) -> CellConstants:
+    """The constants of a :func:`write_constants` file.  A ValueError names
+    a non-finite constant, a zero ``eta_jump`` or a side of zero slip: the
+    interface data, the flow-rate law and the implicit report divide by them."""
     vals = {}
     with open(path) as fh:
         for ln in fh:
@@ -495,4 +508,12 @@ def read_constants(path) -> CellConstants:
                 continue
             k, v = ln.split("=", 1)
             vals[k] = float(v)
-    return CellConstants(**vals)
+            if not math.isfinite(vals[k]):
+                raise ValueError(f"{k} = {vals[k]} is not finite")
+    constants = CellConstants(**vals)
+    if constants.eta_jump == 0.0:
+        raise ValueError("eta_jump = 0")
+    for side in ("plus", "minus"):
+        if constants.slip(side) == 0.0:
+            raise ValueError(f"beta1_{side} + ups1_{side} = 0")
+    return constants

@@ -344,6 +344,19 @@ def _coarsen_away(b, row, x, y, y_end, h_max, upward):
     return row, cur_x, y
 
 
+def _graded_channels(b, x0, x1, y, ends, h, spec: RefineSpec):
+    """Fill ``b`` with channels on ]x0, x1[ graded away from the row at y
+    toward each height of ``ends``: an even number of columns at spacing
+    s <= h * obstacle_factor, four rows at s next to y, then coarsening."""
+    nx = int(math.ceil((x1 - x0) / (h * spec.obstacle_factor)))
+    nx += nx % 2
+    x = np.linspace(x0, x1, nx + 1)
+    s = (x1 - x0) / nx
+    row = b.add_row(x, y)
+    for y_end in ends:
+        _graded_fill(b, row, x, y, y_end, 4 * s, s, h)
+
+
 def _graded_fill(b, row, x, y, y_end, fine, h_fine, h_far):
     """Fill from the row at y to the far wall y_end, graded away from y.
 
@@ -671,10 +684,9 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
         tags = (BoundaryTag.GAMMA_IN, BoundaryTag.GAMMA_OUT1,
                 BoundaryTag.GAMMA0, BoundaryTag.GAMMA1)
     spec = refine_spec or RefineSpec()
-    wx = x1 - x0
-    wy = y1 - y0
     b = _Builder()
     if grade_to_y is None:
+        wx, wy = x1 - x0, y1 - y0
         nx = max(1, int(math.ceil(wx / h - GEOM_TOL)))
         ny = max(1, int(math.ceil(wy / h - GEOM_TOL)))
         x = np.linspace(x0, x1, nx + 1)
@@ -687,13 +699,7 @@ def rectangle_mesh(x0, x1, y0, y1, h, tags=None, grade_to_y=None,
             start, end = y1, y0
         else:
             raise ValueError("grade_to_y must be one of the rectangle's y sides")
-        s0 = h * spec.obstacle_factor
-        nx = int(math.ceil(wx / s0))
-        nx += nx % 2
-        x = np.linspace(x0, x1, nx + 1)
-        s0 = wx / nx
-        # four rows at spacing s0 next to the graded side, then coarsening
-        _graded_fill(b, b.add_row(x, start), x, start, end, 4 * s0, s0, h)
+        _graded_channels(b, x0, x1, start, (end,), h, spec)
     sides = [(axis, value, tag, tag)
              for (axis, value), tag in zip(((0, x0), (0, x1), (1, y0), (1, y1)), tags)]
     return _finish(b, spec, "rectangle mesh", sides, BoundaryTag.GAMMA0,
@@ -726,15 +732,8 @@ def no_stent_mesh(case="aneurysm", h=0.1,
     _check_size(h)
     sides = _channel_pair_sides(case)
     spec = refine_spec or RefineSpec()
-    s = h * spec.obstacle_factor
-    nx = int(math.ceil(1.0 / s))
-    nx += nx % 2
-    x = np.linspace(0.0, 1.0, nx + 1)
-    s = 1.0 / nx
     b = _Builder()
-    gamma0_row = b.add_row(x, 0.0)
-    for y_end in (1.0, -1.0):      # four rows at spacing s each side, as rectangle_mesh
-        _graded_fill(b, gamma0_row, x, 0.0, y_end, 4 * s, s, h)
+    _graded_channels(b, 0.0, 1.0, 0.0, (1.0, -1.0), h, spec)
     return _finish(b, spec, "no-stent mesh", sides,
                    BoundaryTag.GAMMA0, np.empty((0, 3)),
                    {"kind": "no_stent", "case": case, "h": h})

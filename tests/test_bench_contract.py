@@ -1,9 +1,11 @@
 """What the benchmark in benchmarks/ relies on from the package.
 
 The layer trace wraps package functions by name, and the benchmark counts
-one ``converged=`` line per Stokes solve on standard error.
+one ``converged=`` line per Stokes solve on standard error.  Those names are
+also the only public names the package may define without using them.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from stentflow.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = BENCH.parent / "src" / "stentflow"
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +42,34 @@ def test_cell_prints_one_converged_line_per_corrector(tmp_path, capfd):
     err = capfd.readouterr().err
     assert err.count("converged=True") == 4
     assert err.count("converged=") == 4
+
+
+def test_every_public_name_is_used_in_the_package(layers):
+    # a module-level public name is referenced somewhere in src/ outside its
+    # own definition, or the layer trace wraps it; a re-export from the
+    # package's __init__ is not a use
+    wrapped = {(mod, attr.split(".")[0]) for mod, attr, _, _ in layers.WRAPPED}
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = "stentflow" if path.stem == "__init__" else f"stentflow.{path.stem}"
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node) for name in names if not name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                used.append((module, node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and module != "stentflow":
+                used += [(module, alias.name, node.lineno) for alias in node.names]
+    unused = [f"{module}.{name}" for module, name, node in defined
+              if (module, name) not in wrapped
+              and not any(n == name and not (m == module and node.lineno <= line <= node.end_lineno)
+                          for m, n, line in used)]
+    assert not unused, unused

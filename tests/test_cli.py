@@ -15,6 +15,14 @@ from stentflow.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# the default strip's constants, as a constants file holds them
+CONSTANTS = (
+    "beta1_plus=-0.377928\nbeta1_minus=-0.122114\n"
+    "ups1_plus=-0.000371269\nups1_minus=0.121744\neta_jump=27.9435\n"
+    "chi_grad_energy=27.9435\nbeta_grad_energy=0.1454\n"
+    "ups_grad_energy=0.121744\nobstacle_area=0.1104466\n"
+)
+
 
 def _child_env(**values):
     """The environment for a child interpreter, with ``src`` first on
@@ -248,12 +256,7 @@ class TestCli:
         cfg.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.0")
                        + "case = aneurysm\n")
         constants = tmp / "c.txt"
-        constants.write_text(
-            "beta1_plus=-0.377928\nbeta1_minus=-0.122114\n"
-            "ups1_plus=-0.000371269\nups1_minus=0.121744\neta_jump=27.9435\n"
-            "chi_grad_energy=27.9435\nbeta_grad_energy=0.1454\n"
-            "ups_grad_energy=0.121744\nobstacle_area=0.1104466\n"
-        )
+        constants.write_text(CONSTANTS)
         assert main(["homog", "--config", str(cfg), "--constants",
                      str(constants)]) == 0
         out = capsys.readouterr().out
@@ -292,12 +295,7 @@ class TestCli:
         tmp, cfg = workdir
         cfg.write_text(cfg.read_text() + "solver.max_outer = 3\n")
         constants = tmp / "c.txt"
-        constants.write_text(
-            "beta1_plus=-0.377928\nbeta1_minus=-0.122114\n"
-            "ups1_plus=-0.000371269\nups1_minus=0.121744\neta_jump=27.9435\n"
-            "chi_grad_energy=27.9435\nbeta_grad_energy=0.1454\n"
-            "ups_grad_energy=0.121744\nobstacle_area=0.1104466\n"
-        )
+        constants.write_text(CONSTANTS)
         assert main(["homog", "--config", str(cfg), "--constants",
                      str(constants)]) == 1
         out, err = capsys.readouterr()
@@ -376,6 +374,37 @@ class TestCli:
         assert f"constants file {constants}" in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        (("eta_jump=27.9435", "eta_jump=0.0"), "eta_jump = 0"),
+        (("eta_jump=27.9435", "eta_jump=nan"), "eta_jump = nan is not finite"),
+        (("beta1_plus=-0.377928", "beta1_plus=inf"), "beta1_plus = inf is not finite"),
+        (("obstacle_area=0.1104466", "obstacle_area=-inf"), "obstacle_area = -inf"),
+        (("ups1_plus=-0.000371269", "ups1_plus=0.377928"), "beta1_plus + ups1_plus = 0"),
+        (("ups1_minus=0.121744", "ups1_minus=0.122114"), "beta1_minus + ups1_minus = 0"),
+    ], ids=["eta_jump-zero", "eta_jump-nan", "beta1_plus-inf", "obstacle_area-inf",
+            "slip_plus-zero", "slip_minus-zero"])
+    def test_degenerate_constants_file_exit_2(self, workdir, capsys, edit, named):
+        # the interface data and the flow-rate law divide by eta_jump, and the
+        # implicit report by each side's slip; a non-finite constant would
+        # reach the solver as NaN data
+        tmp, cfg = workdir
+        constants = tmp / "c.txt"
+        constants.write_text(CONSTANTS.replace(*edit))
+        assert main(["homog", "--config", str(cfg), "--constants", str(constants)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: constants file {constants}: {named}" in err
+        assert "RuntimeWarning" not in err and "converged=" not in err
+        assert not (tmp / "out").exists()
+
+    def test_homog_aneurysm_at_large_pressures(self, workdir):
+        # pressures of order 1e9 leave a net interface flux of 3.5e-10 in the
+        # sac's Dirichlet data from rounding alone, which an absolute 1e-10
+        # threshold refused as a compatibility failure
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + "case = aneurysm\np_in = 2.3e9\np_out1 = 3e8\n")
+        assert main(["homog", "--config", str(cfg)]) == 0
+        assert (tmp / "out" / "interface_eps0.25.csv").exists()
+
     def test_cell_fails_a_broken_identity(self, workdir, monkeypatch, capsys):
         # a pressure normalization off by a constant leaves every section
         # average of the beta pressure at that constant
@@ -438,23 +467,38 @@ class TestCli:
     def test_macro_output_bytes_pinned(self, workdir, capsys):
         # sha256 of each file below its provenance line, and the Uzawa step
         # counts, as recorded before Uzawa's outer loop moved onto scipy's
-        # cg; the aneurysm sac's corrector solve has a pressure kernel
+        # cg (solve and the aneurysm homog) and before the channel pair's
+        # boundary table, stent-averaged pressure, slips and interface flux
+        # were each given one owner (the collateral homog and converge); the
+        # aneurysm sac's corrector solve has a pressure kernel
         tmp, cfg = workdir
         sac = tmp / "sac.cfg"
         sac.write_text(cfg.read_text().replace("eps = 0.25", "eps = 0.125")
                        + "case = aneurysm\n")
         pinned = [
-            (cfg, "solve", "fluxes_eps0.25.csv",
-             "dc10ec0aa5454ab039f85cd1093858440151319f8508d2e0e9c86cf6a2f66f65", [19]),
-            (sac, "homog", "interface_eps0.125.csv",
-             "ce97afbca2672766c388d23474debece937fe49191b35baf844e612970bbaccc",
+            (cfg, "solve", {"fluxes_eps0.25.csv":
+                            "dc10ec0aa5454ab039f85cd1093858440151319f8508d2e0e9c86cf6a2f66f65"},
+             [19]),
+            (sac, "homog", {"interface_eps0.125.csv":
+                            "ce97afbca2672766c388d23474debece937fe49191b35baf844e612970bbaccc"},
              [11, 9, 9, 11, 16]),
+            (cfg, "homog", {
+                "interface_eps0.25.csv":
+                    "3401af19c9f4612f1578bae383bf0e20a308fdc2eaea465565ec8c695a55a903",
+                "flowrate_eps0.25.csv":
+                    "b6b208b70e5b387073cbd88e69166cb3e480b2923c1ace1c3c3dd0a0f49c97c6",
+            }, [11, 9, 9, 13, 19]),
+            (cfg, "converge", {
+                "errors.csv": "5ace8d660f174c85c9f2c0b42cedba28bcb2c52bb9f5974d9ee73e0dca24aed0",
+                "slopes.txt": "e7df25664be83b5487f9833a16e0c0c990950a57db652c4b6c917a29b6ed208a",
+            }, [11, 9, 9, 13, 19, 19, 20, 20]),
         ]
-        for config, command, name, digest, steps in pinned:
+        for config, command, digests, steps in pinned:
             capsys.readouterr()
             assert main([command, "--config", str(config)]) == 0
-            body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
-            assert hashlib.sha256(body).hexdigest() == digest, name
+            for name, digest in digests.items():
+                body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
+                assert hashlib.sha256(body).hexdigest() == digest, name
             err = capsys.readouterr().err
             assert [int(n) for n in re.findall(r" iters=(\d+) ", err)] == steps, command
 

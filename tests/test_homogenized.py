@@ -154,6 +154,24 @@ class TestFirstOrder:
         with pytest.raises(CompatibilityFailure):
             solve_first_order(mu_, ml_, z, TABLE)
 
+    def test_aneurysm_compatibility_failure_detected_at_large_pressures(self):
+        # the flux is weighed against the trace's size, so scaling every
+        # pressure leaves the verdict unchanged
+        z = zero_order(FlowData(p_in=2.0 * 2.3e9, p_out1=0.0, case="aneurysm"))
+        z.p_lower = 0.7 * 2.3e9
+        mu_, ml_ = first_order_meshes(0.1, case="aneurysm")
+        with pytest.raises(CompatibilityFailure):
+            solve_first_order(mu_, ml_, z, TABLE)
+
+    def test_aneurysm_compatibility_holds_at_large_pressures(self):
+        # rounding alone leaves a net trace flux of -1.2e-10 here, which an
+        # absolute 1e-10 threshold refused
+        z = zero_order(FlowData(p_in=2.3e9, p_out1=3e8, case="aneurysm"))
+        assert abs(_trace_flux(interface_dirichlet(z, TABLE, "minus"))) > 1e-10
+        mu_, ml_ = first_order_meshes(0.1, case="aneurysm")
+        fo = solve_first_order(mu_, ml_, z, TABLE)
+        assert fo.lower.diagnostics["converged"]
+
     def test_trace_flux_matches_segment_loop(self):
         # the vectorized 3-point rule against one Gauss sum per segment
         def trace(x):
