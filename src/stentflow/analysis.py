@@ -229,7 +229,6 @@ class SlopeFit:
 
     slope: float
     intercept: float
-    residual: float
 
 
 def fit_slope(eps_vals, errors) -> SlopeFit:
@@ -241,10 +240,8 @@ def fit_slope(eps_vals, errors) -> SlopeFit:
     if len(eps_vals) < 3:
         raise ValueError("slope fit needs at least 3 data points")
     lx, ly = np.log(eps_vals), np.log(errors)
-    coef, res = np.polyfit(lx, ly, 1, full=True)[:2]
-    residual = float(res[0]) if len(res) else 0.0
-    return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]),
-                    residual=residual)
+    coef = np.polyfit(lx, ly, 1)
+    return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]))
 
 
 def first_order_model(cfg: RunConfig, zero, constants: CellConstants | None = None):

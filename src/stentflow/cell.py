@@ -49,7 +49,8 @@ from .solvers import SolverConfig, StokesSolution, solve_stokes
 
 @dataclass
 class CellSolution:
-    """One boundary-layer solve plus its pressure normalization record.
+    """One boundary-layer solve, its pressure normalized to zero mean over
+    the upper band.
 
     ``grad_energy`` is the squared L2 norm of the velocity gradient,
     u . (diag(K, K) u) with the strip's scalar stiffness K.  ``quadrature``
@@ -57,12 +58,13 @@ class CellSolution:
     :func:`_chi_on_quadrature` has evaluated them.
     """
 
-    which: str
     solution: StokesSolution
-    mesh: Mesh
-    normalization: dict
     grad_energy: float
     quadrature: dict | None = field(default=None, init=False, repr=False)
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.solution.space.mesh
 
 
 @dataclass
@@ -156,17 +158,10 @@ def _require_obstacle(mesh, which):
         )
 
 
-def _normalize_pressure(space, sol: StokesSolution, mesh) -> dict:
-    y0, y1 = _top_band(mesh)
-    shift = band_integral(space, sol.p, y0, y1, average=True)
-    sol.p = sol.p - shift
-    return {"band": (y0, y1), "shift": float(shift)}
-
-
 def _solve_reduced(operator: ReducedSystem, bc, sources, config):
     """The solution on ``operator`` with the data of ``bc`` and ``sources``,
     and its gradient energy."""
-    space = operator.space.with_bc(bc)
+    space = build_space(operator.space.mesh, bc)
     red = operator.with_loads(space, *assemble_loads(space, sources))
     sol = solve_stokes(red, config)
     # u.(A u) = u_r.(A_r u_r) + (2 u - u_fix).(A_fix vals) for u = T u_r + u_fix;
@@ -201,13 +196,12 @@ class _StripOperators:
     """
 
     def __init__(self, mesh: Mesh, parities):
-        self.mesh, self.half, self.full = mesh, mirror_half(mesh), None
+        self.mesh, self.half = mesh, mirror_half(mesh)
         if self.half is None:
             raise PeriodicMismatch("the strip mesh does not mirror onto itself about x1 = 1/2")
         self.obstacle = (0.0, 0.0) if len(mesh.holes) else None
         bc = _strip_bc(0.0, self.obstacle)
-        spaces = [build_space(self.half.mesh, _half_bc(bc, parities[0]))]
-        spaces += [spaces[0].with_bc(_half_bc(bc, parity)) for parity in parities[1:]]
+        spaces = [build_space(self.half.mesh, _half_bc(bc, parity)) for parity in parities]
         system = assemble_stokes(spaces[0])
         self.operators = {parity: apply_constraints(dataclasses.replace(system, space=space))
                           for parity, space in zip(parities, spaces)}
@@ -228,36 +222,33 @@ class _StripOperators:
             v = values[src[:k]]
             return np.where(flip[:k], 0.0 + sign * v, v)
 
-        # every full-strip space shares the node tables of the first
-        self.full = (build_space(self.mesh, bc) if self.full is None
-                     else self.full.with_bc(bc))
         s1, s2, sp = _SIGNS[parity]
         u = np.concatenate([copy(sol.u[:n], s1), copy(sol.u[n:], s2)])
-        return (StokesSolution(space=self.full, u=u, p=copy(sol.p, sp, nv),
+        return (StokesSolution(space=build_space(self.mesh, bc), u=u, p=copy(sol.p, sp, nv),
                                diagnostics=sol.diagnostics), 2.0 * energy)
 
 
-def _cell(which, sol: StokesSolution, energy) -> CellSolution:
-    mesh = sol.space.mesh
-    norm = _normalize_pressure(sol.space, sol, mesh)
-    return CellSolution(which=which, solution=sol, mesh=mesh, normalization=norm,
-                        grad_energy=energy)
+def _cell(sol: StokesSolution, energy) -> CellSolution:
+    """The cell solution of ``sol``, its pressure shifted to zero mean over
+    the upper band."""
+    sol.p = sol.p - band_integral(sol.space, sol.p, *_top_band(sol.space.mesh), average=True)
+    return CellSolution(solution=sol, grad_energy=energy)
 
 
 def _beta(strip: _StripOperators, config) -> CellSolution:
     _require_obstacle(strip.mesh, "beta")
     bc = _strip_bc(0.0, lambda xy: np.stack([-xy[:, 1], np.zeros(len(xy))], axis=1))
-    return _cell("beta", *strip.solve(bc, None, config, "odd"))
+    return _cell(*strip.solve(bc, None, config, "odd"))
 
 
 def _upsilon(strip: _StripOperators, config) -> CellSolution:
     _require_obstacle(strip.mesh, "upsilon")
     sources = Sources(line=(T.SIGMA, 1.0))
-    return _cell("upsilon", *strip.solve(_strip_bc(0.0, strip.obstacle), sources, config, "odd"))
+    return _cell(*strip.solve(_strip_bc(0.0, strip.obstacle), sources, config, "odd"))
 
 
 def _chi(strip: _StripOperators, config) -> CellSolution:
-    return _cell("chi", *strip.solve(_strip_bc(-1.0, strip.obstacle), None, config, "even"))
+    return _cell(*strip.solve(_strip_bc(-1.0, strip.obstacle), None, config, "even"))
 
 
 def _varkappa_source(strip: _StripOperators, chi: CellSolution) -> Sources:
@@ -276,7 +267,7 @@ def _varkappa(strip: _StripOperators, chi: CellSolution, source: Sources,
     # opposite parities
     w, energy = strip.solve(_strip_bc(0.0, strip.obstacle), source, config, "odd")
     sol = dataclasses.replace(w, u=w.u - chi.solution.u, p=w.p - chi.solution.p)
-    return _cell("varkappa", sol, energy + chi.grad_energy)
+    return _cell(sol, energy + chi.grad_energy)
 
 
 def solve_beta(strip_mesh: Mesh, config: SolverConfig | None = None) -> CellSolution:
@@ -406,15 +397,15 @@ def varkappa1_cross_integral(chi: CellSolution, beta: CellSolution) -> float:
     return -2.0 * float(np.sum(fields["w"] * integrand))
 
 
-def identity_report(beta, upsilon, chi, varkappa=None,
-                    constants: CellConstants | None = None) -> dict:
+def identity_report(beta, upsilon, chi, varkappa, c: CellConstants) -> dict:
     """Residuals of the averaged identities the cell solutions must satisfy.
 
-    Keys map to scalar residuals (absolute or relative as noted); the caller
-    decides pass/fail thresholds.  Section averages are read at those of
-    y2 = +-1, +-2.5 and +-5 that lie strictly inside the strip.
+    ``varkappa`` may be None; ``c`` are the constants :func:`extract_constants`
+    gives for these solutions.  Keys map to scalar residuals (absolute or
+    relative as noted); the caller decides pass/fail thresholds.  Section
+    averages are read at those of y2 = +-1, +-2.5 and +-5 that lie strictly
+    inside the strip.
     """
-    c = constants or extract_constants(beta, upsilon, chi, varkappa)
     rep = {}
     sections = np.array([-5.0, -2.5, -1.0, 1.0, 2.5, 5.0])
     sections = sections[np.abs(sections) < _strip_L(beta.mesh)]
@@ -498,8 +489,9 @@ def write_constants(constants: CellConstants, path, header_lines=()):
 
 def read_constants(path) -> CellConstants:
     """The constants of a :func:`write_constants` file.  A ValueError names
-    a non-finite constant, a zero ``eta_jump`` or a side of zero slip: the
-    interface data, the flow-rate law and the implicit report divide by them."""
+    a non-finite constant, an ``eta_jump`` that is not positive or a side of
+    zero slip: the interface data, the flow-rate law and the implicit report
+    divide by them, and ``eta_jump`` is chi's gradient energy."""
     vals = {}
     with open(path) as fh:
         for ln in fh:
@@ -511,8 +503,8 @@ def read_constants(path) -> CellConstants:
             if not math.isfinite(vals[k]):
                 raise ValueError(f"{k} = {vals[k]} is not finite")
     constants = CellConstants(**vals)
-    if constants.eta_jump == 0.0:
-        raise ValueError("eta_jump = 0")
+    if constants.eta_jump <= 0.0:
+        raise ValueError(f"eta_jump = {constants.eta_jump} is not positive")
     for side in ("plus", "minus"):
         if constants.slip(side) == 0.0:
             raise ValueError(f"beta1_{side} + ups1_{side} = 0")

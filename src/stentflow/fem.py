@@ -10,7 +10,6 @@ normal derivative there.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -154,7 +153,13 @@ class FESpace:
 
     Velocity nodes are the mesh vertices followed by edge midpoints; DOF of
     component c at node n is ``c * n_vnode + n``.  Pressure DOFs are the
-    vertices.
+    vertices.  The edge tables are the mesh's own, shared by every space on
+    it; the constraint sets are built from ``bc_spec``, which maps each
+    boundary tag of the mesh to a :class:`BC`.  On axis-aligned sides
+    ``pressure`` and ``odd_mirror`` fix the boundary-parallel component and
+    ``normal`` the perpendicular one.  Full Dirichlet wins at corners where
+    it meets a component constraint; two component constraints may coexist
+    unless they disagree on the same component.
     """
 
     mesh: Mesh
@@ -168,6 +173,11 @@ class FESpace:
     p_pairs: np.ndarray = field(init=False)
     p_fixed: np.ndarray = field(init=False)     # pressure DOFs fixed to zero
     pressure_kernel: bool = field(init=False)
+
+    def __post_init__(self):
+        self.bc_spec = dict(self.bc_spec)
+        self.edges, self.edge_keys, self.tri_edges = self.mesh.edge_table
+        _impose_constraints(self)
 
     @property
     def n_vnode(self):
@@ -191,32 +201,10 @@ class FESpace:
             raise ValueError("vertex pair is not an edge of the mesh")
         return idx + self.mesh.n_vertices
 
-    def with_bc(self, bc_spec: dict) -> "FESpace":
-        """The same mesh and node tables under other boundary conditions.
-
-        The tables are shared, not copied; only the constraint sets are built
-        anew.  See :func:`build_space` for the rules.
-        """
-        space = copy.copy(self)
-        space.bc_spec = dict(bc_spec)
-        _impose_constraints(space)
-        return space
-
 
 def build_space(mesh: Mesh, bc_spec: dict) -> FESpace:
-    """Create the Taylor-Hood space and populate its constraint sets.
-
-    ``bc_spec`` maps each boundary tag of the mesh to a :class:`BC`.  On
-    axis-aligned sides ``pressure`` and ``odd_mirror`` fix the
-    boundary-parallel component and ``normal`` the perpendicular one.  Full Dirichlet wins at corners where
-    it meets a component constraint; two component constraints may coexist
-    unless they disagree on the same component.  The edge tables are the
-    mesh's own.
-    """
-    space = FESpace.__new__(FESpace)
-    space.mesh = mesh
-    space.edges, space.edge_keys, space.tri_edges = mesh.edge_table
-    return space.with_bc(bc_spec)
+    """The Taylor-Hood space of ``mesh`` under ``bc_spec``; see :class:`FESpace`."""
+    return FESpace(mesh, bc_spec)
 
 
 def _node_xy(space: FESpace, nodes):
@@ -355,9 +343,6 @@ class StokesSystem:
     Mp: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
-
-    def reduced(self):
-        return apply_constraints(self)
 
 
 def _geometry_tables(mesh, sel=slice(None)):

@@ -594,14 +594,12 @@ MAX_DISK_DIVISIONS = 160
 
 def _check_disk_divisions(obstacle, spec):
     """The disk cost rule: the lattice divisions per cell that the disk's
-    geometry needs are at most MAX_DISK_DIVISIONS.  Those are 1.3 per
-    clearance to the cell's sides (:func:`_cell_divisions`), more than 2 per
-    clearance to the strip's periodic sides with the disk at x1 = 1/2, and
-    ``min_circle_segments`` chords around the circle; the strip's 1.3 per
+    geometry needs are at most MAX_DISK_DIVISIONS.  Those are the macro
+    layer's (:func:`_disk_divisions`) and more than 2 per clearance to the
+    strip's periodic sides with the disk at x1 = 1/2; the strip's 1.3 per
     clearance to its interface line and its ring floor never need more."""
     r = obstacle.radius
-    need = max(1.3 / obstacle.cell_margin(), 2.0 / (0.5 - r),
-               spec.min_circle_segments / (2.0 * np.pi * r))
+    need = max(_disk_divisions(obstacle, spec), 2.0 / (0.5 - r))
     if need > MAX_DISK_DIVISIONS:
         raise ValueError(f"obstacle.cx, obstacle.cy, obstacle.r = {obstacle.center[0]!r}, "
                          f"{obstacle.center[1]!r}, {r!r}: the disk needs {need:.0f} lattice "
@@ -714,12 +712,17 @@ def _cell_divisions(obstacle: ObstacleSpec, eps, h, spec: RefineSpec) -> int:
     boundary holds the Delaunay clearance, (iii) the circle polygon
     resolves min_circle_segments chords.
     """
-    n_h = eps / (h * spec.obstacle_factor)
-    n_geom = 1.3 / obstacle.cell_margin()
-    n_circ = spec.min_circle_segments / (2.0 * np.pi * obstacle.radius)
-    n = max(4.0, n_h, n_geom, n_circ)
+    n = max(4.0, eps / (h * spec.obstacle_factor), _disk_divisions(obstacle, spec))
     n = int(math.ceil(n - GEOM_TOL))
     return n + n % 2
+
+
+def _disk_divisions(obstacle: ObstacleSpec, spec: RefineSpec) -> float:
+    """The lattice divisions per cell that the disk's geometry needs in the
+    macro layer: 1.3 per clearance to the cell's sides, for the Delaunay
+    clearance, and ``min_circle_segments`` chords around the circle."""
+    return max(1.3 / obstacle.cell_margin(),
+               spec.min_circle_segments / (2.0 * np.pi * obstacle.radius))
 
 
 def no_stent_mesh(case="aneurysm", h=0.1,

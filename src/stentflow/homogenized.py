@@ -145,20 +145,16 @@ def interface_dirichlet(zero: ZeroOrder, constants: CellConstants, side: str):
 
 @dataclass
 class FirstOrderSolution:
-    """The two interface-corrector solves and their shared Dirichlet data."""
+    """The two interface-corrector solves, each on its own channel's mesh."""
 
     upper: StokesSolution
     lower: StokesSolution
-    mesh_upper: Mesh
-    mesh_lower: Mesh
-    trace_plus: object
-    trace_minus: object
 
     @functools.cached_property
     def locators(self):
         """Point locators of the upper and lower corrector meshes, built on
         first use and shared by every evaluation of these solves."""
-        return PointLocator(self.mesh_upper), PointLocator(self.mesh_lower)
+        return PointLocator(self.upper.space.mesh), PointLocator(self.lower.space.mesh)
 
     @functools.cached_property
     def fields(self):
@@ -221,10 +217,7 @@ def solve_first_order(mesh_upper: Mesh, mesh_lower: Mesh, zero: ZeroOrder,
         area = float(np.sum(mesh_lower.signed_areas()))
         mean_p = integrate_field(space_l, sol_l.p) / area
         sol_l.p = sol_l.p - mean_p
-    return FirstOrderSolution(
-        upper=sol_u, lower=sol_l, mesh_upper=mesh_upper, mesh_lower=mesh_lower,
-        trace_plus=tr_plus, trace_minus=tr_minus,
-    )
+    return FirstOrderSolution(upper=sol_u, lower=sol_l)
 
 
 def _trace_flux(trace, n=64):

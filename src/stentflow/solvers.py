@@ -28,6 +28,7 @@ from .fem import (
     StokesSystem,
     _geometry_tables,
     _scatter,
+    apply_constraints,
     TRI_QP,
     TRI_QW,
 )
@@ -185,7 +186,7 @@ def solve_stokes(system, config: SolverConfig | None = None) -> StokesSolution:
     :class:`~stentflow.errors.NonConvergence`, which carries the diagnostics.
     """
     config = config or SolverConfig()
-    red = system.reduced() if isinstance(system, StokesSystem) else system
+    red = apply_constraints(system) if isinstance(system, StokesSystem) else system
     del system                  # the assembled blocks are freed once reduced
     u_r, p_r, diag = _uzawa_cg(red, config)
     u, p = red.expand(u_r, p_r)

@@ -93,8 +93,8 @@ class PeriodicStrip:
         fields = cell._chi_on_quadrature(chi)
         body_force = -2.0 * fields["gradu"][:, :, :, 0]
         body_force[:, :, 0] += 2.0 * fields["eta_dev"]
-        return cell._cell("varkappa", *self.solve(cell._strip_bc(1.0, self.obstacle),
-                                                  Sources(volume=body_force), config, "odd"))
+        return cell._cell(*self.solve(cell._strip_bc(1.0, self.obstacle),
+                                      Sources(volume=body_force), config, "odd"))
 
     def solve_all(self, config=None):
         """(solutions, constants) as ``solve_all`` with varkappa gives them."""

@@ -355,4 +355,4 @@ class TestStudyWork:
         assert len(built) == 5
         assert len({id(mesh) for mesh in built}) == 5
         assert [id(m) for m in built if m.meta["kind"] == "rectangle"] == [
-            id(first.mesh_upper), id(first.mesh_lower)]
+            id(first.upper.space.mesh), id(first.lower.space.mesh)]

@@ -1,8 +1,9 @@
 """What the benchmark in benchmarks/ relies on from the package.
 
-The layer trace wraps package functions by name, and the benchmark counts
-one ``converged=`` line per Stokes solve on standard error.  Those names are
-also the only public names the package may define without using them.
+The layer trace wraps package functions by name, the runner and its child
+import a few names, and the benchmark counts one ``converged=`` line per
+Stokes solve on standard error.  The wrapped names are also the only public
+names the package may define without using them.
 """
 
 import ast
@@ -33,6 +34,37 @@ def test_every_wrapped_name_resolves(layers):
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{mod_name}.{attr}"
+
+
+# what benchmarks/child.py runs a command with, and what benchmarks/run.py
+# checks the study's slopes against
+IMPORTED = [("stentflow.cli", "main"), ("stentflow.config", "load_config"),
+            ("stentflow.analysis", "SLOPE_BANDS")]
+
+
+def test_every_imported_name_resolves():
+    for mod_name, attr in IMPORTED:
+        assert hasattr(importlib.import_module(mod_name), attr), f"{mod_name}.{attr}"
+
+
+def test_slope_bands_cover_the_error_columns(tmp_path, monkeypatch):
+    # run.py reads each band's slope from slopes.txt and the errors behind
+    # it from errors.csv: the bands are the four error columns, each a
+    # (lo, hi) pair of floats or None
+    import stentflow.analysis as analysis
+
+    report = analysis.ErrorReport(eps=0.25)
+    monkeypatch.setattr(analysis, "convergence_study",
+                        lambda cfg, progress: ([report], {}, None, None))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output.dir = {tmp_path / 'out'}\n")
+    main(["converge", "--config", str(cfg)])
+    header = (tmp_path / "out" / "errors.csv").read_text().splitlines()[1].split(",")
+    errors = [c for c in header if c.startswith(("l2_", "hm1_"))]
+    assert list(analysis.SLOPE_BANDS) == errors and len(errors) == 4
+    for band in analysis.SLOPE_BANDS.values():
+        assert isinstance(band, tuple) and len(band) == 2, band
+        assert all(b is None or isinstance(b, float) for b in band), band
 
 
 def test_cell_prints_one_converged_line_per_corrector(tmp_path, capfd):

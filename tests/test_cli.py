@@ -376,17 +376,20 @@ class TestCli:
 
     @pytest.mark.parametrize("edit, named", [
         (("eta_jump=27.9435", "eta_jump=0.0"), "eta_jump = 0"),
+        (("eta_jump=27.9435", "eta_jump=-27.9435"), "eta_jump = -27.9435 is not positive"),
         (("eta_jump=27.9435", "eta_jump=nan"), "eta_jump = nan is not finite"),
         (("beta1_plus=-0.377928", "beta1_plus=inf"), "beta1_plus = inf is not finite"),
         (("obstacle_area=0.1104466", "obstacle_area=-inf"), "obstacle_area = -inf"),
         (("ups1_plus=-0.000371269", "ups1_plus=0.377928"), "beta1_plus + ups1_plus = 0"),
         (("ups1_minus=0.121744", "ups1_minus=0.122114"), "beta1_minus + ups1_minus = 0"),
-    ], ids=["eta_jump-zero", "eta_jump-nan", "beta1_plus-inf", "obstacle_area-inf",
+    ], ids=["eta_jump-zero", "eta_jump-negative", "eta_jump-nan", "beta1_plus-inf",
+            "obstacle_area-inf",
             "slip_plus-zero", "slip_minus-zero"])
     def test_degenerate_constants_file_exit_2(self, workdir, capsys, edit, named):
         # the interface data and the flow-rate law divide by eta_jump, and the
         # implicit report by each side's slip; a non-finite constant would
-        # reach the solver as NaN data
+        # reach the solver as NaN data, and a negative eta_jump, chi's
+        # gradient energy, would turn the flow-rate law's sign
         tmp, cfg = workdir
         constants = tmp / "c.txt"
         constants.write_text(CONSTANTS.replace(*edit))
@@ -410,14 +413,14 @@ class TestCli:
         # average of the beta pressure at that constant
         import stentflow.cell as cell
 
-        normalize = cell._normalize_pressure
+        normalize = cell._cell
 
-        def shifted(space, sol, mesh):
-            record = normalize(space, sol, mesh)
+        def shifted(sol, energy):
+            normalized = normalize(sol, energy)
             sol.p = sol.p + 1e-3
-            return record
+            return normalized
 
-        monkeypatch.setattr(cell, "_normalize_pressure", shifted)
+        monkeypatch.setattr(cell, "_cell", shifted)
         tmp, cfg = workdir
         assert main(["cell", "--config", str(cfg)]) == 1
         assert "pi_section_max_rel" in capsys.readouterr().err
@@ -463,6 +466,30 @@ class TestCli:
         for name, digest in pinned.items():
             body = (tmp / "out" / name).read_bytes().split(b"\n", 1)[1]
             assert hashlib.sha256(body).hexdigest() == digest, name
+
+    def test_cell_fields_bytes_pinned(self, workdir):
+        # sha256 of each file without its provenance line: every corrector's
+        # unfolded, normalized fields, and the unobstructed strip's chi and
+        # constants, as written before the cell solutions stopped holding
+        # their mesh and normalization record
+        tmp, cfg = workdir
+        pinned = {
+            (): {"cell_fields.vtk":
+                 "aeb2867778f9259dad903df4e26ce2983ba1f11e4ff9c32e5c033701c3c0f707"},
+            ("--no-obstacle",): {
+                "cell_fields.vtk":
+                    "a6d961078a4700fd955928087fda162040c262f3cc65599df6268e9c243a696a",
+                "constants.txt":
+                    "ab1d9eb056f806c4083ba25d65f877b0f7da68fbeaa2ec219d553d0c4a2d4357",
+            },
+        }
+        for flags, digests in pinned.items():
+            assert main(["cell", "--config", str(cfg), "--vtk", *flags]) == 0
+            for name, digest in digests.items():
+                lines = (tmp / "out" / name).read_bytes().split(b"\n")
+                # the provenance is a VTK file's second line, a text file's first
+                del lines[1 if name.endswith(".vtk") else 0]
+                assert hashlib.sha256(b"\n".join(lines)).hexdigest() == digest, (flags, name)
 
     def test_macro_output_bytes_pinned(self, workdir, capsys):
         # sha256 of each file below its provenance line, and the Uzawa step

@@ -281,9 +281,9 @@ class TestSpace:
         # operators of the unobstructed strip included: fixed DOFs strictly
         # increasing, none of them a periodic slave or master
         spaces = []
-        with_bc = FESpace.with_bc
-        monkeypatch.setattr(FESpace, "with_bc",
-                            lambda self, bc: spaces.append(with_bc(self, bc)) or spaces[-1])
+        post_init = FESpace.__post_init__
+        monkeypatch.setattr(FESpace, "__post_init__",
+                            lambda self: post_init(self) or spaces.append(self))
         solve_all(build_strip_mesh(ObstacleSpec(), L=4, h=1 / 16))
         free = build_strip_mesh(None, L=4, h=0.25)
         solve_varkappa(free, solve_chi(free))

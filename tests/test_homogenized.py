@@ -121,10 +121,10 @@ class TestFirstOrder:
         space = fo.lower.space
         from stentflow.geometry import BoundaryTag as T
 
-        edges = fo.mesh_lower.edges_with_tag(T.GAMMA0)
+        edges = space.mesh.edges_with_tag(T.GAMMA0)
         nds = np.unique(edges.ravel())
         xy = node_xy(space)[nds]
-        expect = fo.trace_minus(xy[:, 0])
+        expect = interface_dirichlet(z, TABLE, "minus")(xy[:, 0])
         assert np.abs(fo.lower.u[nds] - expect[:, 0]).max() < 1e-13
         assert np.abs(fo.lower.u[space.n_vnode + nds] - expect[:, 1]).max() < 1e-13
 
@@ -193,8 +193,7 @@ class TestFirstOrder:
             mu_, ml_ = first_order_meshes(h)
             fo = solve_first_order(mu_, ml_, z, TABLE)
             near = np.abs(fo.upper.p[
-                (fo.mesh_upper.vertices[:, 0] < 0.2)
-                & (fo.mesh_upper.vertices[:, 1] < 0.2)]).max()
+                (mu_.vertices[:, 0] < 0.2) & (mu_.vertices[:, 1] < 0.2)]).max()
             maxima.append(near)
         assert maxima[1] > maxima[0]
 
@@ -222,7 +221,7 @@ class TestAveraged:
         avg = averaged_approximation(z, fo, eps)
         x = np.linspace(0.1, 0.9, 7)
         got = avg.velocity(np.stack([x, np.zeros(7)], axis=1))[:, 1]
-        expect = eps * fo.trace_plus(x)[:, 1]
+        expect = eps * interface_dirichlet(z, TABLE, "plus")(x)[:, 1]
         assert np.abs(got - expect).max() < 1e-12
 
 
